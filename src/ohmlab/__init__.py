@@ -38,9 +38,7 @@ from .linalg import (
     induced_norm_inf,
     induced_pnorm_nonneg,
     laplacian,
-    read_coordinate_text,
     solve_laplacian,
-    write_coordinate_text,
 )
 from .routing import (
     CompetitiveReport,

@@ -27,7 +27,6 @@ from .experiments import (
     run_experiment,
     run_report,
     run_sparsify,
-    worker_count,
 )
 from .graphs import (
     DEFAULT_EDGE_CAP,
@@ -110,7 +109,6 @@ def cli(ctx, tol, seed, cap_edges, out, no_timestamp):
         "cap_edges": cap_edges,
         "out": out,
         "no_timestamp": no_timestamp,
-        "threads": worker_count(),
     }
 
 
@@ -164,7 +162,7 @@ def gen_union(ctx, path_a, path_b):
 def report(ctx, graph, p_grid):
     """Competitive ratios against the 3 ln(vol)/phi routing bound."""
     g = read_graph(graph)
-    result = run_report(g, _parse_p_grid(p_grid), ctx.obj["tol"], ctx.obj["threads"])
+    result = run_report(g, _parse_p_grid(p_grid), ctx.obj["tol"])
     return _emit_result(ctx, result)
 
 
@@ -231,7 +229,6 @@ def experiment(ctx, name, n_list, d_list, seeds, p_grid, k_list, graph_path,
         base_seed=ctx.obj["seed"],
         tol=ctx.obj["tol"],
         cap_edges=ctx.obj["cap_edges"],
-        threads=ctx.obj["threads"],
     )
     graph = read_graph(graph_path) if graph_path else None
     result = run_experiment(cfg, graph)

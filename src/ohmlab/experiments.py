@@ -10,7 +10,6 @@ reruns byte-identical.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -19,17 +18,11 @@ import numpy as np
 from .graphs import (
     DEFAULT_EDGE_CAP,
     Multigraph,
-    conductance_bounds,
-    conductance_exact,
     gadget_subdivide,
     graph_union,
     random_regular,
 )
-from .routing import (
-    competitive_ratio,
-    competitive_ratio_inf,
-    localization,
-)
+from .routing import _conductance, _ratios, competitive_report, edge_demand
 from .sparsify import (
     Partition,
     expected_cut_l1,
@@ -55,21 +48,11 @@ __all__ = [
     "run_sparsify",
     "format_value",
     "render_csv",
-    "worker_count",
     "EXPERIMENT_NAMES",
 ]
 
 EXPERIMENT_NAMES = ("upperbound", "interpolation", "lowerbound", "localization")
 SLACK_TOL = 1e-6
-
-
-def worker_count() -> int:
-    """Parallelism cap from OHMLAB_THREADS (default 1)."""
-    raw = os.environ.get("OHMLAB_THREADS", "1")
-    value = int(raw)
-    if value < 1:
-        raise ValueError(f"OHMLAB_THREADS must be >= 1, got {raw!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -92,7 +75,6 @@ class ExperimentConfig:
     base_seed: int = 1
     tol: float = 1e-10
     cap_edges: int = DEFAULT_EDGE_CAP
-    threads: int = 1
 
     def __post_init__(self):
         if self.name not in EXPERIMENT_NAMES:
@@ -141,44 +123,26 @@ def _p_label(p: float) -> str:
     return format_value(float(p))
 
 
-def _phi_for_bound(g: Multigraph, exact_n_cap: int = 24) -> Tuple[float, str]:
-    """Exact conductance when enumerable, else the certified lower bound.
-
-    A lower bound only loosens 3 ln(vol)/phi, so the bound stays valid."""
-    if g.n <= exact_n_cap:
-        return conductance_exact(g, max_n=exact_n_cap).phi, "exact"
-    lower, _ = conductance_bounds(g)
-    return lower.phi, "cheeger-lower-bound"
-
-
-def _routing_bound(g: Multigraph, phi: float) -> float:
-    vol = float(g.weighted_degrees.sum())
-    return 3.0 * math.log(vol) / phi if phi > 0 else float("inf")
-
-
-def run_report(g: Multigraph, p_grid: Sequence[float], tol: float = 1e-10,
-               threads: int = 1) -> ExperimentResult:
+def run_report(g: Multigraph, p_grid: Sequence[float], tol: float = 1e-10) -> ExperimentResult:
     """Competitive ratios against the routing bound, one row per p."""
-    phi, kind = _phi_for_bound(g)
-    bound = _routing_bound(g, phi)
+    rep = competitive_report(g, p_grid, tol)
     rows = []
     violations = []
     for p in p_grid:
         p = float(p)
-        if math.isinf(p):
-            rho = competitive_ratio_inf(g, tol, threads)
-        else:
-            rho = competitive_ratio(g, p, tol)
-        slack = bound - rho
-        rows.append((_p_label(p), rho, bound, slack))
+        rho = rep.rho[p]
+        slack = rep.bound - rho
+        rows.append((_p_label(p), rho, rep.bound, slack))
         if slack < -SLACK_TOL:
             violations.append(
                 f"p={_p_label(p)}: rho {format_value(rho)} exceeds bound "
-                f"{format_value(bound)}"
+                f"{format_value(rep.bound)}"
             )
+    # the bound uses phi_lower, which a bracket certifies by the Cheeger inequality
+    kind = "exact" if rep.phi_kind == "exact" else "cheeger-lower-bound"
     comments = [
-        f"graph: n={g.n} m={g.m} vol={format_value(float(g.weighted_degrees.sum()))}",
-        f"phi ({kind}): {format_value(phi)}",
+        f"graph: n={rep.n} m={rep.m} vol={format_value(rep.vol)}",
+        f"phi ({kind}): {format_value(rep.phi_lower)}",
     ]
     return ExperimentResult(("p", "rho", "bound", "slack"), rows, comments, violations)
 
@@ -186,20 +150,15 @@ def run_report(g: Multigraph, p_grid: Sequence[float], tol: float = 1e-10,
 def run_diagnose(g: Multigraph, edge: int, samples: int = 50,
                  tol: float = 1e-10) -> ExperimentResult:
     """Threshold diagnostics for one unit edge demand, plus identity checks."""
-    if not 0 <= edge < g.m:
-        raise ValueError(f"edge index {edge} out of range for m={g.m}")
-    chi = np.zeros(g.n)
-    chi[g.tails[edge]] = 1.0
-    chi[g.heads[edge]] = -1.0
-    profile = threshold_profile(g, chi, tol)
-    phi, kind = _phi_for_bound(g)
+    profile = threshold_profile(g, edge_demand(g, edge), tol)
+    lower, _ = _conductance(g)
     integral = check_integral_identity(profile)
     flow_dev = check_unit_flow(profile, samples)
-    deriv = check_derivative_bounds(profile, phi, samples)
+    deriv = check_derivative_bounds(profile, lower.phi, samples)
     rows = diagnostic_rows(profile, samples)
     comments = [
         f"edge {edge}: ({int(g.tails[edge])}, {int(g.heads[edge])})",
-        f"phi ({kind}): {format_value(phi)}",
+        f"phi ({lower.kind}): {format_value(lower.phi)}",
         f"breakpoints {profile.breakpoints.size} in "
         f"[{format_value(profile.t_min)}, {format_value(profile.t_max)}]",
         f"center shift {format_value(profile.center_shift)} "
@@ -258,23 +217,26 @@ def run_sparsify(g: Multigraph, part: Partition, x: np.ndarray) -> ExperimentRes
     return ExperimentResult(("section", "u", "v", "value"), rows, comments, violations)
 
 
-def _run_upperbound(cfg: ExperimentConfig) -> ExperimentResult:
-    rows = []
-    violations = []
+def _grid_reports(cfg: ExperimentConfig):
+    """(n, d, seed, report) over the regular-graph grid."""
     for n in cfg.n_list:
         for d in cfg.d_list:
             for seed in cfg.seeds:
-                g = random_regular(n, d, seed)
-                phi, _ = _phi_for_bound(g)
-                rho = competitive_ratio_inf(g, cfg.tol, cfg.threads)
-                bound = _routing_bound(g, phi)
-                ratio = rho / bound if math.isfinite(bound) and bound > 0 else 0.0
-                rows.append((n, d, seed, phi, rho, bound, ratio))
-                if rho > bound + SLACK_TOL * max(bound, 1.0):
-                    violations.append(
-                        f"n={n} d={d} seed={seed}: rho_inf {format_value(rho)} "
-                        f"exceeds bound {format_value(bound)}"
-                    )
+                yield n, d, seed, competitive_report(random_regular(n, d, seed), tol=cfg.tol)
+
+
+def _run_upperbound(cfg: ExperimentConfig) -> ExperimentResult:
+    rows = []
+    violations = []
+    for n, d, seed, rep in _grid_reports(cfg):
+        rho, bound = rep.rho[math.inf], rep.bound
+        ratio = rho / bound if math.isfinite(bound) and bound > 0 else 0.0
+        rows.append((n, d, seed, rep.phi_lower, rho, bound, ratio))
+        if rho > bound + SLACK_TOL * max(bound, 1.0):
+            violations.append(
+                f"n={n} d={d} seed={seed}: rho_inf {format_value(rho)} "
+                f"exceeds bound {format_value(bound)}"
+            )
     return ExperimentResult(
         ("n", "d", "seed", "phi", "rho_inf", "bound", "ratio"), rows, [], violations
     )
@@ -291,21 +253,15 @@ def _dual(p: float) -> float:
 def _run_interpolation(cfg: ExperimentConfig, g: Optional[Multigraph]) -> ExperimentResult:
     if g is None:
         g = random_regular(cfg.base_n, cfg.base_d, cfg.base_seed)
-    rho_1 = competitive_ratio(g, 1.0, cfg.tol)
-    rho_2 = competitive_ratio(g, 2.0, cfg.tol)
-    rho_inf = competitive_ratio_inf(g, cfg.tol, cfg.threads)
+    if not g.is_unit_weight:
+        raise ValueError("interpolation needs a unit-weight graph")
+    rhos, _, _ = _ratios(g, (1.0, 2.0, *cfg.p_grid), cfg.tol)
+    rho_1, rho_2, rho_inf = rhos[1.0], rhos[2.0], rhos[math.inf]
     rows = []
     violations = []
     for p in cfg.p_grid:
         p = float(p)
-        if p == 1.0:
-            rho = rho_1
-        elif p == 2.0:
-            rho = rho_2
-        elif math.isinf(p):
-            rho = rho_inf
-        else:
-            rho = competitive_ratio(g, p, cfg.tol)
+        rho = rhos[p]
         inv_p = 0.0 if math.isinf(p) else 1.0 / p
         rt_bound = rho_1**inv_p * rho_inf ** (1.0 - inv_p)
         pp = max(p, _dual(p))
@@ -338,12 +294,11 @@ def _run_lowerbound(cfg: ExperimentConfig, base: Optional[Multigraph]) -> Experi
     violations = []
     for k in cfg.k_list:
         u = graph_union(base, gadget_subdivide(base, k, cfg.cap_edges))
-        lower, upper = conductance_bounds(u)
-        rho = competitive_ratio_inf(u, cfg.tol, cfg.threads)
-        bound = _routing_bound(u, lower.phi)
-        row = [k, u.n, u.m, lower.phi, upper.phi, rho]
-        for p in finite_p:
-            row.append(competitive_ratio(u, float(p), cfg.tol))
+        # the table reports the spectral bracket, so cuts are never enumerated
+        rep = competitive_report(u, cfg.p_grid, cfg.tol, exact_n_cap=0)
+        rho, bound = rep.rho[math.inf], rep.bound
+        row = [k, u.n, u.m, rep.phi_lower, rep.phi_upper, rho]
+        row.extend(rep.rho[float(p)] for p in finite_p)
         rows.append(tuple(row))
         if rho > bound + SLACK_TOL * max(bound, 1.0):
             violations.append(
@@ -355,27 +310,21 @@ def _run_lowerbound(cfg: ExperimentConfig, base: Optional[Multigraph]) -> Experi
 def _run_localization(cfg: ExperimentConfig) -> ExperimentResult:
     rows = []
     violations = []
-    for n in cfg.n_list:
-        for d in cfg.d_list:
-            for seed in cfg.seeds:
-                g = random_regular(n, d, seed)
-                phi, _ = _phi_for_bound(g)
-                loc = localization(g, cfg.tol, cfg.threads)
-                rho = competitive_ratio_inf(g, cfg.tol, cfg.threads)
-                phi_bound = _routing_bound(g, phi)
-                logsq_bound = math.log(n) ** 2 + 10.0
-                min_bound = min(phi_bound, logsq_bound)
-                rows.append((n, d, seed, loc, rho, phi_bound, logsq_bound))
-                if loc > rho + SLACK_TOL:
-                    violations.append(
-                        f"n={n} d={d} seed={seed}: localization "
-                        f"{format_value(loc)} exceeds rho_inf {format_value(rho)}"
-                    )
-                if loc > min_bound + SLACK_TOL:
-                    violations.append(
-                        f"n={n} d={d} seed={seed}: localization "
-                        f"{format_value(loc)} exceeds bound {format_value(min_bound)}"
-                    )
+    for n, d, seed, rep in _grid_reports(cfg):
+        loc, rho, phi_bound = rep.localization, rep.rho[math.inf], rep.bound
+        logsq_bound = math.log(n) ** 2 + 10.0
+        min_bound = min(phi_bound, logsq_bound)
+        rows.append((n, d, seed, loc, rho, phi_bound, logsq_bound))
+        if loc > rho + SLACK_TOL:
+            violations.append(
+                f"n={n} d={d} seed={seed}: localization "
+                f"{format_value(loc)} exceeds rho_inf {format_value(rho)}"
+            )
+        if loc > min_bound + SLACK_TOL:
+            violations.append(
+                f"n={n} d={d} seed={seed}: localization "
+                f"{format_value(loc)} exceeds bound {format_value(min_bound)}"
+            )
     return ExperimentResult(
         ("n", "d", "seed", "localization", "rho_inf", "phi_bound", "logsq_bound"),
         rows,

@@ -97,6 +97,20 @@ class Multigraph:
         return deg
 
     @cached_property
+    def laplacian(self) -> sp.csr_array:
+        """Weighted Laplacian B W B^T (parallel edges merge), assembled once
+        and read-only like the other cached views."""
+        rows = np.concatenate([self.tails, self.heads, self.tails, self.heads])
+        cols = np.concatenate([self.tails, self.heads, self.heads, self.tails])
+        vals = np.concatenate([self.weights, self.weights, -self.weights, -self.weights])
+        lap = sp.coo_array((vals, (rows, cols)), shape=(self.n, self.n)).tocsr()
+        lap.sum_duplicates()
+        lap.eliminate_zeros()
+        for arr in (lap.data, lap.indices, lap.indptr):
+            arr.setflags(write=False)
+        return lap
+
+    @cached_property
     def is_unit_weight(self) -> bool:
         return bool(np.all(self.weights == 1.0))
 

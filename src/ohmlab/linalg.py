@@ -24,8 +24,6 @@ __all__ = [
     "induced_norm_1",
     "induced_norm_inf",
     "induced_pnorm_nonneg",
-    "write_coordinate_text",
-    "read_coordinate_text",
 ]
 
 Matrix = Union[np.ndarray, sp.sparray]
@@ -52,15 +50,11 @@ def incidence(g: Multigraph) -> sp.csr_array:
     out.eliminate_zeros()
     return out
 
+
 def laplacian(g: Multigraph) -> sp.csr_array:
-    """Weighted Laplacian B W B^T, assembled directly (parallel edges merge)."""
-    rows = np.concatenate([g.tails, g.heads, g.tails, g.heads])
-    cols = np.concatenate([g.tails, g.heads, g.heads, g.tails])
-    vals = np.concatenate([g.weights, g.weights, -g.weights, -g.weights])
-    out = sp.coo_array((vals, (rows, cols)), shape=(g.n, g.n)).tocsr()
-    out.sum_duplicates()
-    out.eliminate_zeros()
-    return out
+    """Weighted Laplacian B W B^T (parallel edges merge), cached read-only on
+    the graph."""
+    return g.laplacian
 
 
 def _iteration_cap(g: Multigraph, max_iter: Optional[int]) -> int:
@@ -110,7 +104,7 @@ def solve_laplacian(
     if nb == 0.0:
         return SolveReport(np.zeros(g.n), 0.0, 0)
 
-    lap = laplacian(g)
+    lap = g.laplacian
     dinv = 1.0 / g.weighted_degrees
     cap = _iteration_cap(g, max_iter)
 
@@ -264,38 +258,3 @@ def induced_pnorm_nonneg(
         best=est_prev,
         iterations=max_iter,
     )
-
-
-def write_coordinate_text(mat: Matrix, path) -> None:
-    """Serialize a matrix as 'rows cols nnz' then one 'row col value' triplet
-    per line (debugging format)."""
-    coo = sp.coo_array(mat)
-    coo.sum_duplicates()
-    coo.eliminate_zeros()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for i in order:
-            fh.write(f"{int(coo.row[i])} {int(coo.col[i])} {repr(float(coo.data[i]))}\n")
-
-
-def read_coordinate_text(path) -> sp.csr_array:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append(line.split())
-    if not rows:
-        raise ValueError(f"{path}: empty matrix file")
-    nr, nc, nnz = (int(tok) for tok in rows[0])
-    if len(rows) - 1 != nnz:
-        raise ValueError(f"{path}: header says {nnz} entries, found {len(rows) - 1}")
-    rr = np.array([int(r[0]) for r in rows[1:]], dtype=np.int64)
-    cc = np.array([int(r[1]) for r in rows[1:]], dtype=np.int64)
-    vv = np.array([float(r[2]) for r in rows[1:]], dtype=np.float64)
-    out = sp.coo_array((vv, (rr, cc)), shape=(nr, nc)).tocsr()
-    out.sum_duplicates()
-    out.eliminate_zeros()
-    return out

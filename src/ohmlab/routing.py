@@ -4,16 +4,18 @@ The routing operator sends a demand chi to the electrical flow W B^T L^+ chi.
 Its l_p -> l_p competitive ratio against the optimal congestion is the induced
 norm of the entrywise absolute value of W^-1 A B W applied to edge demands;
 on unit-weight graphs this is the flow projection matrix Pi = B^T L^+ B.
-For p = inf the ratio is the largest l1 flow norm over single-edge demands,
-computed one solve per endpoint pair without materializing Pi.
+
+Every ratio comes from one sweep per graph that solves each distinct endpoint
+pair once. rho_inf and localization read the l1 flow norm of each solve, and
+|Pi| for finite p is filled from the same solves; Pi is materialized only
+when a finite p asks for it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -148,54 +150,67 @@ def voltage_energy(g: Multigraph, v: np.ndarray) -> float:
     return float(v @ (laplacian(g) @ v))
 
 
-def _endpoint_pairs(g: Multigraph) -> list:
-    """Distinct endpoint pairs in first-occurrence edge order."""
-    seen = set()
-    pairs = []
-    for t, h in zip(g.tails, g.heads):
-        key = (int(min(t, h)), int(max(t, h)))
-        if key not in seen:
-            seen.add(key)
-            pairs.append(key)
-    return pairs
+def _endpoint_pairs(g: Multigraph) -> Dict[Tuple[int, int], List[int]]:
+    """Edge ids grouped by endpoint pair (low, high), pairs in first-occurrence
+    edge order."""
+    groups: Dict[Tuple[int, int], List[int]] = {}
+    for e, (t, h) in enumerate(zip(g.tails.tolist(), g.heads.tolist())):
+        groups.setdefault((min(t, h), max(t, h)), []).append(e)
+    return groups
 
 
-def _pair_voltages(
-    g: Multigraph, pairs, tol: float, threads: int
-) -> Tuple[Dict[tuple, np.ndarray], float]:
-    """Voltage vector per endpoint pair, plus the worst solver residual."""
+def _sweep(
+    g: Multigraph, tol: float, signed: bool = False
+) -> Tuple[np.ndarray, Optional[np.ndarray], float]:
+    """One solve per distinct endpoint pair, each voltage vector used at once.
 
-    def solve_one(pair):
-        a, b = pair
+    Returns the l1 flow norm sum_f w(f) |v(head) - v(tail)| of every edge's
+    unit demand (parallel edges share their pair's value), the dense signed
+    projection Pi when `signed` is set (else None), and the worst solver
+    residual. No n x pairs block of voltages is ever held.
+    """
+    l1 = np.empty(g.m)
+    pi = np.empty((g.m, g.m)) if signed else None
+    max_residual = 0.0
+    for (a, b), edges in _endpoint_pairs(g).items():
         chi = np.zeros(g.n)
         chi[a] = 1.0
         chi[b] = -1.0
         rep = solve_laplacian(g, chi, tol)
-        return rep.solution, rep.residual_norm
-
-    if threads > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve_one, pairs))
-    else:
-        results = [solve_one(p) for p in pairs]
-    voltages = {pair: res[0] for pair, res in zip(pairs, results)}
-    max_residual = max((res[1] for res in results), default=0.0)
-    return voltages, max_residual
-
-
-def _flow_l1_per_pair(
-    g: Multigraph, tol: float, threads: int
-) -> Tuple[Dict[tuple, float], float]:
-    pairs = _endpoint_pairs(g)
-    voltages, max_residual = _pair_voltages(g, pairs, tol, threads)
-    values = {}
-    for pair in pairs:
-        v = voltages[pair]
-        values[pair] = float((g.weights * np.abs(v[g.heads] - v[g.tails])).sum())
-    return values, max_residual
+        v = rep.solution
+        col = v[g.heads] - v[g.tails]
+        l1[edges] = (g.weights * np.abs(col)).sum()
+        max_residual = max(max_residual, rep.residual_norm)
+        if signed:
+            for e in edges:
+                # the solve runs low -> high; column e of B is -chi_e for the
+                # stored orientation, so flip once more when tail is the low end
+                pi[:, e] = -col if g.tails[e] == a else col
+    return l1, pi, max_residual
 
 
-def competitive_ratio_inf(g: Multigraph, tol: float = 1e-10, threads: int = 1) -> float:
+def _edge_average(l1: np.ndarray) -> float:
+    # a left-to-right sum keeps the digits of the per-edge definition
+    total = 0.0
+    for value in l1.tolist():
+        total += value
+    return total / l1.size
+
+
+def _require_projection_size(g: Multigraph, edge_cap: int) -> None:
+    if g.m > edge_cap:
+        raise SizeLimitError(f"dense projection needs m <= {edge_cap}, got m={g.m}")
+
+
+def _induced_norm(mat: np.ndarray, p: float, norm_tol: float) -> float:
+    if p == 1.0:
+        return induced_norm_1(mat)
+    if math.isinf(p):
+        return induced_norm_inf(mat)
+    return induced_pnorm_nonneg(mat, p, norm_tol)
+
+
+def competitive_ratio_inf(g: Multigraph, tol: float = 1e-10) -> float:
     """Worst l1 flow norm over unit edge demands, one solve per endpoint pair.
 
     This equals the inf -> inf competitive ratio of electrical routing; the
@@ -203,11 +218,10 @@ def competitive_ratio_inf(g: Multigraph, tol: float = 1e-10, threads: int = 1) -
     """
     if g.m == 0:
         raise ValueError("graph has no edges")
-    values, _ = _flow_l1_per_pair(g, tol, threads)
-    return max(values.values())
+    return float(_sweep(g, tol)[0].max())
 
 
-def localization(g: Multigraph, tol: float = 1e-10, threads: int = 1) -> float:
+def localization(g: Multigraph, tol: float = 1e-10) -> float:
     """Average l1 flow norm over unit edge demands, (1/m) sum_e ||W B^T L^+ chi_e||_1.
 
     Defined for unit-weight graphs; parallel edges each count toward the
@@ -217,11 +231,7 @@ def localization(g: Multigraph, tol: float = 1e-10, threads: int = 1) -> float:
         raise ValueError("localization is defined for unit-weight graphs")
     if g.m == 0:
         raise ValueError("graph has no edges")
-    values, _ = _flow_l1_per_pair(g, tol, threads)
-    total = 0.0
-    for t, h in zip(g.tails, g.heads):
-        total += values[(int(min(t, h)), int(max(t, h)))]
-    return total / g.m
+    return _edge_average(_sweep(g, tol)[0])
 
 
 def flow_projection(
@@ -232,21 +242,8 @@ def flow_projection(
     Symmetric and idempotent up to solver tolerance. Refused above edge_cap
     edges; the per-edge l_inf path never needs it.
     """
-    if g.m > edge_cap:
-        raise SizeLimitError(
-            f"dense projection needs m <= {edge_cap}, got m={g.m}"
-        )
-    pairs = _endpoint_pairs(g)
-    voltages, _ = _pair_voltages(g, pairs, tol, threads=1)
-    pi = np.empty((g.m, g.m))
-    for e in range(g.m):
-        pair = (int(min(g.tails[e], g.heads[e])), int(max(g.tails[e], g.heads[e])))
-        v = voltages[pair]
-        col = v[g.heads] - v[g.tails]
-        # solves run min -> max of the pair; column e of B is -chi_e for the
-        # stored orientation, so flip once more when tail is the pair minimum
-        pi[:, e] = -col if int(g.tails[e]) == pair[0] else col
-    return pi
+    _require_projection_size(g, edge_cap)
+    return _sweep(g, tol, signed=True)[1]
 
 
 def competitive_ratio(
@@ -269,12 +266,36 @@ def competitive_ratio(
         )
     if p < 1.0:
         raise ValueError("p must be in [1, inf]")
-    pi_abs = np.abs(flow_projection(g, tol, edge_cap))
-    if p == 1.0:
-        return induced_norm_1(pi_abs)
-    if math.isinf(p):
-        return induced_norm_inf(pi_abs)
-    return induced_pnorm_nonneg(pi_abs, p, norm_tol)
+    pi = flow_projection(g, tol, edge_cap)
+    return _induced_norm(np.abs(pi, out=pi), p, norm_tol)
+
+
+def _ratios(
+    g: Multigraph, p_list: Sequence[float], tol: float
+) -> Tuple[Dict[float, float], Optional[float], float]:
+    """rho_inf and every requested rho_p, the localization (unit graphs only)
+    and the worst solver residual, all from one sweep.
+
+    rho_inf is the largest per-edge l1 flow norm. A finite p takes the induced
+    norm of |W^-1 A B W| = |Pi| W, whose columns come from the same solves,
+    so only a finite p pays for the dense m x m block.
+    """
+    ps = [float(p) for p in p_list]
+    if any(not p >= 1.0 for p in ps):
+        raise ValueError("p must be in [1, inf]")
+    finite = [p for p in ps if not math.isinf(p)]
+    if finite:
+        _require_projection_size(g, PROJECTION_EDGE_CAP)
+    l1, pi, max_residual = _sweep(g, tol, signed=bool(finite))
+    rho = {math.inf: float(l1.max())}
+    if finite:
+        cols = np.abs(pi, out=pi)
+        cols *= g.weights  # column e times w(e); exact on unit graphs
+        for p in finite:
+            if p not in rho:
+                rho[p] = _induced_norm(cols, p, 1e-8)
+    loc = _edge_average(l1) if g.is_unit_weight else None
+    return rho, loc, max_residual
 
 
 def competitive_ratio_operator(
@@ -316,11 +337,7 @@ def competitive_ratio_operator(
                     f"operator does not route edge demand {e}: |B f - chi| = {err:.3e}"
                 )
         cols[:, e] = g.weights[e] * np.abs(f) / g.weights
-    if p == 1.0:
-        return induced_norm_1(cols)
-    if math.isinf(p):
-        return induced_norm_inf(cols)
-    return induced_pnorm_nonneg(cols, p, norm_tol)
+    return _induced_norm(cols, p, norm_tol)
 
 
 @dataclass(frozen=True)
@@ -342,13 +359,24 @@ class CompetitiveReport:
     rho_error_bound: float
 
 
+def _conductance(
+    g: Multigraph, exact_n_cap: int = 24
+) -> Tuple[ConductanceCertificate, ConductanceCertificate]:
+    """Lower and upper conductance certificates: the exact value as both when
+    cut enumeration is allowed (n <= exact_n_cap), else the eigenvalue/sweep
+    bracket."""
+    if g.n <= exact_n_cap:
+        cert = conductance_exact(g, max_n=exact_n_cap)
+        return cert, cert
+    return conductance_bounds(g)
+
+
 def competitive_report(
     g: Multigraph,
     p_list: Sequence[float] = (np.inf,),
     tol: float = 1e-10,
     graph_id: Optional[str] = None,
     exact_n_cap: int = 24,
-    threads: int = 1,
 ) -> CompetitiveReport:
     """Assemble conductance, competitive ratios, and the routing bound.
 
@@ -357,32 +385,14 @@ def competitive_report(
     using the exact value when available and the certified lower bound
     otherwise (a smaller phi only loosens the bound, so it stays valid). On
     unit graphs vol(V) = 2m, so ln(vol(V)) matches the 2m reading of the
-    bound. Worst-case ratio error from solver residuals is propagated as
-    m * tol * ||chi|| rather than silently absorbed.
+    bound. Every ratio and the localization come from one sweep that solves
+    each endpoint pair once. Worst-case ratio error from solver residuals is
+    propagated as m * tol * ||chi|| rather than silently absorbed.
     """
     if g.m == 0:
         raise ValueError("graph has no edges")
-    if g.n <= exact_n_cap:
-        cert = conductance_exact(g, max_n=exact_n_cap)
-        phi_lower = phi_upper = cert.phi
-        phi_kind = cert.kind
-    else:
-        lower, upper = conductance_bounds(g)
-        phi_lower, phi_upper = lower.phi, upper.phi
-        phi_kind = "bracket"
-
-    values, max_residual = _flow_l1_per_pair(g, tol, threads)
-    rho: Dict[float, float] = {float(np.inf): max(values.values())}
-    for p in p_list:
-        p = float(p)
-        if p in rho:
-            continue
-        if g.is_unit_weight:
-            rho[p] = competitive_ratio(g, p, tol)
-        else:
-            rho[p] = competitive_ratio_operator(
-                g, lambda chi: route_electrical(g, chi, tol), p, tol
-            )
+    lower, upper = _conductance(g, exact_n_cap)
+    rho, loc, max_residual = _ratios(g, p_list, tol)
     floor = 1.0 - 1e-6
     for p, value in rho.items():
         if value < floor:
@@ -391,17 +401,15 @@ def competitive_report(
             )
 
     vol = float(g.weighted_degrees.sum())
-    phi_for_bound = phi_lower
-    bound = 3.0 * math.log(vol) / phi_for_bound if phi_for_bound > 0 else np.inf
-    loc = localization(g, tol, threads) if g.is_unit_weight else None
+    bound = 3.0 * math.log(vol) / lower.phi if lower.phi > 0 else math.inf
     return CompetitiveReport(
         graph_id=graph_id or f"n{g.n}-m{g.m}",
         n=g.n,
         m=g.m,
         vol=vol,
-        phi_lower=phi_lower,
-        phi_upper=phi_upper,
-        phi_kind=phi_kind,
+        phi_lower=lower.phi,
+        phi_upper=upper.phi,
+        phi_kind="exact" if lower is upper else "bracket",
         rho=rho,
         bound=bound,
         localization=loc,

@@ -4,8 +4,18 @@ from click.testing import CliRunner
 
 import ohmlab
 import ohmlab.experiments
-from ohmlab import Partition, path_graph, random_regular, read_graph, write_graph, write_partition
+from ohmlab import (
+    Partition,
+    competitive_ratio_operator,
+    path_graph,
+    random_regular,
+    read_graph,
+    route_electrical,
+    write_graph,
+    write_partition,
+)
 from ohmlab.cli import cli
+from ohmlab.routing import _endpoint_pairs
 
 
 @pytest.fixture
@@ -96,6 +106,19 @@ class TestReport:
         assert res.exit_code == 0
         assert out.read_text().startswith("#")
 
+    def test_weighted_graph_finite_p(self, runner, tmp_path):
+        gpath = tmp_path / "w.txt"
+        gpath.write_text("4 5\n0 1 2.0\n1 2 1.0\n2 3 3.0\n3 0 1.0\n0 2 1.0\n")
+        res = invoke(runner, ["--no-timestamp", "report", str(gpath), "--p", "2,inf"])
+        assert res.exit_code == 0
+        rows = [l.split(",") for l in res.output.strip().split("\n")
+                if not l.startswith("#")][1:]
+        rho = {p: float(value) for p, value, _, _ in rows}
+        g = read_graph(gpath)
+        reference = competitive_ratio_operator(g, lambda chi: route_electrical(g, chi), 2.0)
+        assert rho["2"] == pytest.approx(reference, rel=1e-9)
+        assert rho["2"] == pytest.approx(1.55209, abs=1e-5)
+
 
 class TestDiagnose:
     def test_columns(self, runner, small_graph):
@@ -178,17 +201,39 @@ class TestExperiment:
         assert "violation" in res.output
 
 
-class TestThreadsEnv:
-    def test_env_does_not_change_output(self, runner, small_graph):
-        base = invoke(runner, ["--no-timestamp", "report", small_graph]).output
-        threaded = invoke(runner, ["--no-timestamp", "report", small_graph],
-                          env={"OHMLAB_THREADS": "4"}).output
-        assert base == threaded
+class TestSolveCounts:
+    """Each distinct endpoint pair is solved exactly once per graph."""
 
-    def test_invalid_env_rejected(self, runner, small_graph):
-        res = runner.invoke(cli, ["report", small_graph], obj={},
-                            env={"OHMLAB_THREADS": "many"})
-        assert res.exit_code != 0
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = ohmlab.linalg.solve_laplacian
+
+        def counted(g, b, *args, **kwargs):
+            calls.append(tuple(np.flatnonzero(b)))
+            return solve(g, b, *args, **kwargs)
+
+        for mod in (ohmlab.linalg, ohmlab.routing, ohmlab.thresholds):
+            monkeypatch.setattr(mod, "solve_laplacian", counted)
+        return calls
+
+    @staticmethod
+    def assert_one_solve_per_pair(res, calls, g):
+        assert res.exit_code == 0
+        assert len(set(calls)) == len(calls) == len(_endpoint_pairs(g))
+
+    def test_report_all_p(self, runner, small_graph, solves):
+        res = invoke(runner, ["--no-timestamp", "report", small_graph, "--p", "1,2,inf"])
+        self.assert_one_solve_per_pair(res, solves, read_graph(small_graph))
+
+    def test_localization_one_graph(self, runner, solves):
+        res = invoke(runner, ["--no-timestamp", "experiment", "localization",
+                              "--n-list", "12", "--d-list", "3", "--seeds", "2"])
+        self.assert_one_solve_per_pair(res, solves, random_regular(12, 3, 2))
+
+    def test_interpolation(self, runner, solves):
+        res = invoke(runner, ["--no-timestamp", "experiment", "interpolation"])
+        self.assert_one_solve_per_pair(res, solves, random_regular(10, 3, 1))
 
 
 class TestMainEntry:

@@ -13,24 +13,7 @@ from ohmlab.experiments import (
     run_experiment,
     run_report,
     run_sparsify,
-    worker_count,
 )
-
-
-class TestWorkerCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("OHMLAB_THREADS", raising=False)
-        assert worker_count() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("OHMLAB_THREADS", "4")
-        assert worker_count() == 4
-
-    def test_invalid_values_rejected(self, monkeypatch):
-        for bad in ("zero", "0", "-2", "1.5"):
-            monkeypatch.setenv("OHMLAB_THREADS", bad)
-            with pytest.raises(ValueError):
-                worker_count()
 
 
 class TestConfig:

@@ -16,9 +16,7 @@ from ohmlab import (
     laplacian,
     path_graph,
     random_regular,
-    read_coordinate_text,
     solve_laplacian,
-    write_coordinate_text,
 )
 
 
@@ -188,26 +186,3 @@ class TestInducedNorms:
     def test_sparse_input(self):
         m = sp.csr_array(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert induced_pnorm_nonneg(m, 3.0) == pytest.approx(5.733109524814, abs=1e-9)
-
-
-class TestCoordinateText:
-    def test_round_trip_sparse(self, tmp_path):
-        rng = np.random.default_rng(1)
-        m = sp.random_array((7, 5), density=0.4, rng=rng, format="csr")
-        p = tmp_path / "m.txt"
-        write_coordinate_text(m, p)
-        back = read_coordinate_text(p)
-        assert back.shape == (7, 5)
-        assert np.allclose(back.toarray(), m.toarray())
-
-    def test_round_trip_dense_input(self, tmp_path):
-        m = np.array([[0.0, 1.5], [2.0, 0.0]])
-        p = tmp_path / "m.txt"
-        write_coordinate_text(m, p)
-        assert np.allclose(read_coordinate_text(p).toarray(), m)
-
-    def test_header_mismatch_rejected(self, tmp_path):
-        p = tmp_path / "m.txt"
-        p.write_text("2 2 2\n0 0 1.0\n")
-        with pytest.raises(ValueError):
-            read_coordinate_text(p)

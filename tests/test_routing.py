@@ -152,12 +152,6 @@ class TestCompetitiveRatioInf:
         # doubling halves each copy's flow; the l1 per demand is unchanged
         assert competitive_ratio_inf(doubled) == pytest.approx(1.0, abs=1e-9)
 
-    def test_threads_do_not_change_value(self):
-        g = random_regular(12, 3, 5)
-        assert competitive_ratio_inf(g, threads=4) == pytest.approx(
-            competitive_ratio_inf(g, threads=1), abs=1e-12
-        )
-
 
 class TestProjectionMatrix:
     def test_k2_projection_is_identity(self):
