@@ -111,6 +111,16 @@ class Multigraph:
         return lap
 
     @cached_property
+    def laplacian_factor(self) -> Optional[scipy.sparse.linalg.SuperLU]:
+        """Sparse LU of the Laplacian with vertex 0 grounded (its row and
+        column removed), factored once on first use; None when the graph is
+        disconnected or has one vertex."""
+        if self.n < 2 or not self.is_connected:
+            return None
+        grounded = sp.csc_array(self.laplacian[1:, 1:])
+        return scipy.sparse.linalg.splu(grounded, permc_spec="MMD_AT_PLUS_A")
+
+    @cached_property
     def is_unit_weight(self) -> bool:
         return bool(np.all(self.weights == 1.0))
 

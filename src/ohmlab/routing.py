@@ -6,9 +6,12 @@ norm of the entrywise absolute value of W^-1 A B W applied to edge demands;
 on unit-weight graphs this is the flow projection matrix Pi = B^T L^+ B.
 
 Every ratio comes from one sweep per graph that solves each distinct endpoint
-pair once. rho_inf and localization read the l1 flow norm of each solve, and
-|Pi| for finite p is filled from the same solves; Pi is materialized only
-when a finite p asks for it.
+pair once through linalg.solve_laplacian_block: in blocks of _SWEEP_COLUMNS
+pairs against the graph's cached LU factor up to the direct vertex cap, one
+pair at a time by conjugate gradient above it, every column under the same
+residual contract. rho_inf and localization read the l1 flow norm of
+each solve, and |Pi| for finite p is filled from the same solves; Pi is
+materialized only when a finite p asks for it.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from .linalg import (
     incidence,
     induced_norm_1,
     induced_norm_inf,
+    _direct_factor,
     induced_pnorm_nonneg,
     laplacian,
-    solve_laplacian,
+    solve_laplacian_block,
 )
 
 __all__ = [
@@ -53,6 +57,12 @@ __all__ = [
 ]
 
 PROJECTION_EDGE_CAP = 4000
+# Pairs per sweep block on the direct path: wide enough that the factor's
+# block solve beats column-at-a-time solves, narrow enough that the n x k
+# voltages and the m x k flows of one block stay small. Conjugate gradient
+# solves one column per call anyway, so above the cap a block is one pair and
+# the sweep holds one voltage vector, as a single solve does.
+_SWEEP_COLUMNS = 128
 
 
 def validate_demand(g: Multigraph, chi: np.ndarray) -> np.ndarray:
@@ -67,22 +77,29 @@ def validate_demand(g: Multigraph, chi: np.ndarray) -> np.ndarray:
     return chi
 
 
+def _pair_demands(g: Multigraph, sources, sinks) -> np.ndarray:
+    """Unit demands 1_s - 1_t as the columns of an n x k block, one per
+    (source, sink) pair; sources and sinks must differ pairwise."""
+    sources = np.asarray(sources, dtype=np.int64)
+    chi = np.zeros((g.n, sources.size))
+    cols = np.arange(sources.size)
+    chi[sources, cols] = 1.0
+    chi[np.asarray(sinks, dtype=np.int64), cols] = -1.0
+    return chi
+
+
 def edge_demand(g: Multigraph, eid: int) -> np.ndarray:
     """Unit demand 1_tail - 1_head for edge eid."""
     if not 0 <= eid < g.m:
         raise ValueError(f"edge index {eid} out of range for m={g.m}")
-    chi = np.zeros(g.n)
-    chi[g.tails[eid]] += 1.0
-    chi[g.heads[eid]] -= 1.0
-    return chi
+    return _pair_demands(g, [g.tails[eid]], [g.heads[eid]])[:, 0]
 
 
 def route_electrical(g: Multigraph, chi: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Electrical flow for the demand: f(e) = w(e) (v(head) - v(tail)) with
     v the Laplacian voltages. Satisfies B f = chi up to solver residual."""
     chi = validate_demand(g, chi)
-    rep = solve_laplacian(g, chi, tol)
-    v = rep.solution
+    v = solve_laplacian_block(g, chi[:, None], tol)[0][:, 0]
     return g.weights * (v[g.heads] - v[g.tails])
 
 
@@ -92,11 +109,8 @@ def effective_resistance(g: Multigraph, s: int, t: int, tol: float = 1e-10) -> f
         raise ValueError("endpoint out of range")
     if s == t:
         return 0.0
-    chi = np.zeros(g.n)
-    chi[s] = 1.0
-    chi[t] = -1.0
-    rep = solve_laplacian(g, chi, tol)
-    return float(rep.solution[s] - rep.solution[t])
+    v = solve_laplacian_block(g, _pair_demands(g, [s], [t]), tol)[0][:, 0]
+    return float(v[s] - v[t])
 
 
 def congestion(g: Multigraph, flows: Sequence[np.ndarray], p: float) -> float:
@@ -162,30 +176,37 @@ def _endpoint_pairs(g: Multigraph) -> Dict[Tuple[int, int], List[int]]:
 def _sweep(
     g: Multigraph, tol: float, signed: bool = False
 ) -> Tuple[np.ndarray, Optional[np.ndarray], float]:
-    """One solve per distinct endpoint pair, each voltage vector used at once.
+    """One solve per distinct endpoint pair, in blocks of _SWEEP_COLUMNS pairs
+    on the direct path and of one pair above the cap.
 
     Returns the l1 flow norm sum_f w(f) |v(head) - v(tail)| of every edge's
     unit demand (parallel edges share their pair's value), the dense signed
     projection Pi when `signed` is set (else None), and the worst solver
-    residual. No n x pairs block of voltages is ever held.
+    residual. Only one block of voltages is held at a time; the blocks, and
+    so every value, depend on the graph alone.
     """
     l1 = np.empty(g.m)
     pi = np.empty((g.m, g.m)) if signed else None
     max_residual = 0.0
-    for (a, b), edges in _endpoint_pairs(g).items():
-        chi = np.zeros(g.n)
-        chi[a] = 1.0
-        chi[b] = -1.0
-        rep = solve_laplacian(g, chi, tol)
-        v = rep.solution
-        col = v[g.heads] - v[g.tails]
-        l1[edges] = (g.weights * np.abs(col)).sum()
-        max_residual = max(max_residual, rep.residual_norm)
-        if signed:
-            for e in edges:
-                # the solve runs low -> high; column e of B is -chi_e for the
-                # stored orientation, so flip once more when tail is the low end
-                pi[:, e] = -col if g.tails[e] == a else col
+    groups = list(_endpoint_pairs(g).items())
+    width = _SWEEP_COLUMNS if _direct_factor(g) is not None else 1
+    for start in range(0, len(groups), width):
+        block = groups[start:start + width]
+        lows, highs = zip(*(pair for pair, _ in block))
+        volts, residuals = solve_laplacian_block(g, _pair_demands(g, lows, highs), tol)
+        max_residual = max(max_residual, float(residuals.max()))
+        # one row per pair, so each norm below sums a contiguous row the way
+        # a single flow vector is summed
+        rows = volts.T
+        flows = rows[:, g.heads] - rows[:, g.tails]
+        norms = (g.weights * np.abs(flows)).sum(axis=1)
+        for ((a, _), edges), flow, norm in zip(block, flows, norms):
+            l1[edges] = norm
+            if signed:
+                for e in edges:
+                    # the solve runs low -> high; column e of B is -chi_e for the
+                    # stored orientation, so flip once more when tail is the low end
+                    pi[:, e] = -flow if g.tails[e] == a else flow
     return l1, pi, max_residual
 
 

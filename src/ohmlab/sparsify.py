@@ -115,6 +115,12 @@ def _check_no_buried_component(g: Multigraph, part: Partition) -> None:
             )
 
 
+def _dense_block(lap, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Laplacian block L[rows, cols], sliced sparse and densified alone, so
+    the whole n x n Laplacian is never dense."""
+    return lap[rows][:, cols].toarray()
+
+
 def schur_complement(g: Multigraph, part: Partition) -> np.ndarray:
     """Dense Schur complement L_CC - L_CF L_FF^{-1} L_FC, ordered by
     ascending terminal id.
@@ -130,13 +136,13 @@ def schur_complement(g: Multigraph, part: Partition) -> np.ndarray:
             f"cap {DENSE_ELIMINATION_CAP}"
         )
     _check_no_buried_component(g, part)
-    lap = laplacian(g).toarray()
+    lap = laplacian(g)
     c, f = part.terminals, part.eliminated
-    l_cc = lap[np.ix_(c, c)]
+    l_cc = _dense_block(lap, c, c)
     if f.size == 0:
         return l_cc
-    l_cf = lap[np.ix_(c, f)]
-    l_ff = lap[np.ix_(f, f)]
+    l_cf = _dense_block(lap, c, f)
+    l_ff = _dense_block(lap, f, f)
     # LU, not Cholesky: partial pivoting is stable on this block and keeps
     # power-of-two instances (the 3-path gives exactly 1/2) bit-exact
     return l_cc - l_cf @ scipy.linalg.solve(l_ff, l_cf.T)
@@ -183,10 +189,10 @@ def harmonic_extension(g: Multigraph, part: Partition, x: np.ndarray) -> np.ndar
     if part.eliminated.size == 0:
         return np.zeros(0)
     _check_no_buried_component(g, part)
-    lap = laplacian(g).toarray()
+    lap = laplacian(g)
     c, f = part.terminals, part.eliminated
-    l_fc = lap[np.ix_(f, c)]
-    l_ff = lap[np.ix_(f, f)]
+    l_fc = _dense_block(lap, f, c)
+    l_ff = _dense_block(lap, f, f)
     y = scipy.linalg.solve(l_ff, -(l_fc @ x))
     if y.size and (y.min() < -1e-10 or y.max() > 1.0 + 1e-10):
         raise RuntimeError(

@@ -18,6 +18,7 @@ from ohmlab import (
     random_regular,
     solve_laplacian,
 )
+from ohmlab.linalg import solve_laplacian_block
 
 
 class TestIncidenceAndLaplacian:
@@ -113,6 +114,136 @@ class TestSolveLaplacian:
         assert err.best.shape == (20,)
         assert err.iterations == 2
         assert err.residual > 0
+
+
+def _pcg_gap_bound(g, b, tol):
+    """Largest distance between two sum-zero solutions that both meet the
+    residual contract: ||x - y|| <= 2 tol ||b|| / lambda_2."""
+    lam2 = np.linalg.eigvalsh(laplacian(g).toarray())[1]
+    return 2.0 * tol * np.linalg.norm(b) / lam2
+
+
+class TestSolveLaplacianBlock:
+    def test_direct_matches_pcg_on_weighted_multigraphs(self, random_multigraph):
+        rng = np.random.default_rng(20)
+        tol = 1e-10
+        for _ in range(25):
+            n = int(rng.integers(2, 60))
+            g = random_multigraph(rng, n, extra=int(rng.integers(0, 2 * n)))
+            assert g.laplacian_factor is not None
+            b = rng.standard_normal((n, 4))
+            b -= b.mean(axis=0)
+            x, residuals = solve_laplacian_block(g, b, tol)
+            for j in range(b.shape[1]):
+                true_res = np.linalg.norm(laplacian(g) @ x[:, j] - b[:, j])
+                assert true_res <= tol * np.linalg.norm(b[:, j])
+                assert residuals[j] <= tol * np.linalg.norm(b[:, j])
+                assert abs(x[:, j].sum()) <= 1e-12 * np.abs(x[:, j]).sum()
+                pcg = solve_laplacian(g, b[:, j], tol).solution
+                gap = np.linalg.norm(x[:, j] - pcg)
+                assert gap <= _pcg_gap_bound(g, b[:, j], tol)
+
+    def test_matches_dense_pseudoinverse(self, random_multigraph):
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            g = random_multigraph(rng, int(rng.integers(3, 30)), extra=10)
+            b = rng.standard_normal((g.n, 3))
+            b -= b.mean(axis=0)
+            exact = np.linalg.pinv(laplacian(g).toarray()) @ b
+            exact -= exact.mean(axis=0)
+            x, _ = solve_laplacian_block(g, b)
+            assert np.max(np.abs(x - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+    def test_zero_column_stays_zero(self):
+        g = cycle_graph(5)
+        b = np.zeros((5, 2))
+        b[0, 1], b[2, 1] = 1.0, -1.0
+        x, residuals = solve_laplacian_block(g, b)
+        assert np.array_equal(x[:, 0], np.zeros(5))
+        assert residuals[0] == 0.0
+
+    def test_unbalanced_column_rejected(self):
+        g = cycle_graph(4)
+        b = np.zeros((4, 2))
+        b[0, 0], b[1, 0] = 1.0, -1.0
+        b[0, 1] = 1.0
+        with pytest.raises(ValueError, match="sum"):
+            solve_laplacian_block(g, b)
+
+    def test_block_shape_checked(self):
+        with pytest.raises(ValueError, match="rows"):
+            solve_laplacian_block(cycle_graph(4), np.zeros(4))
+
+    def test_disconnected_rejected(self):
+        g = Multigraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        assert g.laplacian_factor is None
+        b = np.array([[1.0], [-1.0], [0.0], [0.0]])
+        with pytest.raises(DisconnectedError):
+            solve_laplacian_block(g, b)
+
+
+class TestDirectFallback:
+    class _Perturbed:
+        """Stands in for the cached factor and spoils one solution column."""
+
+        def __init__(self, lu, column):
+            self.lu, self.column = lu, column
+
+        def solve(self, rhs):
+            x = self.lu.solve(rhs)
+            x[:, self.column] += 1e-3
+            return x
+
+    @pytest.fixture
+    def pcg_calls(self, monkeypatch):
+        calls = []
+        solve = ohmlab.linalg.solve_laplacian
+
+        def counted(g, b, *args, **kwargs):
+            calls.append(np.array(b))
+            return solve(g, b, *args, **kwargs)
+
+        monkeypatch.setattr(ohmlab.linalg, "solve_laplacian", counted)
+        return calls
+
+    def test_missed_column_is_resolved_by_pcg(self, pcg_calls):
+        g = random_regular(30, 3, 1)
+        b = np.zeros((g.n, 4))
+        b[[0, 1, 2, 3], range(4)] = 1.0
+        b[[10, 11, 12, 13], range(4)] = -1.0
+        clean, _ = solve_laplacian_block(g, b)
+        assert pcg_calls == []
+        g.__dict__["laplacian_factor"] = self._Perturbed(g.laplacian_factor, 2)
+        x, residuals = solve_laplacian_block(g, b)
+        assert len(pcg_calls) == 1
+        assert np.array_equal(pcg_calls[0], b[:, 2])
+        assert np.array_equal(x[:, 2], solve_laplacian(g, b[:, 2]).solution)
+        assert np.array_equal(np.delete(x, 2, axis=1), np.delete(clean, 2, axis=1))
+        for j in range(4):
+            true_res = np.linalg.norm(laplacian(g) @ x[:, j] - b[:, j])
+            assert true_res <= 1e-10 * np.linalg.norm(b[:, j])
+            assert residuals[j] <= 1e-10 * np.linalg.norm(b[:, j])
+
+    def test_no_factor_above_cap(self, monkeypatch, pcg_calls):
+        monkeypatch.setattr(ohmlab.linalg, "_DIRECT_VERTEX_CAP", 9)
+        assert ohmlab.linalg._direct_factor(cycle_graph(9)) is not None
+        widths = []
+        block = ohmlab.routing.solve_laplacian_block
+
+        def recorded(g, b, *args, **kwargs):
+            widths.append(b.shape[1])
+            return block(g, b, *args, **kwargs)
+
+        monkeypatch.setattr(ohmlab.routing, "solve_laplacian_block", recorded)
+        g = random_regular(10, 3, 1)
+        rho = ohmlab.competitive_ratio_inf(g)
+        assert "laplacian_factor" not in g.__dict__  # never factored
+        assert len(pcg_calls) == g.m  # a simple graph: one pair per edge
+        assert widths == [1] * g.m  # the sweep holds one pair at a time
+        monkeypatch.undo()
+        assert rho == pytest.approx(
+            ohmlab.competitive_ratio_inf(random_regular(10, 3, 1)), rel=1e-9
+        )
 
 
 class TestInducedNorms:

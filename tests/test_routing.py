@@ -409,3 +409,39 @@ class TestCompetitiveReport:
         g = Multigraph.from_edges(2, [(0, 1, 2.0)])
         rep = competitive_report(g)
         assert rep.rho[np.inf] == pytest.approx(1.0, abs=1e-8)
+
+
+class TestSweepMatchesDense:
+    """The blocked sweep's ratios against a dense pinv of the Laplacian, on
+    generated multigraphs; the larger ones span several sweep blocks."""
+
+    @staticmethod
+    def dense_columns(g):
+        # column e: sum_f w(f) |Pi[f, e]| is edge e's l1 flow norm
+        inc = incidence(g).toarray()
+        pi = inc.T @ np.linalg.pinv(ohmlab.laplacian(g).toarray()) @ inc
+        return np.abs(pi) * g.weights[:, None], np.abs(pi) * g.weights[None, :]
+
+    def check(self, g):
+        flow_l1, scaled = self.dense_columns(g)
+        rho, loc, max_residual = ohmlab.routing._ratios(g, (1.0, np.inf), 1e-10)
+        assert rho[np.inf] == pytest.approx(flow_l1.sum(axis=0).max(), rel=1e-9)
+        assert rho[1.0] == pytest.approx(scaled.sum(axis=0).max(), rel=1e-9)
+        if g.is_unit_weight:
+            assert loc == pytest.approx(flow_l1.sum(axis=0).mean(), rel=1e-9)
+        assert max_residual <= 1e-10 * np.sqrt(2.0)
+
+    def test_unit_weight_multigraphs(self, random_multigraph):
+        rng = np.random.default_rng(30)
+        for n in (2, 3, 8, 20, 40):
+            self.check(random_multigraph(rng, n, extra=n // 2, weighted=False))
+
+    def test_weighted_multigraphs(self, random_multigraph):
+        rng = np.random.default_rng(31)
+        for n in (2, 5, 12, 30, 100):
+            self.check(random_multigraph(rng, n, extra=n, weighted=True))
+
+    def test_spans_several_blocks(self, random_multigraph):
+        g = random_multigraph(np.random.default_rng(32), 200, extra=150, weighted=False)
+        assert len(ohmlab.routing._endpoint_pairs(g)) > 2 * ohmlab.routing._SWEEP_COLUMNS
+        self.check(g)
