@@ -9,7 +9,6 @@ side among minimum cuts.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from typing import List, Tuple
 
@@ -47,25 +46,32 @@ class _Dinic:
                     dq.append(v)
         return level if level[t] >= 0 else None
 
-    def _augment(self, u: int, t: int, limit: float, level, it, eps: float) -> float:
-        if u == t:
-            return limit
-        while it[u] < len(self.head[u]):
-            aid = self.head[u][it[u]]
-            v = self.to[aid]
-            if self.cap[aid] > eps and level[v] == level[u] + 1:
-                pushed = self._augment(u=v, t=t, limit=min(limit, self.cap[aid]),
-                                       level=level, it=it, eps=eps)
-                if pushed > 0.0:
-                    self.cap[aid] -= pushed
-                    self.cap[aid ^ 1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0.0
+    def _augment(self, s: int, t: int, level, it, eps: float) -> float:
+        """Push flow along one s-t path of the level graph; 0.0 when none is
+        left. A depth-first walk with an explicit path: it[u] moves past an
+        arc only once no path to t continues through it."""
+        path: List[int] = []
+        u = s
+        while u != t:
+            while it[u] < len(self.head[u]):
+                aid = self.head[u][it[u]]
+                if self.cap[aid] > eps and level[self.to[aid]] == level[u] + 1:
+                    path.append(aid)
+                    u = self.to[aid]
+                    break
+                it[u] += 1
+            else:  # dead end: retreat along the arc that led here
+                if not path:
+                    return 0.0
+                u = self.to[path.pop() ^ 1]
+                it[u] += 1
+        pushed = min(self.cap[aid] for aid in path)
+        for aid in path:
+            self.cap[aid] -= pushed
+            self.cap[aid ^ 1] += pushed
+        return pushed
 
     def max_flow(self, s: int, t: int, eps: float) -> float:
-        # augmentation recurses once per path vertex
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), self.n + 1000))
         total = 0.0
         while True:
             level = self._levels(s, t, eps)
@@ -73,7 +79,7 @@ class _Dinic:
                 return total
             it = [0] * self.n
             while True:
-                pushed = self._augment(s, t, np.inf, level, it, eps)
+                pushed = self._augment(s, t, level, it, eps)
                 if pushed <= 0.0:
                     break
                 total += pushed

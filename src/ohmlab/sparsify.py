@@ -21,6 +21,7 @@ from .errors import SizeLimitError
 from .graphs import Multigraph
 from .linalg import laplacian
 from .maxflow import min_cut
+from .thresholds import _interval_sums
 
 __all__ = [
     "Partition",
@@ -342,21 +343,16 @@ def expected_cut_l1(g: Multigraph, x: np.ndarray) -> Tuple[float, float]:
     """Expected threshold-cut weight two ways: closed form and integration.
 
     Returns (sum_e w |x(a) - x(b)|, integral over [0, 1] of the cut weight of
-    {x >= t} dt), computed independently; the integral is piecewise constant
-    between sorted distinct values of x.
+    {x >= t} dt), computed independently: the closed form edge by edge, the
+    integral as the cut weight on each interval between sorted distinct
+    values of x (summed per interval like the threshold table's) times the
+    interval's length.
     """
     x = _box_check(x, "vector")
     if x.shape != (g.n,):
         raise ValueError(f"need one value per vertex, n={g.n}")
     closed = float((g.weights * np.abs(x[g.heads] - x[g.tails])).sum())
     points = np.unique(np.concatenate([[0.0, 1.0], x]))
-    lo_vals = np.minimum(x[g.tails], x[g.heads])
-    hi_vals = np.maximum(x[g.tails], x[g.heads])
-    integral = 0.0
-    for lo, hi in zip(points[:-1], points[1:]):
-        if hi <= lo:
-            continue
-        mid = 0.5 * (lo + hi)
-        crossing = (lo_vals < mid) & (mid <= hi_vals)
-        integral += float(g.weights[crossing].sum()) * (hi - lo)
-    return closed, integral
+    lo, hi = np.minimum(x[g.tails], x[g.heads]), np.maximum(x[g.tails], x[g.heads])
+    (cut,) = _interval_sums(points, lo, hi, [g.weights])
+    return closed, float(cut @ np.diff(points))

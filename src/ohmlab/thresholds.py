@@ -8,6 +8,17 @@ fully until t passes their value and never cross a cut. Voltages are centered
 by a shift chosen so vol_geq(0) = vol(V)/2, which makes the two half-axes
 comparable and is the convention the derivative inequalities assume.
 
+Between consecutive breakpoints bp (the distinct voltages) the crossing set
+is fixed: cut weight, decay rate -d/dt vol_geq and crossing flow are constant
+and vol_geq is linear. `ThresholdProfile.table` holds them, one row per
+interval, and every quantity below reads it. A float t lands in row
+r = searchsorted(bp, t, 'left'), the interval (bp[r-1], bp[r]] whose crossing
+set {v(a) < t <= v(b)} is the edges with v(a) <= bp[r-1] and v(b) >= bp[r];
+rows 0 (t <= t_min) and len(bp) (t > t_max) cross nothing and have vol_geq
+vol(V) and 0. In row r, vol_geq(t) = vol_geq(bp[r]) + (bp[r] - t) * decay.
+Only the centering bisection (`_vol_geq_arrays`) still scans every edge per
+threshold: `ohmlab diagnose` prints its residual, which the scan keeps as is.
+
 Everything here is exact piecewise arithmetic on the breakpoint grid; the
 only approximation in the pipeline is the Laplacian solve that produced v.
 """
@@ -15,6 +26,7 @@ only approximation in the pipeline is the Laplacian solve that produced v.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -77,6 +89,79 @@ class ThresholdProfile:
     @property
     def t_max(self) -> float:
         return float(self.breakpoints[-1])
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Read-only, one row per threshold interval (module docstring): cut
+        weight, decay rate, crossing flow, and vol_geq at the right end."""
+        bp, w, span = self.breakpoints, self.weights, self.va < self.vb
+        ws, gs = w[span], self.vb[span] - self.va[span]
+        rows = np.zeros((bp.size + 1, 4))
+        columns = [ws, 2.0 * ws / gs, ws * gs]
+        rows[1:-1, :3] = _interval_sums(bp, self.va[span], self.vb[span], columns).T
+        # vol_geq(bp[r]) adds, at each bp[j] >= bp[r], the zero-gap edges
+        # there and the volume lost across the interval above it; spanning
+        # [bp[0], bp[j]], the term at bp[j] lands in every row r <= j
+        at_point = np.append(rows[1:-1, 1] * np.diff(bp), 0.0) + np.bincount(
+            np.searchsorted(bp, self.va[~span]), 2.0 * w[~span], minlength=bp.size
+        )
+        rows[1:-1, 3] = _interval_sums(bp, np.full(bp.size, bp[0]), bp, [at_point])[0]
+        rows[0, 3] = self.total_volume
+        rows.setflags(write=False)
+        return rows
+
+
+def _interval_sums(grid: np.ndarray, lo, hi, columns) -> np.ndarray:
+    """(len(columns), len(grid) - 1) sums of each column over the edges
+    spanning each grid interval: lo[e] <= grid[j] and grid[j + 1] <= hi[e],
+    with lo and hi on the grid and the columns nonnegative.
+
+    Every sum adds nonnegative terms only: each edge's run of intervals is
+    split into aligned dyadic blocks that take its values. Running totals
+    (add at lo, subtract at hi) cancel when a 1e-13-wide edge's decay rate
+    swamps its neighbours'. Values are also split into multiples of a
+    quantum, 2**-52 of a power of two above the column total, whose sums are
+    exact, and remainders, so each sum is rounded about once in any order.
+    """
+    k = grid.size - 1
+    first, stop = np.searchsorted(grid, lo), np.searchsorted(grid, hi)
+    edge = np.flatnonzero(first < stop)
+    first, stop = first[edge], stop[edge]
+    parts = []
+    for col in columns:
+        quantum = np.ldexp(1.0, np.frexp(np.sum(col))[1] - 52)
+        high = np.floor(col / quantum) * quantum
+        parts += [high, col - high]
+    sums = np.zeros((len(parts), k))
+    level = 0
+    while edge.size:  # blocks of 2**level intervals; first, stop count blocks
+        at_first, at_stop = first % 2 == 1, stop % 2 == 1
+        blocks = np.concatenate([first[at_first], stop[at_stop] - 1])
+        owners = np.concatenate([edge[at_first], edge[at_stop]])
+        cover = np.arange(k) >> level
+        for out, part in zip(sums, parts):
+            out += np.bincount(blocks, part[owners], minlength=(k >> level) + 1)[cover]
+        first, stop = (first + 1) >> 1, stop >> 1
+        live = first < stop
+        first, stop, edge, level = first[live], stop[live], edge[live], level + 1
+    return sums[0::2] + sums[1::2]
+
+
+def _rows_at(profile: ThresholdProfile, t):
+    """(cut weight, decay rate, crossing flow, vol_geq) at thresholds t."""
+    bp = profile.breakpoints
+    r = np.searchsorted(bp, t, "left")
+    cut, decay, flow, right = profile.table[r].T
+    return cut, decay, flow, right + (bp[np.minimum(r, bp.size - 1)] - t) * decay
+
+
+def _thin(values: np.ndarray, samples: Optional[int]) -> np.ndarray:
+    """At most `samples` of the values, spread evenly; all of them when
+    samples is None or <= 0."""
+    if samples is None or not 0 < samples < values.size:
+        return values
+    idx = np.linspace(0, values.size - 1, num=samples).round().astype(np.int64)
+    return values[np.unique(idx)]
 
 
 def _vol_geq_arrays(va, vb, w, t: float) -> float:
@@ -195,13 +280,12 @@ def threshold_cut(profile: ThresholdProfile, t: float) -> np.ndarray:
 
 def threshold_cut_weight(profile: ThresholdProfile, t: float) -> float:
     """Weight of edges crossing S_t (exactly one endpoint at voltage >= t)."""
-    cross = (profile.va < t) & (t <= profile.vb)
-    return float(profile.weights[cross].sum())
+    return float(_rows_at(profile, t)[0])
 
 
 def fractional_volume(profile: ThresholdProfile, t: float) -> float:
     """vol_geq(t) under the per-edge full / interpolated / zero case rule."""
-    return _vol_geq_arrays(profile.va, profile.vb, profile.weights, t)
+    return float(_rows_at(profile, t)[3])
 
 
 def padded_volume(profile: ThresholdProfile, t: float) -> float:
@@ -212,11 +296,7 @@ def padded_volume(profile: ThresholdProfile, t: float) -> float:
 def volume_decay_rate(profile: ThresholdProfile, t: float) -> float:
     """-d/dt vol_geq at a non-breakpoint t: sum of 2w / (v(b) - v(a)) over
     crossing edges."""
-    va, vb, w = profile.va, profile.vb, profile.weights
-    cross = (va < t) & (t <= vb)
-    if not cross.any():
-        return 0.0
-    return 2.0 * float((w[cross] / (vb[cross] - va[cross])).sum())
+    return float(_rows_at(profile, t)[1])
 
 
 def crossing_flow(profile: ThresholdProfile, t: float) -> float:
@@ -225,11 +305,7 @@ def crossing_flow(profile: ThresholdProfile, t: float) -> float:
     Equals 1 for every t strictly between t_min and t_max when the voltages
     come from a unit demand, up to solver residual.
     """
-    va, vb, w = profile.va, profile.vb, profile.weights
-    cross = (va < t) & (t <= vb)
-    if not cross.any():
-        return 0.0
-    return float((w[cross] * (vb[cross] - va[cross])).sum())
+    return float(_rows_at(profile, t)[2])
 
 
 @dataclass(frozen=True)
@@ -248,47 +324,27 @@ class IntegralIdentityReport:
         return self.gap / max(abs(self.lhs), abs(self.rhs), 1e-300)
 
 
-def _intervals(profile: ThresholdProfile) -> np.ndarray:
-    bp = profile.breakpoints
-    return np.column_stack([bp[:-1], bp[1:]]) if bp.size >= 2 else np.empty((0, 2))
-
-
 def check_integral_identity(profile: ThresholdProfile) -> IntegralIdentityReport:
     """Compare the stretch sum against the piecewise-constant cut integral.
 
-    delta is constant between consecutive breakpoints, so the integral is a
-    finite sum of midpoint values times interval lengths; the identity holds
-    for any voltage vector, so the gap measures arithmetic noise only.
+    lhs sums w (v(b) - v(a)) edge by edge; rhs is the integral of delta(t),
+    the table's cut weight per breakpoint interval times the interval's
+    length. The identity holds for any voltage vector, so the gap measures
+    arithmetic noise only.
     """
     lhs = float((profile.weights * (profile.vb - profile.va)).sum())
-    rhs = 0.0
-    for lo, hi in _intervals(profile):
-        rhs += threshold_cut_weight(profile, 0.5 * (lo + hi)) * (hi - lo)
+    rhs = float(profile.table[1:-1, 0] @ np.diff(profile.breakpoints))
     return IntegralIdentityReport(lhs=lhs, rhs=rhs)
 
 
-def _interior_points(profile: ThresholdProfile, samples: int) -> np.ndarray:
-    """`samples` thresholds strictly inside breakpoint intervals, spread
-    round-robin across the intervals in order."""
-    iv = _intervals(profile)
-    if iv.shape[0] == 0 or samples <= 0:
-        return np.empty(0)
-    counts = np.zeros(iv.shape[0], dtype=np.int64)
-    for i in range(samples):
-        counts[i % iv.shape[0]] += 1
-    pts: List[float] = []
-    for (lo, hi), c in zip(iv, counts):
-        for j in range(1, int(c) + 1):
-            pts.append(lo + (hi - lo) * j / (c + 1))
-    return np.array(pts)
-
-
-def check_unit_flow(profile: ThresholdProfile, samples: int = 50) -> float:
-    """Max |crossing flow - 1| over sampled non-breakpoint thresholds."""
-    pts = _interior_points(profile, samples)
-    if pts.size == 0:
-        return 0.0
-    return max(abs(crossing_flow(profile, float(t)) - 1.0) for t in pts)
+def check_unit_flow(profile: ThresholdProfile, samples: Optional[int] = 50) -> float:
+    """Max |crossing flow - 1| at the midpoints of the first `samples`
+    breakpoint intervals, or of every interval when samples is None or
+    <= 0; 0.0 when all voltages are equal."""
+    bp = profile.breakpoints
+    mids = 0.5 * (bp[:-1] + bp[1:])
+    mids = mids[:samples] if samples and samples > 0 else mids
+    return float(np.abs(_rows_at(profile, mids)[2] - 1.0).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -314,93 +370,56 @@ class DerivativeCheckReport:
         return self.violations == 0
 
 
-def _bound_samples(profile: ThresholdProfile, samples: int) -> np.ndarray:
-    """Midpoints of breakpoint intervals at t >= 0, thinned evenly to at most
-    `samples` points."""
-    iv = _intervals(profile)
-    if iv.shape[0] == 0:
-        return np.empty(0)
-    mids = 0.5 * (iv[:, 0] + iv[:, 1])
-    mids = mids[mids >= 0.0]
-    if mids.size > samples > 0:
-        idx = np.linspace(0, mids.size - 1, num=samples).round().astype(np.int64)
-        mids = mids[np.unique(idx)]
-    return mids
-
-
 def check_derivative_bounds(
-    profile: ThresholdProfile, phi: float, samples: int = 50, tolerance: float = 1e-8
+    profile: ThresholdProfile, phi: float, samples: Optional[int] = 50,
+    tolerance: float = 1e-8,
 ) -> DerivativeCheckReport:
     """Check both derivative inequalities at interval midpoints.
 
-    Samples cover t >= 0 on the profile and, through the mirrored profile,
-    t <= 0 of the original; phi must be a valid conductance (lower bound) for
-    the graph, and a smaller phi only weakens the ratio inequality.
+    Samples cover the midpoints at t >= 0 on the profile and, through the
+    mirrored profile, t <= 0 of the original, each side thinned evenly to
+    `samples` points (every midpoint when samples is None or <= 0); phi
+    must be a valid conductance (lower bound) for the graph, and a smaller
+    phi only weakens the ratio inequality.
     """
     if phi <= 0.0:
         raise ValueError("phi must be positive")
-    evaluated = 0
-    quad_max, quad_t = -np.inf, np.nan
-    ratio_max, ratio_t = -np.inf, np.nan
-    violations = 0
-    for side, prof in (("+", profile), ("-", mirrored_profile(profile))):
-        for t in _bound_samples(prof, samples):
-            t = float(t)
-            report_t = t if side == "+" else -t
-            decay = volume_decay_rate(prof, t)
-            delta = threshold_cut_weight(prof, t)
-            vplus = padded_volume(prof, t)
-            evaluated += 1
-
-            lhs, rhs = 2.0 * delta * delta, decay
-            quad_viol = (lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
-            if quad_viol > quad_max:
-                quad_max, quad_t = quad_viol, report_t
-            if quad_viol > tolerance:
-                violations += 1
-
-            allowed = (3.0 / (2.0 * phi)) * decay / vplus
-            ratio_viol = (delta - allowed) / max(abs(delta), abs(allowed), 1.0)
-            if ratio_viol > ratio_max:
-                ratio_max, ratio_t = ratio_viol, report_t
-            if ratio_viol > tolerance:
-                violations += 1
+    sides = []
+    for sign, prof in ((1.0, profile), (-1.0, mirrored_profile(profile))):
+        bp = prof.breakpoints
+        mids = 0.5 * (bp[:-1] + bp[1:])
+        t = _thin(mids[mids >= 0.0], samples)
+        sides.append((sign * t, *_rows_at(prof, t)))
+    t, delta, decay, _, vol = map(np.concatenate, zip(*sides))
+    lhs = 2.0 * delta * delta
+    quad = (lhs - decay) / np.maximum(np.maximum(np.abs(lhs), np.abs(decay)), 1.0)
+    allowed = (3.0 / (2.0 * phi)) * decay / (vol + 1.0)
+    ratio = (delta - allowed) / np.maximum(np.maximum(np.abs(delta), np.abs(allowed)), 1.0)
+    # sentinels report (-inf, nan) as the worst case when nothing was sampled
+    t, quad, ratio = np.append(t, np.nan), np.append(quad, -np.inf), np.append(ratio, -np.inf)
     return DerivativeCheckReport(
-        evaluated=evaluated,
+        evaluated=t.size - 1,
         tolerance=tolerance,
-        quad_max_violation=float(quad_max),
-        quad_worst_t=float(quad_t),
-        ratio_max_violation=float(ratio_max),
-        ratio_worst_t=float(ratio_t),
-        violations=violations,
+        quad_max_violation=float(quad.max()),
+        quad_worst_t=float(t[quad.argmax()]),
+        ratio_max_violation=float(ratio.max()),
+        ratio_worst_t=float(t[ratio.argmax()]),
+        violations=int((quad > tolerance).sum() + (ratio > tolerance).sum()),
     )
 
 
 def diagnostic_rows(
     profile: ThresholdProfile, samples: Optional[int] = None
 ) -> List[tuple]:
-    """One row per breakpoint-interval midpoint, thinned to `samples` rows.
+    """One row per breakpoint-interval midpoint, thinned to `samples` rows
+    (every interval when samples is None or <= 0).
 
     Columns follow DIAGNOSTIC_COLUMNS: threshold, cut weight, fractional
     volume, padded volume, signed derivative of the padded volume, and the
     crossing flow.
     """
-    iv = _intervals(profile)
-    mids = 0.5 * (iv[:, 0] + iv[:, 1]) if iv.shape[0] else np.empty(0)
-    if samples is not None and mids.size > samples > 0:
-        idx = np.linspace(0, mids.size - 1, num=samples).round().astype(np.int64)
-        mids = mids[np.unique(idx)]
-    rows = []
-    for t in mids:
-        t = float(t)
-        rows.append(
-            (
-                t,
-                threshold_cut_weight(profile, t),
-                fractional_volume(profile, t),
-                padded_volume(profile, t),
-                -volume_decay_rate(profile, t),
-                crossing_flow(profile, t),
-            )
-        )
-    return rows
+    bp = profile.breakpoints
+    t = _thin(0.5 * (bp[:-1] + bp[1:]), samples)
+    delta, decay, flow, vol = _rows_at(profile, t)
+    return list(zip(t.tolist(), delta.tolist(), vol.tolist(), (vol + 1.0).tolist(),
+                    (-decay).tolist(), flow.tolist()))

@@ -357,11 +357,13 @@ class TestCapping:
 
 
 class TestThresholdRounding:
-    def test_expected_cut_two_ways(self):
+    def test_expected_cut_two_ways(self, random_multigraph):
         rng = np.random.default_rng(41)
-        for _ in range(200):
-            n = int(rng.integers(4, 10))
-            g, _ = random_instance(rng, n=n, f_size=2)
+        graphs = [random_instance(rng, n=int(rng.integers(4, 10)), f_size=2)[0]
+                  for _ in range(200)]
+        graphs += [random_multigraph(rng, int(rng.integers(2, 40)), int(rng.integers(0, 60)))
+                   for _ in range(50)]
+        for g in graphs:
             x = rng.random(g.n)
             closed, integrated = expected_cut_l1(g, x)
             assert closed == pytest.approx(integrated, abs=1e-12 * max(closed, 1.0))

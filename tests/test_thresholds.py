@@ -24,7 +24,45 @@ from ohmlab import (
     threshold_profile,
     volume_decay_rate,
 )
-from ohmlab.thresholds import DIAGNOSTIC_COLUMNS
+from ohmlab.thresholds import DIAGNOSTIC_COLUMNS, ThresholdProfile
+
+
+def scan(prof, t):
+    """Reference for the interval table: (cut weight, decay rate, crossing
+    flow, vol_geq) at t from one pass over every edge, crossing set
+    {va < t <= vb}."""
+    va, vb, w = prof.va, prof.vb, prof.weights
+    cross = (va < t) & (t <= vb)
+    wc, gap = w[cross], vb[cross] - va[cross]
+    vol = 2.0 * w[t <= va].sum() + 2.0 * (wc * (vb[cross] - t) / gap).sum()
+    return wc.sum(), 2.0 * (wc / gap).sum(), (wc * gap).sum(), vol
+
+
+def table_at(prof, t):
+    return (threshold_cut_weight(prof, t), volume_decay_rate(prof, t),
+            crossing_flow(prof, t), fractional_volume(prof, t))
+
+
+def assert_table_matches_scan(prof, ts):
+    for t in ts:
+        got, want = table_at(prof, float(t)), scan(prof, float(t))
+        for g, w in zip(got[:3], want[:3]):
+            assert abs(g - w) <= 1e-12 * abs(w), (t, got, want)
+        assert abs(got[3] - want[3]) <= 1e-12 * prof.total_volume, (t, got, want)
+
+
+def uncentered_profile(n, edges, v):
+    """Profile of voltages v taken as centered already, so that its
+    breakpoint gaps are exactly the given ones."""
+    g = Multigraph.from_edges(n, edges)
+    v = np.asarray(v, dtype=np.float64)
+    flip = v[g.tails] > v[g.heads]
+    tails, heads = np.where(flip, g.heads, g.tails), np.where(flip, g.tails, g.heads)
+    return ThresholdProfile(
+        n=n, tails=tails, heads=heads, weights=g.weights, voltages=v,
+        va=v[tails], vb=v[heads], center_shift=0.0, center_residual=0.0,
+        breakpoints=np.unique(v), total_volume=float(g.weighted_degrees.sum()),
+    )
 
 
 def k2_profile():
@@ -83,6 +121,54 @@ class TestK2Profile:
         rep = check_integral_identity(k2_profile())
         assert rep.lhs == pytest.approx(1.0, abs=1e-9)
         assert rep.relative_gap <= 1e-12
+
+
+class TestIntervalTable:
+    def test_matches_scan_on_generated_multigraphs(self, random_multigraph):
+        rng = np.random.default_rng(17)
+        for i in range(30):
+            g = random_multigraph(rng, int(rng.integers(3, 30)), int(rng.integers(0, 40)))
+            if i % 3 == 0:
+                prof = threshold_profile(g, edge_demand(g, int(rng.integers(g.m))))
+            elif i % 3 == 1:
+                prof = profile_from_voltages(g, rng.standard_normal(g.n))
+            else:  # voltage ties: zero-gap edges and parallel crossings
+                prof = profile_from_voltages(g, rng.integers(0, 4, g.n).astype(float))
+            bp = prof.breakpoints
+            mids = 0.5 * (bp[:-1] + bp[1:])
+            assert_table_matches_scan(prof, np.concatenate([mids, bp]))
+
+    def test_tiny_gap_ahead_of_unit_gaps(self):
+        # a 1e-13-wide heavy edge below unit-wide ones, then an interval one
+        # ulp wide: running totals (add at va, subtract at vb) lose the
+        # later intervals' sums to the heavy edge's cancellation
+        top = 4.1
+        v = [0.1, 0.1 + 1e-13, 1.1, 2.1, 3.1, top, np.nextafter(top, np.inf)]
+        edges = [(0, 1, 1e6 + 0.1), (1, 2, 1.3), (2, 3, 1.0), (1, 3, 2.7),
+                 (3, 4, 1.0), (4, 5, 1.9), (5, 6, 1.0), (0, 6, 1.0)]
+        prof = uncentered_profile(7, edges, v)
+        bp = prof.breakpoints
+        assert bp.size == 7 and bp[-1] - bp[-2] == np.spacing(top)
+        mids = 0.5 * (bp[:-1] + bp[1:])
+        assert_table_matches_scan(prof, np.concatenate([mids, bp]))
+
+    def test_outside_the_range_nothing_crosses(self):
+        prof = zero_gap_profile()
+        for t in (prof.t_min, prof.t_min - 1.0):
+            assert table_at(prof, t) == (0.0, 0.0, 0.0, prof.total_volume)
+        assert table_at(prof, prof.t_max + 1e-9) == (0.0, 0.0, 0.0, 0.0)
+
+    def test_every_interval_when_samples_not_positive(self):
+        # voltages far from a unit flow: unsampled, the check reported 0
+        g = random_regular(12, 3, 2)
+        prof = profile_from_voltages(g, np.random.default_rng(3).standard_normal(g.n))
+        intervals = prof.breakpoints.size - 1
+        for samples in (0, -3, None):
+            assert check_unit_flow(prof, samples=samples) > 0.5
+            assert len(diagnostic_rows(prof, samples)) == intervals
+        assert check_unit_flow(prof, samples=0) == check_unit_flow(prof, samples=intervals)
+        rep = check_derivative_bounds(prof, 0.1, samples=0)
+        assert rep.evaluated == check_derivative_bounds(prof, 0.1, samples=10**6).evaluated
 
 
 class TestCentering:
