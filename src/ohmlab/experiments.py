@@ -25,6 +25,7 @@ from .graphs import (
 from .routing import _conductance, _ratios, competitive_report, edge_demand
 from .sparsify import (
     Partition,
+    _full_vector,
     expected_cut_l1,
     harmonic_extension,
     min_l1_extension,
@@ -153,7 +154,7 @@ def run_diagnose(g: Multigraph, edge: int, samples: int = 50,
     profile = threshold_profile(g, edge_demand(g, edge), tol)
     lower, _ = _conductance(g)
     integral = check_integral_identity(profile)
-    flow_dev = check_unit_flow(profile, samples)
+    flow_dev = check_unit_flow(profile)
     deriv = check_derivative_bounds(profile, lower.phi, samples)
     rows = diagnostic_rows(profile, samples)
     comments = [
@@ -200,10 +201,7 @@ def run_sparsify(g: Multigraph, part: Partition, x: np.ndarray) -> ExperimentRes
     rows.append(("l1-minimum", "", "", float(value)))
     for v, val in zip(part.eliminated, y01):
         rows.append(("l1-assignment", str(int(v)), "", float(val)))
-    full = np.empty(g.n)
-    full[part.terminals] = x
-    full[part.eliminated] = y_h
-    closed, integrated = expected_cut_l1(g, full)
+    closed, integrated = expected_cut_l1(g, _full_vector(g, part, x, y_h))
     rows.append(("rounding-closed-form", "", "", closed))
     rows.append(("rounding-integrated", "", "", integrated))
     gap = abs(closed - integrated)

@@ -5,6 +5,10 @@ order fixes an arbitrary orientation that the incidence matrix and flow
 vectors refer to; the graph itself is undirected. Weights are real and >= 1,
 self-loops are rejected, parallel edges are allowed.
 
+Adjacency lives in one place, the cached `Multigraph.laplacian`: component
+labels, the conductance bracket's normalized Laplacian and girth all read it
+through scipy's sparse graph routines, never through per-vertex lists.
+
 Vertex sets are numpy boolean masks of length n (bitset semantics). Helpers
 accept index iterables as well and normalize them.
 """
@@ -19,6 +23,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
+from scipy.sparse import csgraph
 
 from .errors import ConvergenceError, DisconnectedError, SizeLimitError
 
@@ -45,6 +50,13 @@ __all__ = [
 ]
 
 DEFAULT_EDGE_CAP = 2_000_000
+# lambda_2 comes from dense eigh up to this many vertices, from ARPACK above
+_DENSE_EIGEN_CAP = 2000
+# ARPACK restart budget; graphs above 1000 vertices get 10 per vertex
+_EIGSH_MAXITER = 10_000
+# girth's BFS runs over chunks of sources with this many (source, vertex) and
+# (source, edge) entries each
+_BFS_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -126,43 +138,16 @@ class Multigraph:
 
     @cached_property
     def component_labels(self) -> np.ndarray:
-        """Connected component id per vertex, labels in discovery order."""
-        labels = np.full(self.n, -1, dtype=np.int64)
-        adj = self.adjacency_lists()
-        nxt = 0
-        for start in range(self.n):
-            if labels[start] >= 0:
-                continue
-            labels[start] = nxt
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for v, _ in adj[u]:
-                    if labels[v] < 0:
-                        labels[v] = nxt
-                        stack.append(v)
-            nxt += 1
+        """Connected component id per vertex, read off the Laplacian's
+        pattern; labels in discovery order (by each component's lowest id)."""
+        _, labels = csgraph.connected_components(self.laplacian, directed=False)
+        labels = labels.astype(np.int64)
         labels.setflags(write=False)
         return labels
 
     @property
     def is_connected(self) -> bool:
         return self.n == 1 or int(self.component_labels.max()) == 0
-
-    def adjacency_lists(self) -> list:
-        """Per-vertex list of (neighbor, edge_id), both edge directions."""
-        adj = [[] for _ in range(self.n)]
-        for eid in range(self.m):
-            t, h = int(self.tails[eid]), int(self.heads[eid])
-            adj[t].append((h, eid))
-            adj[h].append((t, eid))
-        return adj
-
-    def edge_list(self) -> list:
-        return [
-            (int(t), int(h), float(w))
-            for t, h, w in zip(self.tails, self.heads, self.weights)
-        ]
 
 
 @dataclass(frozen=True)
@@ -269,138 +254,152 @@ def conductance_exact(g: Multigraph, max_n: int = 24) -> ConductanceCertificate:
     return ConductanceCertificate(phi=best_phi, kind="exact", witness=witness)
 
 
+def _interval_sums(grid: np.ndarray, lo, hi, columns) -> np.ndarray:
+    """(len(columns), len(grid) - 1) sums of each column over the edges
+    spanning each grid interval: lo[e] <= grid[j] and grid[j + 1] <= hi[e],
+    with lo and hi on the grid and the columns nonnegative.
+
+    This is the one threshold sweep: the threshold table and the rounding
+    integral (voltages as the grid) and the conductance bracket's sweep cuts
+    (vertex ranks as the grid) all read it.
+
+    Every sum adds nonnegative terms only: each edge's run of intervals is
+    split into aligned dyadic blocks that take its values. Running totals
+    (add at lo, subtract at hi) cancel when a 1e-13-wide edge's decay rate
+    swamps its neighbours'. Values are also split into multiples of a
+    quantum, 2**-52 of a power of two above the column total, whose sums are
+    exact, and remainders, so each sum is rounded about once in any order.
+    """
+    k = grid.size - 1
+    first, stop = np.searchsorted(grid, lo), np.searchsorted(grid, hi)
+    edge = np.flatnonzero(first < stop)
+    first, stop = first[edge], stop[edge]
+    parts = []
+    for col in columns:
+        quantum = np.ldexp(1.0, np.frexp(np.sum(col))[1] - 52)
+        high = np.floor(col / quantum) * quantum
+        parts += [high, col - high]
+    sums = np.zeros((len(parts), k))
+    level = 0
+    while edge.size:  # blocks of 2**level intervals; first, stop count blocks
+        at_first, at_stop = first % 2 == 1, stop % 2 == 1
+        blocks = np.concatenate([first[at_first], stop[at_stop] - 1])
+        owners = np.concatenate([edge[at_first], edge[at_stop]])
+        cover = np.arange(k) >> level
+        for out, part in zip(sums, parts):
+            out += np.bincount(blocks, part[owners], minlength=(k >> level) + 1)[cover]
+        first, stop = (first + 1) >> 1, stop >> 1
+        live = first < stop
+        first, stop, edge, level = first[live], stop[live], edge[live], level + 1
+    return sums[0::2] + sums[1::2]
+
+
 def _normalized_laplacian(g: Multigraph) -> sp.csr_array:
+    """D^-1/2 L D^-1/2 on the cached Laplacian's pattern, diagonal exactly 1."""
     d = g.weighted_degrees
     if np.any(d == 0):
         raise DisconnectedError("isolated vertex has no conductance certificate")
     dinv_sqrt = 1.0 / np.sqrt(d)
-    rows = np.concatenate([g.tails, g.heads])
-    cols = np.concatenate([g.heads, g.tails])
-    vals = np.concatenate([g.weights, g.weights])
-    adj = sp.coo_array((vals, (rows, cols)), shape=(g.n, g.n)).tocsr()
-    norm_adj = sp.csr_array(adj.multiply(dinv_sqrt[:, None]).multiply(dinv_sqrt[None, :]))
-    return sp.csr_array(sp.eye_array(g.n, format="csr") - norm_adj)
+    lap = g.laplacian
+    rows = np.repeat(np.arange(g.n), np.diff(lap.indptr))
+    data = lap.data * dinv_sqrt[rows] * dinv_sqrt[lap.indices]
+    data[rows == lap.indices] = 1.0
+    return sp.csr_array((data, lap.indices, lap.indptr), shape=lap.shape)
 
 
-def _lambda2(g: Multigraph, dense_cutoff: int, maxiter: Optional[int]):
+def _lambda2(g: Multigraph):
     """Second-smallest normalized-Laplacian eigenvalue and its eigenvector."""
     nl = _normalized_laplacian(g)
-    if g.n <= dense_cutoff:
+    if g.n <= _DENSE_EIGEN_CAP:
         vals, vecs = scipy.linalg.eigh(nl.toarray(), subset_by_index=[0, 1])
-        return max(float(vals[1]), 0.0), vecs[:, 1]
-    # deflate the known kernel direction sqrt(d) and take the smallest
-    # eigenvalue of the shifted operator
-    d = np.sqrt(g.weighted_degrees)
-    d = d / np.linalg.norm(d)
-    shift = 2.0
-
-    def matvec(x):
-        return nl @ x + shift * d * (d @ x)
-
-    op = sp.linalg.LinearOperator((g.n, g.n), matvec=matvec, dtype=np.float64)
-    cap = maxiter if maxiter is not None else max(10 * g.n, 10_000)
-    try:
-        vals, vecs = sp.linalg.eigsh(op, k=1, which="SA", maxiter=cap, tol=1e-10)
-    except sp.linalg.ArpackNoConvergence as exc:
-        best = exc.eigenvectors[:, 0] if exc.eigenvectors is not None and exc.eigenvectors.size else None
-        raise ConvergenceError(
-            f"eigenvalue iteration did not converge within {cap} iterations",
-            best=best,
-            iterations=cap,
-        ) from exc
-    return max(float(vals[0]), 0.0), vecs[:, 0]
+    else:
+        cap = max(10 * g.n, _EIGSH_MAXITER)
+        try:
+            vals, vecs = sp.linalg.eigsh(nl, k=2, which="SA", maxiter=cap, tol=1e-10)
+        except sp.linalg.ArpackNoConvergence as exc:
+            found = exc.eigenvectors
+            best = found[:, -1] if found is not None and found.size else None
+            raise ConvergenceError(
+                f"eigenvalue iteration did not converge within {cap} iterations",
+                best=best,
+                iterations=cap,
+            ) from exc
+    return max(float(vals[1]), 0.0), vecs[:, 1]
 
 
-def conductance_bounds(
-    g: Multigraph, dense_cutoff: int = 2000, maxiter: Optional[int] = None
-) -> tuple:
+def _sweep_cut(g: Multigraph, vec: np.ndarray) -> tuple:
+    """(best ratio, witness) over the prefixes of the ordering by vec / sqrt(d).
+
+    The cut after rank k is the weight of the edges whose lower endpoint rank
+    is <= k and whose higher one is > k: the interval sums on the rank grid.
+    The witness is the smaller-volume side of the first best prefix.
+    """
+    wdeg = g.weighted_degrees
+    total = float(wdeg.sum())
+    order = np.argsort(vec / np.sqrt(wdeg), kind="stable")
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[order] = np.arange(g.n)
+    lo = np.minimum(rank[g.tails], rank[g.heads])
+    hi = np.maximum(rank[g.tails], rank[g.heads])
+    (cut,) = _interval_sums(np.arange(g.n), lo, hi, [g.weights])
+    vol_s = np.cumsum(wdeg[order])[:-1]
+    ratio = cut / np.minimum(vol_s, total - vol_s)
+    best_k = int(np.argmin(ratio))
+    prefix = np.zeros(g.n, dtype=bool)
+    prefix[order[: best_k + 1]] = True
+    witness = prefix if float(wdeg[prefix].sum()) <= total / 2.0 else ~prefix
+    return float(ratio[best_k]), witness
+
+
+def conductance_bounds(g: Multigraph) -> tuple:
     """Certified conductance bracket from the normalized Laplacian.
 
     Returns (lower, upper) certificates: lower is lambda_2 / 2 with no cut
-    witness, upper is the best sweep cut over the second eigenvector ordering.
+    witness, upper is the best sweep cut over the second eigenvector ordering,
+    every prefix's cut read from the shared interval sums (`_interval_sums`).
     The bracket lambda_2/2 <= phi <= sweep value holds with the sweep value
-    itself at most sqrt(2 lambda_2).
+    itself at most sqrt(2 lambda_2). lambda_2 comes from dense eigh up to
+    `_DENSE_EIGEN_CAP` vertices and from ARPACK on the sparse matrix above.
     """
     if not g.is_connected:
         raise DisconnectedError("conductance bounds need a connected graph")
     if g.n < 2:
         raise ValueError("conductance needs at least two vertices")
-    lam2, vec = _lambda2(g, dense_cutoff, maxiter)
-
-    wdeg = g.weighted_degrees
-    total = float(wdeg.sum())
-    score = vec / np.sqrt(wdeg)
-    order = np.argsort(score, kind="stable")
-    rank = np.empty(g.n, dtype=np.int64)
-    rank[order] = np.arange(g.n)
-
-    adj = g.adjacency_lists()
-    in_s = np.zeros(g.n, dtype=bool)
-    cut = 0.0
-    vol_s = 0.0
-    best_ratio = np.inf
-    best_k = 0
-    for k in range(g.n - 1):
-        v = int(order[k])
-        delta = float(wdeg[v])
-        for u, eid in adj[v]:
-            if in_s[u]:
-                delta -= 2.0 * float(g.weights[eid])
-        cut += delta
-        vol_s += float(wdeg[v])
-        in_s[v] = True
-        ratio = cut / min(vol_s, total - vol_s)
-        if ratio < best_ratio:
-            best_ratio = ratio
-            best_k = k
-    prefix = np.zeros(g.n, dtype=bool)
-    prefix[order[: best_k + 1]] = True
-    if float(wdeg[prefix].sum()) <= total / 2.0:
-        witness = prefix
-    else:
-        witness = ~prefix
+    lam2, vec = _lambda2(g)
+    best_ratio, witness = _sweep_cut(g, vec)
     lower = ConductanceCertificate(phi=lam2 / 2.0, kind="cheeger-lower-bound", witness=None)
-    upper = ConductanceCertificate(phi=float(best_ratio), kind="sweep-upper-bound", witness=witness)
+    upper = ConductanceCertificate(phi=best_ratio, kind="sweep-upper-bound", witness=witness)
     return lower, upper
 
 
 def girth(g: Multigraph) -> float:
     """Length of the shortest cycle, counting edges and ignoring weights.
 
-    Parallel edges give girth 2; forests have girth inf. One BFS per source;
-    for every non-tree edge seen, dist(u) + dist(v) + 1 bounds a cycle length
-    and the minimum over sources attains the girth.
+    Parallel edges give girth 2 (the Laplacian merged them); forests have
+    girth inf. Otherwise BFS runs from every source, in chunks of sources
+    over the Laplacian's off-diagonal pattern; for every edge off a source's
+    BFS tree, dist(u) + dist(v) + 1 bounds a cycle length, and the minimum
+    over sources attains the girth.
     """
-    if g.m == 0:
+    lap = g.laplacian
+    rows = np.repeat(np.arange(g.n), np.diff(lap.indptr))
+    upper = rows < lap.indices
+    u, v = rows[upper], lap.indices[upper]
+    if u.size < g.m:
+        return 2.0
+    if u.size == 0:
         return np.inf
-    pairs = set()
-    for t, h in zip(g.tails, g.heads):
-        key = (int(min(t, h)), int(max(t, h)))
-        if key in pairs:
-            return 2.0
-        pairs.add(key)
-
-    adj = g.adjacency_lists()
+    pattern = sp.csr_array(lap < 0, dtype=np.float64)
     best = np.inf
-    for s in range(g.n):
-        dist = np.full(g.n, -1, dtype=np.int64)
-        via = np.full(g.n, -1, dtype=np.int64)
-        dist[s] = 0
-        queue = [s]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for v, eid in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    via[v] = eid
-                    queue.append(v)
-                elif eid != via[u] and eid != via[v]:
-                    cand = dist[u] + dist[v] + 1
-                    if cand < best:
-                        best = cand
-    return float(best)
+    chunk = max(1, _BFS_CHUNK_ENTRIES // max(g.n, u.size))
+    for start in range(0, g.n, chunk):
+        dist, pred = csgraph.shortest_path(
+            pattern, method="D", unweighted=True, return_predecessors=True,
+            indices=np.arange(start, min(start + chunk, g.n)),
+        )
+        tree = (pred[:, v] == u) | (pred[:, u] == v)
+        best = min(best, float(np.where(tree, np.inf, dist[:, u] + dist[:, v] + 1.0).min()))
+    return best
 
 
 def random_regular(n: int, d: int, seed: int, max_tries: int = 10_000) -> Multigraph:
@@ -455,26 +454,22 @@ def gadget_subdivide(g: Multigraph, k: int, cap_edges: int = DEFAULT_EDGE_CAP) -
         raise SizeLimitError(
             f"subdivision would create {new_m} edges, over the cap {cap_edges}"
         )
-    if k == 1:
-        return Multigraph(g.n, g.tails.copy(), g.heads.copy(), g.weights.copy())
-    tails = np.empty(new_m, dtype=np.int64)
-    heads = np.empty(new_m, dtype=np.int64)
-    nxt = g.n
-    pos = 0
-    for t, h in zip(g.tails, g.heads):
-        for _path in range(k):
-            prev = int(t)
-            for step in range(1, k + 1):
-                if step == k:
-                    node = int(h)
-                else:
-                    node = nxt
-                    nxt += 1
-                tails[pos] = prev
-                heads[pos] = node
-                prev = node
-                pos += 1
-    return Multigraph(nxt, tails, heads, np.ones(new_m))
+    n, tails, heads = _subdivide(
+        g.n, np.repeat(g.tails, k), np.repeat(g.heads, k), np.full(g.m * k, k)
+    )
+    return Multigraph(n, tails, heads, np.ones(new_m))
+
+
+def _subdivide(n: int, tails: np.ndarray, heads: np.ndarray, hops: np.ndarray) -> tuple:
+    """(n', tails', heads'): edge e becomes a path of hops[e] edges through
+    hops[e] - 1 fresh vertices, numbered from n on in edge order and along
+    each path from its tail."""
+    edge = np.repeat(np.arange(hops.size), hops)
+    step = np.arange(edge.size) - np.repeat(np.cumsum(hops) - hops, hops)
+    base = (n + np.cumsum(hops - 1) - (hops - 1))[edge]
+    new_tails = np.where(step == 0, tails[edge], base + step - 1)
+    new_heads = np.where(step == hops[edge] - 1, heads[edge], base + step)
+    return n + int((hops - 1).sum()), new_tails, new_heads
 
 
 def graph_union(g: Multigraph, h: Multigraph) -> Multigraph:
@@ -518,26 +513,9 @@ def weighted_to_multigraph(
         raise SizeLimitError(
             f"expansion would create {new_m} edges, over the cap {cap_edges}"
         )
-    tails = np.empty(new_m, dtype=np.int64)
-    heads = np.empty(new_m, dtype=np.int64)
-    nxt = g.n
-    pos = 0
-    for e in range(g.m):
-        t, h = int(g.tails[e]), int(g.heads[e])
-        c, s = int(cap[e]), int(ln[e])
-        prev = t
-        for step in range(1, s + 1):
-            if step == s:
-                node = h
-            else:
-                node = nxt
-                nxt += 1
-            for _ in range(c):
-                tails[pos] = prev
-                heads[pos] = node
-                pos += 1
-            prev = node
-    return Multigraph(nxt, tails, heads, np.ones(new_m))
+    n, tails, heads = _subdivide(g.n, g.tails, g.heads, ln)
+    copies = np.repeat(cap, ln)
+    return Multigraph(n, np.repeat(tails, copies), np.repeat(heads, copies), np.ones(new_m))
 
 
 def graph_text(g: Multigraph) -> str:

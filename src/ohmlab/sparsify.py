@@ -18,10 +18,9 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SizeLimitError
-from .graphs import Multigraph
+from .graphs import Multigraph, _interval_sums
 from .linalg import laplacian
 from .maxflow import min_cut
-from .thresholds import _interval_sums
 
 __all__ = [
     "Partition",
@@ -159,11 +158,10 @@ def schur_edge_weights(g: Multigraph, part: Partition, tol: float = 1e-12) -> Di
     c = part.terminals
     scale = float(np.abs(sc).max()) if sc.size else 0.0
     out: Dict[tuple, float] = {}
-    for i in range(len(c)):
-        for j in range(i + 1, len(c)):
-            w = -sc[i, j]
-            if abs(w) > tol * max(scale, 1.0):
-                out[(int(c[i]), int(c[j]))] = float(w)
+    for i, u in enumerate(c[:-1].tolist()):
+        w = -sc[i, i + 1:]
+        keep = np.abs(w) > tol * max(scale, 1.0)
+        out.update(zip(((u, v) for v in c[i + 1:][keep].tolist()), w[keep].tolist()))
     return out
 
 

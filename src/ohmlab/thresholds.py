@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .graphs import Multigraph
+from .graphs import Multigraph, _interval_sums
 from .linalg import solve_laplacian
 from .routing import validate_demand
 
@@ -109,42 +109,6 @@ class ThresholdProfile:
         rows[0, 3] = self.total_volume
         rows.setflags(write=False)
         return rows
-
-
-def _interval_sums(grid: np.ndarray, lo, hi, columns) -> np.ndarray:
-    """(len(columns), len(grid) - 1) sums of each column over the edges
-    spanning each grid interval: lo[e] <= grid[j] and grid[j + 1] <= hi[e],
-    with lo and hi on the grid and the columns nonnegative.
-
-    Every sum adds nonnegative terms only: each edge's run of intervals is
-    split into aligned dyadic blocks that take its values. Running totals
-    (add at lo, subtract at hi) cancel when a 1e-13-wide edge's decay rate
-    swamps its neighbours'. Values are also split into multiples of a
-    quantum, 2**-52 of a power of two above the column total, whose sums are
-    exact, and remainders, so each sum is rounded about once in any order.
-    """
-    k = grid.size - 1
-    first, stop = np.searchsorted(grid, lo), np.searchsorted(grid, hi)
-    edge = np.flatnonzero(first < stop)
-    first, stop = first[edge], stop[edge]
-    parts = []
-    for col in columns:
-        quantum = np.ldexp(1.0, np.frexp(np.sum(col))[1] - 52)
-        high = np.floor(col / quantum) * quantum
-        parts += [high, col - high]
-    sums = np.zeros((len(parts), k))
-    level = 0
-    while edge.size:  # blocks of 2**level intervals; first, stop count blocks
-        at_first, at_stop = first % 2 == 1, stop % 2 == 1
-        blocks = np.concatenate([first[at_first], stop[at_stop] - 1])
-        owners = np.concatenate([edge[at_first], edge[at_stop]])
-        cover = np.arange(k) >> level
-        for out, part in zip(sums, parts):
-            out += np.bincount(blocks, part[owners], minlength=(k >> level) + 1)[cover]
-        first, stop = (first + 1) >> 1, stop >> 1
-        live = first < stop
-        first, stop, edge, level = first[live], stop[live], edge[live], level + 1
-    return sums[0::2] + sums[1::2]
 
 
 def _rows_at(profile: ThresholdProfile, t):
@@ -337,14 +301,10 @@ def check_integral_identity(profile: ThresholdProfile) -> IntegralIdentityReport
     return IntegralIdentityReport(lhs=lhs, rhs=rhs)
 
 
-def check_unit_flow(profile: ThresholdProfile, samples: Optional[int] = 50) -> float:
-    """Max |crossing flow - 1| at the midpoints of the first `samples`
-    breakpoint intervals, or of every interval when samples is None or
-    <= 0; 0.0 when all voltages are equal."""
-    bp = profile.breakpoints
-    mids = 0.5 * (bp[:-1] + bp[1:])
-    mids = mids[:samples] if samples and samples > 0 else mids
-    return float(np.abs(_rows_at(profile, mids)[2] - 1.0).max(initial=0.0))
+def check_unit_flow(profile: ThresholdProfile) -> float:
+    """Max |crossing flow - 1| over every breakpoint interval of the table;
+    0.0 when all voltages are equal."""
+    return float(np.abs(profile.table[1:-1, 2] - 1.0).max(initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -157,7 +157,7 @@ def test_criterion_05_proof_engine_diagnostics(corpus):
         for e in range(g.m):
             prof = threshold_profile(g, edge_demand(g, e))
             gap = check_integral_identity(prof).relative_gap
-            flow_dev = check_unit_flow(prof, samples=50)
+            flow_dev = check_unit_flow(prof)
             deriv = check_derivative_bounds(prof, phi, samples=50)
             assert gap <= 1e-10, (n, d, seed, e, gap)
             assert flow_dev <= 1e-8, (n, d, seed, e, flow_dev)

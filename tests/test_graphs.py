@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import ohmlab
+import ohmlab.graphs
 from ohmlab import (
     ConductanceCertificate,
     Multigraph,
@@ -147,12 +150,26 @@ class TestConductanceBounds:
         vol = min(volume(g, s), volume(g, ~s))
         assert cut_weight(g, s) / vol == pytest.approx(upper.phi, rel=1e-12)
 
-    def test_dense_and_sparse_paths_agree(self):
+    def test_dense_and_sparse_paths_agree(self, monkeypatch):
         g = random_regular(18, 3, 7)
-        lo_d, up_d = conductance_bounds(g, dense_cutoff=2000)
-        lo_s, up_s = conductance_bounds(g, dense_cutoff=4)
+        lo_d, up_d = conductance_bounds(g)
+        monkeypatch.setattr(ohmlab.graphs, "_DENSE_EIGEN_CAP", 4)
+        lo_s, up_s = conductance_bounds(g)
         assert lo_d.phi == pytest.approx(lo_s.phi, rel=1e-7)
         assert up_d.phi == pytest.approx(up_s.phi, rel=1e-7)
+
+    def test_arpack_failure_is_convergence_error(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("stalled", np.zeros(1), np.zeros((18, 1)))
+
+        monkeypatch.setattr(ohmlab.graphs, "_DENSE_EIGEN_CAP", 4)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        with pytest.raises(ohmlab.ConvergenceError) as info:
+            conductance_bounds(random_regular(18, 3, 7))
+        assert info.value.iterations == 10_000
+        assert info.value.best.shape == (18,)
 
 
 class TestGirth:
@@ -349,3 +366,172 @@ class TestCertificate:
         cert = ConductanceCertificate(0.5, "exact", None)
         assert cert.phi == 0.5
         assert cert.kind == "exact"
+
+
+# -- reference implementations: the per-vertex loops the array code replaced --
+
+def _reference_sweep(g, vec):
+    """Best sweep ratio and witness, one vertex at a time with a running cut."""
+    wdeg = g.weighted_degrees
+    total = float(wdeg.sum())
+    order = np.argsort(vec / np.sqrt(wdeg), kind="stable")
+    adj = [[] for _ in range(g.n)]
+    for eid, (t, h) in enumerate(zip(g.tails.tolist(), g.heads.tolist())):
+        adj[t].append((h, eid))
+        adj[h].append((t, eid))
+    in_s = np.zeros(g.n, dtype=bool)
+    cut = vol_s = 0.0
+    best_ratio, best_k = np.inf, 0
+    for k in range(g.n - 1):
+        v = int(order[k])
+        delta = float(wdeg[v])
+        for u, eid in adj[v]:
+            if in_s[u]:
+                delta -= 2.0 * float(g.weights[eid])
+        cut += delta
+        vol_s += float(wdeg[v])
+        in_s[v] = True
+        ratio = cut / min(vol_s, total - vol_s)
+        if ratio < best_ratio:
+            best_ratio, best_k = ratio, k
+    prefix = np.zeros(g.n, dtype=bool)
+    prefix[order[: best_k + 1]] = True
+    return best_ratio, prefix if float(wdeg[prefix].sum()) <= total / 2.0 else ~prefix
+
+
+def _reference_gadget(g, k):
+    """(n, tails, heads): each edge k times, each copy a path of k hops."""
+    tails, heads, nxt = [], [], g.n
+    for t, h in zip(g.tails.tolist(), g.heads.tolist()):
+        for _path in range(k):
+            prev = t
+            for step in range(1, k + 1):
+                if step == k:
+                    node = h
+                else:
+                    node, nxt = nxt, nxt + 1
+                tails.append(prev)
+                heads.append(node)
+                prev = node
+    return nxt, tails, heads
+
+
+def _reference_expansion(g, caps, lengths):
+    """(n, tails, heads): edge e a path of lengths[e] hops, caps[e] copies each."""
+    tails, heads, nxt = [], [], g.n
+    for t, h, c, s in zip(g.tails.tolist(), g.heads.tolist(), caps, lengths):
+        prev = t
+        for step in range(1, s + 1):
+            if step == s:
+                node = h
+            else:
+                node, nxt = nxt, nxt + 1
+            tails += [prev] * c
+            heads += [node] * c
+            prev = node
+    return nxt, tails, heads
+
+
+def _simple(g):
+    """g with only the first copy of each parallel edge."""
+    lo, hi = np.minimum(g.tails, g.heads), np.maximum(g.tails, g.heads)
+    _, first = np.unique(lo * g.n + hi, return_index=True)
+    first.sort()
+    return Multigraph(g.n, g.tails[first], g.heads[first], g.weights[first])
+
+
+def _scattered(rng, random_multigraph, weighted=False):
+    """One to three generated multigraphs side by side, up to two isolated
+    vertices, all ids shuffled: a graph whose components are not id ranges."""
+    parts = [random_multigraph(rng, int(rng.integers(2, 12)), int(rng.integers(0, 8)),
+                               weighted=weighted) for _ in range(int(rng.integers(1, 4)))]
+    offsets = np.cumsum([0] + [p.n for p in parts])
+    n = int(offsets[-1]) + int(rng.integers(0, 3))
+    perm = rng.permutation(n)
+    return Multigraph(
+        n,
+        perm[np.concatenate([p.tails + o for p, o in zip(parts, offsets)])],
+        perm[np.concatenate([p.heads + o for p, o in zip(parts, offsets)])],
+        np.concatenate([p.weights for p in parts]),
+    )
+
+
+def _nx_graph(nx, g, multi=False):
+    graph = nx.MultiGraph() if multi else nx.Graph()
+    graph.add_nodes_from(range(g.n))
+    graph.add_edges_from(zip(g.tails.tolist(), g.heads.tolist()))
+    return graph
+
+
+class TestTraversalsMatchReferences:
+    def test_components_match_networkx(self, random_multigraph):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(11)
+        cases = [_scattered(rng, random_multigraph) for _ in range(30)]
+        cases += [Multigraph(1, [], [], []), Multigraph(4, [], [], [])]
+        for g in cases:
+            labels = g.component_labels
+            comps = list(nx.connected_components(_nx_graph(nx, g, multi=True)))
+            # networkx discovers components from the lowest unseen id, too
+            for i, comp in enumerate(comps):
+                assert np.all(labels[sorted(comp)] == i)
+            assert int(labels.max()) == len(comps) - 1
+            assert g.is_connected == (len(comps) == 1)
+
+    def test_girth_matches_networkx(self, random_multigraph, monkeypatch):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(12)
+        cases = []
+        for _ in range(12):
+            g = random_multigraph(rng, int(rng.integers(3, 40)),
+                                  int(rng.integers(0, 12)), weighted=False)
+            cases += [g, _simple(g), _simple(random_multigraph(rng, 20, 0)),
+                      _simple(_scattered(rng, random_multigraph)),
+                      gadget_subdivide(_simple(g), int(rng.integers(2, 4)))]
+        cases += [random_regular(30, 3, s) for s in (1, 2)]
+        for chunk_entries in (1 << 20, 50):  # one chunk, and many
+            monkeypatch.setattr(ohmlab.graphs, "_BFS_CHUNK_ENTRIES", chunk_entries)
+            for g in cases:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = girth(g)
+                if _simple(g).m < g.m:
+                    assert got == 2
+                else:
+                    assert got == nx.girth(_nx_graph(nx, g))
+
+    def test_sweep_matches_per_vertex_loop(self, random_multigraph):
+        rng = np.random.default_rng(13)
+        for trial in range(40):
+            weighted = trial % 2 == 1
+            g = random_multigraph(rng, int(rng.integers(2, 60)),
+                                  int(rng.integers(0, 80)), weighted=weighted)
+            # eigenvector order, and coarse random scores full of ties
+            for vec in (ohmlab.graphs._lambda2(g)[1],
+                        rng.integers(0, 4, g.n) * np.sqrt(g.weighted_degrees)):
+                ratio, witness = ohmlab.graphs._sweep_cut(g, vec)
+                want_ratio, want_witness = _reference_sweep(g, vec)
+                assert np.array_equal(witness, want_witness)
+                if weighted:
+                    assert ratio == pytest.approx(want_ratio, rel=1e-12)
+                else:
+                    assert ratio == want_ratio
+            _, upper = conductance_bounds(g)
+            assert upper.phi == ohmlab.graphs._sweep_cut(g, ohmlab.graphs._lambda2(g)[1])[0]
+
+    def test_expanders_match_loops(self, random_multigraph):
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            g = random_multigraph(rng, int(rng.integers(2, 15)), int(rng.integers(0, 10)),
+                                  weighted=False)
+            for k in (1, 2, 3, 4):
+                got = gadget_subdivide(g, k)
+                n, tails, heads = _reference_gadget(g, k)
+                assert got.n == n
+                assert got.tails.tolist() == tails and got.heads.tolist() == heads
+            caps, lengths = rng.integers(1, 4, g.m), rng.integers(1, 5, g.m)
+            got = weighted_to_multigraph(g, caps, lengths)
+            n, tails, heads = _reference_expansion(g, caps.tolist(), lengths.tolist())
+            assert got.n == n
+            assert got.tails.tolist() == tails and got.heads.tolist() == heads
+            assert got.is_unit_weight
