@@ -6,8 +6,8 @@ vectors refer to; the graph itself is undirected. Weights are real and >= 1,
 self-loops are rejected, parallel edges are allowed.
 
 Adjacency lives in one place, the cached `Multigraph.laplacian`: component
-labels, the conductance bracket's normalized Laplacian and girth all read it
-through scipy's sparse graph routines, never through per-vertex lists.
+labels, the exact conductance's cut tables, the conductance bracket's
+normalized Laplacian and girth all read it, never per-vertex lists.
 
 Vertex sets are numpy boolean masks of length n (bitset semantics). Helpers
 accept index iterables as well and normalize them.
@@ -50,6 +50,11 @@ __all__ = [
 ]
 
 DEFAULT_EDGE_CAP = 2_000_000
+# conductance is enumerated exactly up to this many vertices, and bracketed
+# by conductance_bounds above it
+EXACT_CONDUCTANCE_CAP = 24
+# conductance_exact evaluates this many cuts per block (2 MB per float array)
+_CUT_BLOCK_ENTRIES = 1 << 18
 # lambda_2 comes from dense eigh up to this many vertices, from ARPACK above
 _DENSE_EIGEN_CAP = 2000
 # ARPACK restart budget; graphs above 1000 vertices get 10 per vertex
@@ -192,16 +197,30 @@ def cut_weight(g: Multigraph, s) -> float:
     return float(g.weights[crossing].sum())
 
 
-def conductance_exact(g: Multigraph, max_n: int = 24) -> ConductanceCertificate:
+def conductance_exact(
+    g: Multigraph, max_n: int = EXACT_CONDUCTANCE_CAP
+) -> ConductanceCertificate:
     """Exact conductance by enumerating every cut with vertex 0 fixed on one side.
 
     Conductance is min over nonempty proper S of cut(S) / min(vol(S), vol(V-S)).
-    Enumeration is 2^(n-1) cuts, done in vectorized blocks; n above max_n is
-    refused (use conductance_bounds instead). Disconnected graphs have
-    conductance 0, certified by one component.
+    n above max_n is refused (use conductance_bounds instead). Disconnected
+    graphs have conductance 0, certified by one component.
 
-    The witness is the smaller-volume side of the minimizing cut; on a volume
-    tie, the side containing vertex 0.
+    The 2^(n-1) cuts are enumerated meet-in-the-middle: the free vertices
+    1..a form half A and a+1..n-1 half B, a = ceil((n-1)/2), and cut number
+    x | y << a puts vertex 0, the A vertices set in x and the B vertices set
+    in y into S. Each half has tables, 2^a and 2^(n-1-a) entries, of the
+    volume it puts in S and in V - S and of the weight its own edges (those
+    to vertex 0 included) put across the cut. The A-B edges of a block of y
+    rows are one matrix product, X W_AB (1 - Y)^T + (1 - X) W_AB Y^T with X,
+    Y the bit rows. Every sum has nonnegative terms only, so heavy weights
+    cancel neither a light bridge nor a light side. Cost: about
+    4 (n-1-a) 2^(n-1) flops in blocks of at most _CUT_BLOCK_ENTRIES cuts,
+    plus O(n 2^a) memory for the tables.
+
+    The witness is the smaller-volume side of the minimizing cut (the first
+    in cut-number order among equal values); on a volume tie, the side
+    containing vertex 0.
     """
     if g.n > max_n:
         raise SizeLimitError(
@@ -215,43 +234,62 @@ def conductance_exact(g: Multigraph, max_n: int = 24) -> ConductanceCertificate:
         return ConductanceCertificate(phi=0.0, kind="exact", witness=witness)
 
     wdeg = g.weighted_degrees
-    total = float(wdeg.sum())
     nbits = g.n - 1
-    count = 1 << nbits
+    a = (nbits + 1) // 2
+    adj = -g.laplacian.toarray()
+    np.fill_diagonal(adj, 0.0)
+    x_bits, y_bits = _bit_rows(a), _bit_rows(nbits - a)
+    half_a, half_b = np.arange(1, a + 1), np.arange(a + 1, g.n)
+    cut_a, cut_b = _half_cuts(x_bits, adj, half_a), _half_cuts(y_bits, adj, half_b)
+    # vol(V - S) has its own tables: vol(V) - vol(S) cancels when V - S is
+    # a light corner of a heavy graph
+    vol_a, rest_a = wdeg[0] + x_bits @ wdeg[half_a], (1.0 - x_bits) @ wdeg[half_a]
+    vol_b, rest_b = y_bits @ wdeg[half_b], (1.0 - y_bits) @ wdeg[half_b]
+    w_ab = adj[np.ix_(half_a, half_b)]
+    cross = np.vstack([(x_bits @ w_ab).T, ((1.0 - x_bits) @ w_ab).T])
+    y_sides = np.hstack([1.0 - y_bits, y_bits])
 
     best_phi = np.inf
     best_mask_id = -1
-    block = 1 << 18
-    for start in range(0, count, block):
-        stop = min(start + block, count)
-        masks = np.arange(start, stop, dtype=np.int64)
-        vol_s = np.full(masks.size, wdeg[0], dtype=np.float64)
-        for v in range(1, g.n):
-            vol_s += wdeg[v] * ((masks >> (v - 1)) & 1)
-        cut = np.zeros(masks.size, dtype=np.float64)
-        for t, h, w in zip(g.tails, g.heads, g.weights):
-            bt = 1 if t == 0 else (masks >> (t - 1)) & 1
-            bh = 1 if h == 0 else (masks >> (h - 1)) & 1
-            cut += w * (bt != bh)
-        side = np.minimum(vol_s, total - vol_s)
+    ny = y_bits.shape[0]
+    rows = max(1, _CUT_BLOCK_ENTRIES >> a)
+    for y0 in range(0, ny, rows):
+        y1 = min(y0 + rows, ny)
+        cut = y_sides[y0:y1] @ cross
+        cut += cut_a
+        cut += cut_b[y0:y1, None]
+        side = np.minimum(vol_a + vol_b[y0:y1, None], rest_a + rest_b[y0:y1, None])
         with np.errstate(divide="ignore", invalid="ignore"):
             phi_cand = cut / side
         # S = V (the all-ones mask) is not a proper cut
-        if stop == count:
-            phi_cand[-1] = np.inf
+        if y1 == ny:
+            phi_cand[-1, -1] = np.inf
         idx = int(np.argmin(phi_cand))
-        if phi_cand[idx] < best_phi:
-            best_phi = float(phi_cand[idx])
-            best_mask_id = start + idx
+        if phi_cand.flat[idx] < best_phi:
+            best_phi = float(phi_cand.flat[idx])
+            best_mask_id = (y0 << a) + idx
 
     bits = (best_mask_id >> np.arange(nbits)) & 1
     s_mask = np.concatenate(([True], bits.astype(bool)))
-    vol_s = float(wdeg[s_mask].sum())
-    if vol_s <= total - vol_s:
+    if wdeg[s_mask].sum() <= wdeg[~s_mask].sum():
         witness = s_mask
     else:
         witness = ~s_mask
     return ConductanceCertificate(phi=best_phi, kind="exact", witness=witness)
+
+
+def _bit_rows(k: int) -> np.ndarray:
+    """(2^k, k) float 0/1 matrix whose row r holds the bits of r, lowest first."""
+    return ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(np.float64)
+
+
+def _half_cuts(bits: np.ndarray, adj: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Weight of the edges among vertex 0 and `half` that cross the cut, per
+    row of bits (which of `half` are in S; vertex 0 always is): the sum of
+    adj[i, j] over i in S and j not in S, nonnegative terms only."""
+    z = np.hstack([np.ones((bits.shape[0], 1)), bits])
+    ids = np.concatenate(([0], half))
+    return np.einsum("ij,ij->i", z @ adj[np.ix_(ids, ids)], 1.0 - z)
 
 
 def _interval_sums(grid: np.ndarray, lo, hi, columns) -> np.ndarray:
@@ -521,9 +559,8 @@ def weighted_to_multigraph(
 def graph_text(g: Multigraph) -> str:
     """The text format: a header line "n m", then one "tail head weight" line
     per edge."""
-    lines = [f"{g.n} {g.m}"]
-    for t, h, w in zip(g.tails, g.heads, g.weights):
-        lines.append(f"{int(t)} {int(h)} {repr(float(w))}")
+    edges = zip(g.tails.tolist(), g.heads.tolist(), g.weights.tolist())
+    lines = [f"{g.n} {g.m}"] + [f"{t} {h} {w!r}" for t, h, w in edges]
     return "\n".join(lines) + "\n"
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import SizeLimitError
 from .graphs import (
+    EXACT_CONDUCTANCE_CAP,
     ConductanceCertificate,
     Multigraph,
     conductance_bounds,
@@ -381,7 +382,7 @@ class CompetitiveReport:
 
 
 def _conductance(
-    g: Multigraph, exact_n_cap: int = 24
+    g: Multigraph, exact_n_cap: int = EXACT_CONDUCTANCE_CAP
 ) -> Tuple[ConductanceCertificate, ConductanceCertificate]:
     """Lower and upper conductance certificates: the exact value as both when
     cut enumeration is allowed (n <= exact_n_cap), else the eigenvalue/sweep
@@ -397,7 +398,7 @@ def competitive_report(
     p_list: Sequence[float] = (np.inf,),
     tol: float = 1e-10,
     graph_id: Optional[str] = None,
-    exact_n_cap: int = 24,
+    exact_n_cap: int = EXACT_CONDUCTANCE_CAP,
 ) -> CompetitiveReport:
     """Assemble conductance, competitive ratios, and the routing bound.
 
@@ -407,8 +408,10 @@ def competitive_report(
     otherwise (a smaller phi only loosens the bound, so it stays valid). On
     unit graphs vol(V) = 2m, so ln(vol(V)) matches the 2m reading of the
     bound. Every ratio and the localization come from one sweep that solves
-    each endpoint pair once. Worst-case ratio error from solver residuals is
-    propagated as m * tol * ||chi|| rather than silently absorbed.
+    each endpoint pair once. rho_error_bound = m * tol * sqrt(2) is only a
+    residual scale (m edges, the solver tolerance and ||chi||_2 = sqrt(2) of
+    a unit demand), not a certified bound on the ratio error: it leaves out
+    the 1/sqrt(lambda_2(L)) that turns a residual into a voltage error.
     """
     if g.m == 0:
         raise ValueError("graph has no edges")

@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import ohmlab
 import ohmlab.graphs
+import ohmlab.routing
 from ohmlab import (
     ConductanceCertificate,
     Multigraph,
@@ -399,6 +401,43 @@ def _reference_sweep(g, vec):
     return best_ratio, prefix if float(wdeg[prefix].sum()) <= total / 2.0 else ~prefix
 
 
+def _reference_conductance(g):
+    """(phi, witness) by the per-edge enumerator the split tables replaced:
+    every edge visited for every cut, vertex 0 in S, cuts in mask order in
+    blocks of 2^18, strict < across blocks, S = V excluded. One change: vol(V
+    - S) is summed vertex by vertex like vol(S), since vol(V) - vol(S)
+    cancels on a light side (3.6e-12 relative on a generated n = 12 graph)."""
+    wdeg = g.weighted_degrees
+    nbits = g.n - 1
+    count = 1 << nbits
+    best_phi, best_mask_id = np.inf, -1
+    block = 1 << 18
+    for start in range(0, count, block):
+        stop = min(start + block, count)
+        masks = np.arange(start, stop, dtype=np.int64)
+        vol_s = np.full(masks.size, wdeg[0], dtype=np.float64)
+        vol_rest = np.zeros(masks.size, dtype=np.float64)
+        for v in range(1, g.n):
+            bit = (masks >> (v - 1)) & 1
+            vol_s += wdeg[v] * bit
+            vol_rest += wdeg[v] * (1 - bit)
+        cut = np.zeros(masks.size, dtype=np.float64)
+        for t, h, w in zip(g.tails, g.heads, g.weights):
+            bt = 1 if t == 0 else (masks >> (t - 1)) & 1
+            bh = 1 if h == 0 else (masks >> (h - 1)) & 1
+            cut += w * (bt != bh)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi_cand = cut / np.minimum(vol_s, vol_rest)
+        if stop == count:
+            phi_cand[-1] = np.inf
+        idx = int(np.argmin(phi_cand))
+        if phi_cand[idx] < best_phi:
+            best_phi, best_mask_id = float(phi_cand[idx]), start + idx
+    bits = (best_mask_id >> np.arange(nbits)) & 1
+    s_mask = np.concatenate(([True], bits.astype(bool)))
+    return best_phi, s_mask if wdeg[s_mask].sum() <= wdeg[~s_mask].sum() else ~s_mask
+
+
 def _reference_gadget(g, k):
     """(n, tails, heads): each edge k times, each copy a path of k hops."""
     tails, heads, nxt = [], [], g.n
@@ -535,3 +574,109 @@ class TestTraversalsMatchReferences:
             assert got.n == n
             assert got.tails.tolist() == tails and got.heads.tolist() == heads
             assert got.is_unit_weight
+
+
+def _cut_ratio(g, s):
+    return cut_weight(g, s) / min(volume(g, s), volume(g, ~s))
+
+
+def _assert_matches_reference(g, rel=0.0):
+    """Bitwise equal phi and the same witness at rel = 0 (unit weights, where
+    every sum is exact). Otherwise phi within rel, and the same witness unless
+    the two witnesses tie: reassociated sums may order cuts of equal value
+    either way, so each witness must attain phi by cut_weight / volume."""
+    cert = conductance_exact(g)
+    ref_phi, ref_witness = _reference_conductance(g)
+    if rel == 0.0:
+        assert cert.phi == ref_phi
+        assert np.array_equal(cert.witness, ref_witness)
+        return
+    assert cert.phi == pytest.approx(ref_phi, rel=rel, abs=0.0)
+    assert _cut_ratio(g, cert.witness) == pytest.approx(cert.phi, rel=rel, abs=0.0)
+    if not np.array_equal(cert.witness, ref_witness):
+        assert _cut_ratio(g, ref_witness) == pytest.approx(cert.phi, rel=rel, abs=0.0)
+
+
+class TestSplitEnumerationMatchesReference:
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("n", [10, 12, 16, 20])
+    def test_unit_weights_bitwise_equal(self, n, d):
+        for seed in (1, 2, 3):
+            _assert_matches_reference(random_regular(n, d, seed))
+
+    def test_weighted_multigraphs(self, random_multigraph):
+        rng = np.random.default_rng(23)
+        for n in range(2, 19):
+            for _ in range(2):
+                g = random_multigraph(rng, n, int(rng.integers(0, 2 * n)))
+                _assert_matches_reference(g, rel=1e-13)
+
+    def test_heavy_halves_light_bridge(self, random_multigraph):
+        # d . z - z^T W z and c_A + c_B - 2 x^T W_AB y cancel here: the cut is
+        # 1 against volumes near 2e7
+        rng = np.random.default_rng(5)
+        left, right = (random_multigraph(rng, 8, 16, weighted=False) for _ in range(2))
+        perm = rng.permutation(16)
+        tails = perm[np.concatenate([left.tails, right.tails + 8, [2]])]
+        heads = perm[np.concatenate([left.heads, right.heads + 8, [13]])]
+        weights = np.concatenate([10.0 ** rng.uniform(5.0, 6.0, left.m + right.m), [1.0]])
+        g = Multigraph(16, tails, heads, weights)
+        light = np.zeros(16, dtype=bool)
+        light[perm[:8]] = True
+        if volume(g, light) > volume(g, ~light):
+            light = ~light
+        cert = conductance_exact(g)
+        assert cert.phi == pytest.approx(1.0 / volume(g, light), rel=1e-13, abs=0.0)
+        assert np.array_equal(cert.witness, light)
+        _assert_matches_reference(g, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_small_splits_parallel_edges_at_vertex_0(self, n, random_multigraph):
+        # n - 1 free vertices split ceil / floor: n = 2 leaves half B empty,
+        # n = 3 gives one bit to each half, and n - 1 takes both parities
+        rng = np.random.default_rng(n)
+        for weighted in (False, True):
+            g = random_multigraph(rng, n, n, weighted=weighted)
+            w = [1.0, 1.0, 1.0] if not weighted else [3.5, 2e5, 7.25]
+            g = graph_union(g, Multigraph.from_edges(
+                n, [(0, n - 1, w[0]), (n - 1, 0, w[1]), (0, 1, w[2])]))
+            _assert_matches_reference(g, rel=1e-13 if weighted else 0.0)
+
+    @pytest.mark.parametrize("entries", [1, 40, 200])
+    def test_blocks_keep_first_minimum_and_exclude_full_set(self, entries, monkeypatch):
+        # Blocks of one or a few y rows. Complete graphs and cycles tie across
+        # blocks, so the first minimum must survive later equal ones. In
+        # `clusters` the minimizer {0, 5, 6, 7} is x = 0 of the last y row,
+        # the block that also holds S = V (0 / 0).
+        clusters = Multigraph.from_edges(
+            8, [(i, j) for c in ((0, 5, 6, 7), (1, 2, 3, 4)) for i in c for j in c if i < j]
+            + [(0, 1)])
+        graphs = [complete_graph(7), cycle_graph(9), petersen_graph(),
+                  random_regular(12, 3, 1), clusters]
+        default = [conductance_exact(g) for g in graphs]
+        monkeypatch.setattr(ohmlab.graphs, "_CUT_BLOCK_ENTRIES", entries)
+        for g, want in zip(graphs, default):
+            cert = conductance_exact(g)
+            assert cert.phi == want.phi
+            assert np.array_equal(cert.witness, want.witness)
+            _assert_matches_reference(g)
+        assert default[-1].phi == 1.0 / 13.0
+        assert np.flatnonzero(default[-1].witness).tolist() == [0, 5, 6, 7]
+
+    def test_disconnected_shortcut_and_refusal(self):
+        g = Multigraph.from_edges(5, [(0, 3, 2.0), (1, 2, 1.0), (2, 4, 1.0)])
+        cert = conductance_exact(g)
+        assert (cert.phi, cert.kind) == (0.0, "exact")
+        assert cert.witness.tolist() == [True, False, False, True, False]
+        # the size refusal comes first, connected or not
+        with pytest.raises(SizeLimitError):
+            conductance_exact(Multigraph.from_edges(30, [(0, 1)]))
+
+    def test_one_cap_constant(self):
+        cap = ohmlab.graphs.EXACT_CONDUCTANCE_CAP
+        for fn, name in ((conductance_exact, "max_n"),
+                         (ohmlab.routing._conductance, "exact_n_cap"),
+                         (ohmlab.routing.competitive_report, "exact_n_cap")):
+            assert inspect.signature(fn).parameters[name].default == cap
+        with pytest.raises(SizeLimitError):
+            conductance_exact(random_regular(cap + 1, 4, 1))
