@@ -352,8 +352,10 @@ def _lambda2(g: Multigraph):
         vals, vecs = scipy.linalg.eigh(nl.toarray(), subset_by_index=[0, 1])
     else:
         cap = max(10 * g.n, _EIGSH_MAXITER)
+        # a fixed start vector: ARPACK's own random start differs per call
+        v0 = np.random.default_rng(0).standard_normal(g.n)
         try:
-            vals, vecs = sp.linalg.eigsh(nl, k=2, which="SA", maxiter=cap, tol=1e-10)
+            vals, vecs = sp.linalg.eigsh(nl, k=2, which="SA", maxiter=cap, tol=1e-10, v0=v0)
         except sp.linalg.ArpackNoConvergence as exc:
             found = exc.eigenvectors
             best = found[:, -1] if found is not None and found.size else None
@@ -370,10 +372,12 @@ def _sweep_cut(g: Multigraph, vec: np.ndarray) -> tuple:
 
     The cut after rank k is the weight of the edges whose lower endpoint rank
     is <= k and whose higher one is > k: the interval sums on the rank grid.
-    The witness is the smaller-volume side of the first best prefix.
+    The witness is the smaller-volume side of the first best prefix. The
+    volumes of the prefix and of the rest are separate running sums of
+    degrees: vol(V) - vol(S) cancels when the rest is a light corner of a
+    heavy graph.
     """
     wdeg = g.weighted_degrees
-    total = float(wdeg.sum())
     order = np.argsort(vec / np.sqrt(wdeg), kind="stable")
     rank = np.empty(g.n, dtype=np.int64)
     rank[order] = np.arange(g.n)
@@ -381,11 +385,12 @@ def _sweep_cut(g: Multigraph, vec: np.ndarray) -> tuple:
     hi = np.maximum(rank[g.tails], rank[g.heads])
     (cut,) = _interval_sums(np.arange(g.n), lo, hi, [g.weights])
     vol_s = np.cumsum(wdeg[order])[:-1]
-    ratio = cut / np.minimum(vol_s, total - vol_s)
+    vol_rest = np.cumsum(wdeg[order][::-1])[::-1][1:]
+    ratio = cut / np.minimum(vol_s, vol_rest)
     best_k = int(np.argmin(ratio))
     prefix = np.zeros(g.n, dtype=bool)
     prefix[order[: best_k + 1]] = True
-    witness = prefix if float(wdeg[prefix].sum()) <= total / 2.0 else ~prefix
+    witness = prefix if vol_s[best_k] <= vol_rest[best_k] else ~prefix
     return float(ratio[best_k]), witness
 
 
@@ -397,7 +402,8 @@ def conductance_bounds(g: Multigraph) -> tuple:
     every prefix's cut read from the shared interval sums (`_interval_sums`).
     The bracket lambda_2/2 <= phi <= sweep value holds with the sweep value
     itself at most sqrt(2 lambda_2). lambda_2 comes from dense eigh up to
-    `_DENSE_EIGEN_CAP` vertices and from ARPACK on the sparse matrix above.
+    `_DENSE_EIGEN_CAP` vertices and from ARPACK on the sparse matrix above,
+    started from a fixed vector so that repeated calls return equal floats.
     """
     if not g.is_connected:
         raise DisconnectedError("conductance bounds need a connected graph")
@@ -571,7 +577,9 @@ def write_graph(g: Multigraph, path) -> None:
 
 
 def read_graph(path) -> Multigraph:
-    """Read the text format written by write_graph; '#' lines are comments."""
+    """Read the text format written by write_graph: a header "n m", then one
+    "tail head [weight]" line per edge, weight 1 when omitted; '#' lines are
+    comments."""
     rows = []
     with open(path) as fh:
         for line in fh:
@@ -591,11 +599,11 @@ def read_graph(path) -> Multigraph:
     heads = np.empty(m, dtype=np.int64)
     weights = np.empty(m, dtype=np.float64)
     for i, row in enumerate(rows[1:]):
-        if len(row) != 3:
-            raise ValueError(f"{path}: edge line {i} needs 'tail head weight'")
+        if len(row) not in (2, 3):
+            raise ValueError(f"{path}: edge line {i} needs 'tail head [weight]'")
         tails[i] = int(row[0])
         heads[i] = int(row[1])
-        weights[i] = float(row[2])
+        weights[i] = float(row[2]) if len(row) == 3 else 1.0
     return Multigraph(n, tails, heads, weights)
 
 

@@ -3,10 +3,13 @@
 A partition splits the vertices into terminals C (kept) and eliminated
 vertices F. Eliminating F from the Laplacian gives the Schur complement
 L_H = L_CC - L_CF L_FF^{-1} L_FC, itself the Laplacian of a weighted graph
-on C. Boundary values on C extend to F either harmonically (minimizing
-energy) or by minimizing the l1 edge-difference objective; the l1 problem
-with 0/1 boundary data is an s-t minimum cut and always has a 0/1 minimizer,
-which the level-set rounding recovers from any real minimizer.
+on C. The Schur complement and the harmonic extension both solve against one
+sparse LU factor of L_FF, sliced from the cached Laplacian, so the size of F
+is not capped and no |F| x |F| block is ever dense. Boundary values on C
+extend to F either harmonically (minimizing energy) or by minimizing the l1
+edge-difference objective; the l1 problem with 0/1 boundary data is an s-t
+minimum cut and always has a 0/1 minimizer, which the level-set rounding
+recovers from any real minimizer.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg
 
-from .errors import SizeLimitError
 from .graphs import Multigraph, _interval_sums
 from .linalg import laplacian
 from .maxflow import min_cut
@@ -37,8 +40,6 @@ __all__ = [
     "random_threshold_cut",
     "expected_cut_l1",
 ]
-
-DENSE_ELIMINATION_CAP = 4000
 
 
 @dataclass(frozen=True)
@@ -101,51 +102,48 @@ def read_partition(path, n: int) -> Partition:
                      np.array(sets.get("F", []), dtype=np.int64))
 
 
-def _check_no_buried_component(g: Multigraph, part: Partition) -> None:
+def _elimination(g: Multigraph, part: Partition) -> tuple:
+    """(L_FC, sparse LU of L_FF): the one elimination behind the Schur
+    complement and the harmonic extension, both sliced from the cached
+    Laplacian.
+
+    L_FF is nonsingular exactly when every connected component keeps a
+    terminal; a component without one is refused. F may be empty.
+    """
+    if part.n != g.n:
+        raise ValueError("partition size does not match the graph")
     labels = g.component_labels
-    f_mask = np.zeros(g.n, dtype=bool)
-    f_mask[part.eliminated] = True
-    for comp in range(int(labels.max()) + 1):
-        members = labels == comp
-        if bool(f_mask[members].all()):
-            ids = np.flatnonzero(members)
-            raise ValueError(
-                f"eliminated set swallows a whole connected component "
-                f"(vertices {ids.tolist()}); its Laplacian block is singular"
-            )
-
-
-def _dense_block(lap, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Laplacian block L[rows, cols], sliced sparse and densified alone, so
-    the whole n x n Laplacian is never dense."""
-    return lap[rows][:, cols].toarray()
+    drained = np.zeros(int(labels.max()) + 1, dtype=bool)
+    drained[labels[part.terminals]] = True
+    if not drained.all():
+        ids = np.flatnonzero(labels == np.argmin(drained))
+        raise ValueError(
+            f"eliminated set swallows a whole connected component "
+            f"(vertices {ids.tolist()}); its Laplacian block is singular"
+        )
+    f = part.eliminated
+    f_rows = g.laplacian[f]
+    lu = scipy.sparse.linalg.splu(sp.csc_array(f_rows[:, f]), permc_spec="MMD_AT_PLUS_A")
+    return f_rows[:, part.terminals], lu
 
 
 def schur_complement(g: Multigraph, part: Partition) -> np.ndarray:
     """Dense Schur complement L_CC - L_CF L_FF^{-1} L_FC, ordered by
     ascending terminal id.
 
-    Every connected component must keep at least one terminal, otherwise the
-    eliminated block is singular and the elimination is refused.
+    L_FF is eliminated through one sparse LU factor, so |F| has no cap; the
+    dense arrays are the |F| x |C| right-hand side L_FC, its solve and the
+    result. Every connected component must keep at least one terminal,
+    otherwise the eliminated block is singular and the elimination is
+    refused.
     """
-    if part.n != g.n:
-        raise ValueError("partition size does not match the graph")
-    if part.eliminated.size > DENSE_ELIMINATION_CAP:
-        raise SizeLimitError(
-            f"elimination of |F| = {part.eliminated.size} exceeds the dense "
-            f"cap {DENSE_ELIMINATION_CAP}"
-        )
-    _check_no_buried_component(g, part)
-    lap = laplacian(g)
-    c, f = part.terminals, part.eliminated
-    l_cc = _dense_block(lap, c, c)
-    if f.size == 0:
+    l_fc, lu = _elimination(g, part)
+    c = part.terminals
+    l_cc = g.laplacian[c][:, c].toarray()
+    if part.eliminated.size == 0:
         return l_cc
-    l_cf = _dense_block(lap, c, f)
-    l_ff = _dense_block(lap, f, f)
-    # LU, not Cholesky: partial pivoting is stable on this block and keeps
-    # power-of-two instances (the 3-path gives exactly 1/2) bit-exact
-    return l_cc - l_cf @ scipy.linalg.solve(l_ff, l_cf.T)
+    # power-of-two instances stay bit-exact: the 3-path gives exactly 1/2
+    return l_cc - l_fc.T @ lu.solve(l_fc.toarray())
 
 
 def schur_edge_weights(g: Multigraph, part: Partition, tol: float = 1e-12) -> Dict[tuple, float]:
@@ -176,23 +174,17 @@ def harmonic_extension(g: Multigraph, part: Partition, x: np.ndarray) -> np.ndar
     """Energy-minimizing extension y = -L_FF^{-1} L_FC x of boundary data x.
 
     x is indexed by ascending terminal id, the result by ascending eliminated
-    id. The maximum principle keeps y inside [min x, max x]; values are
-    clamped to [0, 1] only to shave float noise (drift beyond 1e-10 trips an
-    internal check instead of being hidden).
+    id. L_FF is solved through one sparse LU factor, so |F| has no cap. The
+    maximum principle keeps y inside [min x, max x]; values are clamped to
+    [0, 1] only to shave float noise (drift beyond 1e-10 trips an internal
+    check instead of being hidden).
     """
-    if part.n != g.n:
-        raise ValueError("partition size does not match the graph")
+    l_fc, lu = _elimination(g, part)
     x = _box_check(x, "boundary")
     if x.shape != (part.terminals.size,):
         raise ValueError("need one boundary value per terminal")
-    if part.eliminated.size == 0:
-        return np.zeros(0)
-    _check_no_buried_component(g, part)
-    lap = laplacian(g)
-    c, f = part.terminals, part.eliminated
-    l_fc = _dense_block(lap, f, c)
-    l_ff = _dense_block(lap, f, f)
-    y = scipy.linalg.solve(l_ff, -(l_fc @ x))
+    # + 0.0 turns the -0.0 of a zero right-hand side into 0.0 (printed "0")
+    y = lu.solve(-(l_fc @ x)) + 0.0
     if y.size and (y.min() < -1e-10 or y.max() > 1.0 + 1e-10):
         raise RuntimeError(
             f"harmonic extension left the unit box by more than float noise "
@@ -250,21 +242,15 @@ def min_l1_extension(
     if np.all(x == 0.0):
         return 0.0, np.zeros(f.size)
 
-    # contract 1-terminals into the source, 0-terminals into the sink
+    # contract 1-terminals into the source, 0-terminals into the sink; arcs
+    # keep the edge order
+    src, snk = f.size, f.size + 1
     node_of = np.empty(g.n, dtype=np.int64)
-    src = f.size
-    snk = f.size + 1
-    f_index = {int(v): i for i, v in enumerate(f)}
-    for v in range(g.n):
-        if v in f_index:
-            node_of[v] = f_index[v]
-    for v, xv in zip(part.terminals, x):
-        node_of[v] = src if xv == 1.0 else snk
-    arcs = []
-    for t, h, w in zip(g.tails, g.heads, g.weights):
-        u, v = int(node_of[t]), int(node_of[h])
-        if u != v:
-            arcs.append((u, v, float(w)))
+    node_of[f] = np.arange(f.size)
+    node_of[part.terminals] = np.where(x == 1.0, src, snk)
+    tails, heads = node_of[g.tails], node_of[g.heads]
+    keep = tails != heads
+    arcs = list(zip(tails[keep].tolist(), heads[keep].tolist(), g.weights[keep].tolist()))
     value, side = min_cut(f.size + 2, arcs, src, snk)
     y = side[: f.size].astype(np.float64)
     return value, y

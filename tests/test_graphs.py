@@ -1,8 +1,10 @@
 import inspect
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import ohmlab
 import ohmlab.graphs
@@ -159,6 +161,26 @@ class TestConductanceBounds:
         lo_s, up_s = conductance_bounds(g)
         assert lo_d.phi == pytest.approx(lo_s.phi, rel=1e-7)
         assert up_d.phi == pytest.approx(up_s.phi, rel=1e-7)
+
+    def test_upper_end_on_light_corner(self):
+        # vol(V - S) taken as vol(V) - vol(S) cancels on the light side {2}:
+        # the sweep value came out 0.9999999999966147, below phi = 1
+        g = Multigraph(3, np.array([1, 2, 1]), np.array([0, 0, 0]),
+                       np.array([1.0, 1.00001, 16383.0]))
+        _, upper = conductance_bounds(g)
+        assert conductance_exact(g).phi == 1.0
+        assert upper.phi == 1.0
+        s = upper.witness
+        assert cut_weight(g, s) / volume(g, s) == 1.0
+
+    def test_sparse_eigensolver_is_reproducible(self, monkeypatch):
+        g = random_regular(60, 3, 1)
+        dense = scipy.linalg.eigh(ohmlab.graphs._normalized_laplacian(g).toarray(),
+                                  eigvals_only=True, subset_by_index=[1, 1])[0]
+        monkeypatch.setattr(ohmlab.graphs, "_DENSE_EIGEN_CAP", 4)
+        first, second = conductance_bounds(g)[0].phi, conductance_bounds(g)[0].phi
+        assert first == second
+        assert first == pytest.approx(dense / 2.0, rel=0.0, abs=1e-10)
 
     def test_arpack_failure_is_convergence_error(self, monkeypatch):
         import scipy.sparse.linalg
@@ -349,6 +371,22 @@ class TestGraphText:
         p.write_text("# a comment\n\n2 1\n# another\n0 1 1.0\n")
         g = read_graph(p)
         assert (g.n, g.m) == (2, 1)
+
+    def test_readme_triangle(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("# a triangle\n", 1)[1].split("```", 1)[0]
+        p = tmp_path / "tri.graph"
+        p.write_text("# a triangle\n" + block)
+        g = read_graph(p)
+        assert (g.n, g.tails.tolist(), g.heads.tolist()) == (3, [0, 1, 2], [1, 2, 0])
+        assert g.weights.tolist() == [1.0, 1.0, 1.0]
+
+    def test_edge_line_token_count_checked(self, tmp_path):
+        p = tmp_path / "g.txt"
+        for line in ("0", "0 1 1.0 7"):
+            p.write_text(f"2 1\n{line}\n")
+            with pytest.raises(ValueError, match="edge line 0"):
+                read_graph(p)
 
     def test_malformed_header_rejected(self, tmp_path):
         p = tmp_path / "g.txt"

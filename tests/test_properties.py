@@ -10,7 +10,25 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from ohmlab import Multigraph, conductance_exact, cut_weight, volume  # noqa: E402
+from ohmlab import (  # noqa: E402
+    Multigraph,
+    Partition,
+    conductance_bounds,
+    conductance_exact,
+    cut_weight,
+    extension_energy,
+    harmonic_extension,
+    path_graph,
+    schur_complement,
+    volume,
+)
+
+EPS = np.finfo(np.float64).eps
+
+# vol(V - S) taken as vol(V) - vol(S) cancels on the light side {2}: phi came
+# out 0.9999999999966147 instead of 1
+LIGHT_CORNER = Multigraph(3, np.array([1, 2, 1]), np.array([0, 0, 0]),
+                          np.array([1.0, 1.00001, 16383.0]))
 
 
 @st.composite
@@ -41,13 +59,70 @@ def _brute_force_conductance(g):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(weighted_multigraphs())
-# vol(V - S) taken as vol(V) - vol(S) cancels on the light side {2}: phi came
-# out 0.9999999999966147 instead of 1
-@example(Multigraph(3, np.array([1, 2, 1]), np.array([0, 0, 0]),
-                    np.array([1.0, 1.00001, 16383.0])))
+@example(LIGHT_CORNER)
 def test_conductance_exact_matches_brute_force(g):
     cert = conductance_exact(g)
     assert cert.phi == pytest.approx(_brute_force_conductance(g), rel=1e-13, abs=0.0)
     s = cert.witness
     assert volume(g, s) <= volume(g, ~s)
     assert cut_weight(g, s) / volume(g, s) == pytest.approx(cert.phi, rel=1e-13, abs=0.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(weighted_multigraphs())
+@example(LIGHT_CORNER)
+def test_cheeger_bracket_contains_exact(g):
+    lower, upper = conductance_bounds(g)
+    exact = conductance_exact(g).phi
+    # dense eigh: lambda_2 is off by about n eps ||N|| with ||N|| <= 2
+    assert lower.phi <= exact + 1e-14
+    assert exact <= upper.phi * (1.0 + 1e-13)
+    s = upper.witness
+    assert volume(g, s) <= volume(g, ~s)
+    assert cut_weight(g, s) / volume(g, s) == pytest.approx(upper.phi, rel=1e-13, abs=0.0)
+
+
+@st.composite
+def eliminations(draw):
+    """(graph, partition, boundary values): a weighted multigraph, any
+    nonempty terminal set, boundary values in [0, 1]."""
+    g = draw(weighted_multigraphs())
+    c = sorted(draw(st.sets(st.integers(0, g.n - 1), min_size=1)))
+    part = Partition(g.n, np.array(c), np.setdiff1d(np.arange(g.n), c))
+    x = draw(st.lists(st.floats(0.0, 1.0), min_size=len(c), max_size=len(c)))
+    return g, part, np.array(x)
+
+
+def _star(leaves, weights):
+    return Multigraph(leaves + 1, np.zeros(leaves, dtype=np.int64),
+                      np.arange(1, leaves + 1), np.array(weights))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(eliminations())
+# nothing eliminated
+@example((path_graph(4), Partition.from_eliminated(4, []), np.array([1.0, 0.0, 0.5, 0.25])))
+# one terminal: the Schur complement is the 1 x 1 zero matrix
+@example((_star(5, [1.0, 1e6, 3.0, 1e3, 7.0]), Partition.from_eliminated(6, [1, 2, 3, 4, 5]),
+          np.array([0.5])))
+# F falls apart into one component per eliminated leaf
+@example((_star(8, [1.0, 1e6, 3.0, 1e3, 7.0, 1e5, 2.0, 40.0]),
+          Partition.from_eliminated(9, [1, 2, 3, 4, 5, 6, 7]), np.array([1.0, 0.0])))
+def test_elimination_matches_dense_pinv(case):
+    g, part, x = case
+    lap = g.laplacian.toarray()
+    c, f = part.terminals, part.eliminated
+    l_ff, l_fc = lap[np.ix_(f, f)], lap[np.ix_(f, c)]
+    l_ff_inv = np.linalg.pinv(l_ff) if f.size else l_ff
+    # a backward-stable solve is off by about eps cond(L_FF), relative
+    slack = 100.0 * EPS * (np.linalg.cond(l_ff) if f.size else 1.0)
+    schur = schur_complement(g, part)
+    want = lap[np.ix_(c, c)] - l_fc.T @ l_ff_inv @ l_fc
+    assert np.abs(schur - want).max() <= slack * np.abs(lap).max()
+    y = harmonic_extension(g, part, x)
+    assert y.shape == f.shape
+    if f.size:
+        assert np.abs(y - np.clip(-(l_ff_inv @ (l_fc @ x)), 0.0, 1.0)).max() <= slack
+    # energy identity: x^T S x is the energy of the harmonic extension
+    energy = extension_energy(g, part, x, y)
+    assert abs(energy - x @ schur @ x) <= slack * g.weights.sum()

@@ -125,6 +125,18 @@ class TestSchurComplement:
         with pytest.raises(ValueError, match="3"):
             schur_complement(g, part)
 
+    def test_long_path_has_no_size_cap(self):
+        # 4100 eliminated vertices in series: one edge of weight 1/(n-1),
+        # and voltages falling linearly from 1 to 0
+        n = 4102
+        g = path_graph(n)
+        part = Partition.from_eliminated(n, np.arange(1, n - 1))
+        weights = schur_edge_weights(g, part)
+        assert list(weights) == [(0, n - 1)]
+        assert weights[(0, n - 1)] == pytest.approx(1.0 / (n - 1), rel=1e-10, abs=0.0)
+        y = harmonic_extension(g, part, np.array([1.0, 0.0]))
+        assert y == pytest.approx(1.0 - np.arange(1, n - 1) / (n - 1), rel=0.0, abs=1e-10)
+
     def test_quadratic_form_is_minimized_energy(self):
         # x^T S x equals the energy of the harmonic extension, for any x
         rng = np.random.default_rng(2)
@@ -150,6 +162,14 @@ class TestHarmonicExtension:
         part = Partition.from_eliminated(3, [1])
         y = harmonic_extension(g, part, np.array([1.0, 0.0]))
         assert y == pytest.approx([0.5], abs=1e-10)
+
+    def test_zero_is_positive_zero(self):
+        # -0.0 would print as "-0" in the sparsify CSV
+        g = path_graph(4)
+        part = Partition.from_eliminated(4, [1, 2])
+        y = harmonic_extension(g, part, np.array([0.0, 0.0]))
+        assert y.tolist() == [0.0, 0.0]
+        assert not np.signbit(y).any()
 
     def test_maximum_principle(self):
         rng = np.random.default_rng(3)
