@@ -36,6 +36,7 @@ from .graphs import (
     random_regular,
     read_graph,
 )
+from .linalg import _check_p
 from .sparsify import read_partition
 
 __all__ = ["main", "cli"]
@@ -53,10 +54,10 @@ def _parse_p_grid(text: str) -> tuple:
             grid.append(float(tok))
     if not grid:
         raise click.BadParameter("empty p grid")
-    for p in grid:
-        if not p >= 1.0:
-            raise click.BadParameter(f"p must be in [1, inf], got {p}")
-    return tuple(grid)
+    try:
+        return tuple(_check_p(p) for p in grid)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from exc
 
 
 def _parse_int_list(text: str, name: str) -> tuple:

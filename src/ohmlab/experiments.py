@@ -22,6 +22,7 @@ from .graphs import (
     graph_union,
     random_regular,
 )
+from .linalg import _check_p
 from .routing import _conductance, _ratios, competitive_report, edge_demand
 from .sparsify import (
     Partition,
@@ -87,8 +88,7 @@ class ExperimentConfig:
         if min(self.k_list) < 1:
             raise ValueError("k values must be >= 1")
         for p in self.p_grid:
-            if not (p >= 1.0):
-                raise ValueError(f"p grid values must lie in [1, inf], got {p}")
+            _check_p(p)
 
 
 @dataclass

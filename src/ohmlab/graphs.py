@@ -2,8 +2,8 @@
 
 Edges are stored as parallel (tail, head, weight) arrays. The (tail, head)
 order fixes an arbitrary orientation that the incidence matrix and flow
-vectors refer to; the graph itself is undirected. Weights are real and >= 1,
-self-loops are rejected, parallel edges are allowed.
+vectors refer to; the graph itself is undirected. Weights are finite reals
+>= 1, self-loops are rejected, parallel edges are allowed.
 
 Adjacency lives in one place, the cached `Multigraph.laplacian`: component
 labels, the exact conductance's cut tables, the conductance bracket's
@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 DEFAULT_EDGE_CAP = 2_000_000
+# random_regular's pairing attempts before it gives up
+_PAIRING_TRIES = 10_000
 # conductance is enumerated exactly up to this many vertices, and bracketed
 # by conductance_bounds above it
 EXACT_CONDUCTANCE_CAP = 24
@@ -86,8 +88,8 @@ class Multigraph:
                 raise ValueError("edge endpoint out of range")
             if np.any(tails == heads):
                 raise ValueError("self-loops are not allowed")
-            if np.any(weights < 1.0):
-                raise ValueError("edge weights must be >= 1")
+            if not np.all(np.isfinite(weights) & (weights >= 1.0)):
+                raise ValueError("edge weights must be finite and >= 1")
         for arr in (tails, heads, weights):
             arr.setflags(write=False)
         object.__setattr__(self, "tails", tails)
@@ -446,11 +448,12 @@ def girth(g: Multigraph) -> float:
     return best
 
 
-def random_regular(n: int, d: int, seed: int, max_tries: int = 10_000) -> Multigraph:
+def random_regular(n: int, d: int, seed: int) -> Multigraph:
     """Random d-regular simple connected graph by the pairing model.
 
     Stubs are paired uniformly; any self-loop or parallel edge rejects the
-    whole pairing, as does a disconnected result. Deterministic per seed.
+    whole pairing, as does a disconnected result, and the generator gives up
+    after _PAIRING_TRIES pairings. Deterministic per seed.
     """
     if d < 3:
         raise ValueError("degree must be at least 3")
@@ -460,7 +463,7 @@ def random_regular(n: int, d: int, seed: int, max_tries: int = 10_000) -> Multig
         raise ValueError("n * d must be even")
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-    for _ in range(max_tries):
+    for _ in range(_PAIRING_TRIES):
         perm = rng.permutation(stubs)
         a = perm[0::2]
         b = perm[1::2]
@@ -476,8 +479,8 @@ def random_regular(n: int, d: int, seed: int, max_tries: int = 10_000) -> Multig
         if g.is_connected:
             return g
     raise ConvergenceError(
-        f"no simple connected {d}-regular pairing found in {max_tries} tries",
-        iterations=max_tries,
+        f"no simple connected {d}-regular pairing found in {_PAIRING_TRIES} tries",
+        iterations=_PAIRING_TRIES,
     )
 
 
@@ -531,14 +534,13 @@ def weighted_to_multigraph(
     g: Multigraph,
     capacities: Sequence[int],
     lengths: Sequence[int],
-    cap_edges: int = DEFAULT_EDGE_CAP,
 ) -> Multigraph:
     """Expand integer capacities and lengths into a unit multigraph.
 
     Edge e becomes a path of lengths[e] hops through fresh internal vertices,
     each hop carrying capacities[e] parallel unit edges. With unit lengths the
     vertex set is unchanged and cuts/degrees match the capacity-weighted
-    graph exactly.
+    graph exactly. More than DEFAULT_EDGE_CAP new edges are refused.
     """
     cap = np.asarray(capacities)
     ln = np.asarray(lengths)
@@ -553,9 +555,9 @@ def weighted_to_multigraph(
     if cap.size and (cap.min() < 1 or ln.min() < 1):
         raise ValueError("capacities and lengths must be >= 1")
     new_m = int((cap * ln).sum())
-    if new_m > cap_edges:
+    if new_m > DEFAULT_EDGE_CAP:
         raise SizeLimitError(
-            f"expansion would create {new_m} edges, over the cap {cap_edges}"
+            f"expansion would create {new_m} edges, over the cap {DEFAULT_EDGE_CAP}"
         )
     n, tails, heads = _subdivide(g.n, g.tails, g.heads, ln)
     copies = np.repeat(cap, ln)

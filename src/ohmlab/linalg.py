@@ -92,9 +92,21 @@ def _iteration_cap(g: Multigraph, max_iter: Optional[int]) -> int:
     return max(10_000, int(np.ceil(10 * g.n * np.sqrt(kappa_hat))))
 
 
-def _centred(b: np.ndarray, tol: float) -> np.ndarray:
+def _check_p(p: float) -> float:
+    """p as a float; anything outside [1, inf], NaN included, is an error."""
+    p = float(p)
+    if not p >= 1.0:
+        raise ValueError(f"p must be in [1, inf], got {p}")
+    return p
+
+
+def _centred(b: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Project a demand (or each column of a block) onto the sum-zero
-    subspace; a sum that drifts beyond 10 * tol * ||b|| is an error."""
+    subspace; a non-finite entry, or a sum that drifts beyond
+    10 * tol * ||b||, is an error. This is the one zero-sum rule: the solvers
+    and routing.validate_demand (at the solvers' default tol) all apply it."""
+    if not np.all(np.isfinite(b)):
+        raise ValueError("demand entries must be finite")
     drift = np.ravel(np.abs(b.sum(axis=0)))
     allowance = np.ravel(10.0 * tol * np.linalg.norm(b, axis=0))
     bad = np.flatnonzero(drift > allowance)
@@ -117,9 +129,9 @@ def solve_laplacian(
 
     Preconditioned conjugate gradient with the diagonal (weighted degree)
     preconditioner, re-orthogonalized against the all-ones vector every
-    iteration. b is projected onto the sum-zero subspace first; drift beyond
-    10 * tol * ||b|| is an error. Convergence means the true residual
-    satisfies ||L x - b|| <= tol * ||b||.
+    iteration. b is projected onto the sum-zero subspace first; a non-finite
+    entry or drift beyond 10 * tol * ||b|| is an error. Convergence means the
+    true residual satisfies ||L x - b|| <= tol * ||b||.
 
     The default iteration cap is max(1e4, 10 n sqrt(kappa_hat)) with
     kappa_hat = n * w_max / w_min, a deliberately crude condition-number
@@ -202,7 +214,8 @@ def solve_laplacian_block(
 
     Returns the n x k solutions and the k true residual norms ||L x - b||.
     Every column meets solve_laplacian's contract, whichever method made it:
-    b is centred (sum drift beyond 10 * tol * ||b|| is an error), the
+    b is centred (a non-finite entry or sum drift beyond 10 * tol * ||b|| is
+    an error), the
     solution sums to zero, and ||L x - b|| <= tol * ||b||. Up to
     _DIRECT_VERTEX_CAP vertices each column is a grounded LU solve against
     the graph's cached factor, centred, whose true residual is checked; a
@@ -215,13 +228,14 @@ def solve_laplacian_block(
         raise ValueError(f"demand block must have n={g.n} rows")
     lu = _direct_factor(g)
     x = np.zeros_like(b)
-    residuals = np.full(b.shape[1], np.inf)
+    # NaN until a column is solved: a NaN residual counts as a miss
+    residuals = np.full(b.shape[1], np.nan)
     if lu is not None:
         b = _centred(b, tol)
         x[1:] = lu.solve(b[1:])
         x -= x.mean(axis=0)
         residuals = np.linalg.norm(g.laplacian @ x - b, axis=0)
-    for j in np.flatnonzero(residuals > tol * np.linalg.norm(b, axis=0)):
+    for j in np.flatnonzero(~(residuals <= tol * np.linalg.norm(b, axis=0))):
         rep = solve_laplacian(g, b[:, j], tol)
         x[:, j] = rep.solution
         residuals[j] = rep.residual_norm
@@ -247,12 +261,13 @@ def induced_norm_inf(mat: Matrix) -> float:
     return float(sums.max()) if sums.size else 0.0
 
 
-def induced_pnorm_nonneg(
-    mat: Matrix,
-    p: float,
-    tol: float = 1e-8,
-    max_iter: int = 100_000,
-) -> float:
+# relative change of the p-norm estimate that counts as a stall
+_PNORM_TOL = 1e-8
+# power-iteration cap: a guard in case the stall stop never fires
+_PNORM_MAX_ITER = 100_000
+
+
+def induced_pnorm_nonneg(mat: Matrix, p: float) -> float:
     """p -> p induced norm of an entrywise nonnegative matrix.
 
     Nonlinear power iteration x <- normalize(psi_q(M^T psi_p(M x))) with
@@ -261,34 +276,27 @@ def induced_pnorm_nonneg(
     ||M x||_p climbs monotonically to the norm. If the estimate stalls before
     iteration 50 the iteration restarts once from a deterministically
     perturbed start (guards reducible matrices). p within 1e-9 of 2 runs the
-    p = 2 path; p outside (1, inf) falls back to the exact row/column-sum
-    formulas.
+    p = 2 path; p = 1 and p = inf are the exact column/row-sum formulas. The
+    iteration stops once the estimate stalls within _PNORM_TOL (relative) and
+    gives up after _PNORM_MAX_ITER iterations.
     """
-    if sp.issparse(mat):
-        data = mat.data
-        if data.size and float(data.min()) < 0.0:
-            raise ValueError("matrix must be entrywise nonnegative")
-        dense_or_sparse = mat
-        ncols = mat.shape[1]
-    else:
-        arr = np.asarray(mat, dtype=np.float64)
-        if arr.size and float(arr.min()) < 0.0:
-            raise ValueError("matrix must be entrywise nonnegative")
-        dense_or_sparse = arr
-        ncols = arr.shape[1]
+    p = _check_p(p)
+    mat = mat if sp.issparse(mat) else np.asarray(mat, dtype=np.float64)
+    entries = mat.data if sp.issparse(mat) else mat
+    if entries.size and not float(entries.min()) >= 0.0:
+        raise ValueError("matrix must be entrywise nonnegative")
     if np.isinf(p):
-        return induced_norm_inf(dense_or_sparse)
-    if p <= 1.0:
-        if p == 1.0:
-            return induced_norm_1(dense_or_sparse)
-        raise ValueError("p must be in [1, inf]")
+        return induced_norm_inf(mat)
+    if p == 1.0:
+        return induced_norm_1(mat)
     if abs(p - 2.0) <= 1e-9:
         p = 2.0
+    ncols = mat.shape[1]
     if ncols == 0:
         return 0.0
 
     q = p / (p - 1.0)
-    mat_t = dense_or_sparse.T
+    mat_t = mat.T
 
     def pnorm(v):
         return float(np.power(v, p).sum() ** (1.0 / p))
@@ -298,8 +306,8 @@ def induced_pnorm_nonneg(
     est_prev = 0.0
     streak = 0
     restarted = False
-    for it in range(1, max_iter + 1):
-        y = dense_or_sparse @ x
+    for it in range(1, _PNORM_MAX_ITER + 1):
+        y = mat @ x
         est = pnorm(y)
         if est == 0.0:
             return 0.0
@@ -312,7 +320,7 @@ def induced_pnorm_nonneg(
             x /= pnorm(x)
         rel = abs(est - est_prev) / est
         est_prev = est
-        if rel <= tol / 10.0:
+        if rel <= _PNORM_TOL / 10.0:
             streak += 1
         else:
             streak = 0
@@ -325,7 +333,8 @@ def induced_pnorm_nonneg(
                 continue
             return est
     raise ConvergenceError(
-        f"p-norm power iteration missed tolerance {tol:g} in {max_iter} iterations",
+        f"p-norm power iteration missed tolerance {_PNORM_TOL:g} in "
+        f"{_PNORM_MAX_ITER} iterations",
         best=est_prev,
-        iterations=max_iter,
+        iterations=_PNORM_MAX_ITER,
     )

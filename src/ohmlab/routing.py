@@ -31,10 +31,10 @@ from .graphs import (
     conductance_exact,
 )
 from .linalg import (
-    incidence,
-    induced_norm_1,
-    induced_norm_inf,
+    _centred,
+    _check_p,
     _direct_factor,
+    incidence,
     induced_pnorm_nonneg,
     laplacian,
     solve_laplacian_block,
@@ -57,7 +57,10 @@ __all__ = [
     "competitive_report",
 ]
 
+# largest m for which a dense m x m block is built (128 MB of float64)
 PROJECTION_EDGE_CAP = 4000
+# edges on which competitive_ratio_operator checks that the operator routes
+_ROUTE_CHECK_EDGES = 8
 # Pairs per sweep block on the direct path: wide enough that the factor's
 # block solve beats column-at-a-time solves, narrow enough that the n x k
 # voltages and the m x k flows of one block stay small. Conjugate gradient
@@ -67,14 +70,13 @@ _SWEEP_COLUMNS = 128
 
 
 def validate_demand(g: Multigraph, chi: np.ndarray) -> np.ndarray:
-    """Check a demand vector: length n, entries summing to zero within
-    1e-12 * ||chi||_1."""
+    """Check a demand vector: length n, finite entries summing to zero under
+    the solvers' rule (linalg._centred at the default tol). Returns chi as
+    given, not centred."""
     chi = np.asarray(chi, dtype=np.float64)
     if chi.shape != (g.n,):
         raise ValueError(f"demand must have length n={g.n}")
-    l1 = float(np.abs(chi).sum())
-    if abs(float(chi.sum())) > 1e-12 * max(l1, 1.0):
-        raise ValueError("demand entries must sum to zero")
+    _centred(chi)
     return chi
 
 
@@ -116,8 +118,7 @@ def effective_resistance(g: Multigraph, s: int, t: int, tol: float = 1e-10) -> f
 
 def congestion(g: Multigraph, flows: Sequence[np.ndarray], p: float) -> float:
     """l_p norm of per-edge total |flow| over capacity."""
-    if p < 1.0:
-        raise ValueError("p must be in [1, inf]")
+    p = _check_p(p)
     total = np.zeros(g.m)
     for f in flows:
         f = np.asarray(f, dtype=np.float64)
@@ -219,17 +220,11 @@ def _edge_average(l1: np.ndarray) -> float:
     return total / l1.size
 
 
-def _require_projection_size(g: Multigraph, edge_cap: int) -> None:
-    if g.m > edge_cap:
-        raise SizeLimitError(f"dense projection needs m <= {edge_cap}, got m={g.m}")
-
-
-def _induced_norm(mat: np.ndarray, p: float, norm_tol: float) -> float:
-    if p == 1.0:
-        return induced_norm_1(mat)
-    if math.isinf(p):
-        return induced_norm_inf(mat)
-    return induced_pnorm_nonneg(mat, p, norm_tol)
+def _require_projection_size(g: Multigraph) -> None:
+    if g.m > PROJECTION_EDGE_CAP:
+        raise SizeLimitError(
+            f"dense projection needs m <= {PROJECTION_EDGE_CAP}, got m={g.m}"
+        )
 
 
 def competitive_ratio_inf(g: Multigraph, tol: float = 1e-10) -> float:
@@ -256,40 +251,34 @@ def localization(g: Multigraph, tol: float = 1e-10) -> float:
     return _edge_average(_sweep(g, tol)[0])
 
 
-def flow_projection(
-    g: Multigraph, tol: float = 1e-10, edge_cap: int = PROJECTION_EDGE_CAP
-) -> np.ndarray:
+def flow_projection(g: Multigraph, tol: float = 1e-10) -> np.ndarray:
     """Dense flow projection Pi = B^T L^+ B, m x m, one solve per endpoint pair.
 
-    Symmetric and idempotent up to solver tolerance. Refused above edge_cap
-    edges; the per-edge l_inf path never needs it.
+    Symmetric and idempotent up to solver tolerance. Refused, before any
+    solve, above PROJECTION_EDGE_CAP edges; the per-edge l_inf path
+    (competitive_ratio_inf) never needs it.
     """
-    _require_projection_size(g, edge_cap)
+    _require_projection_size(g)
     return _sweep(g, tol, signed=True)[1]
 
 
-def competitive_ratio(
-    g: Multigraph,
-    p: float,
-    tol: float = 1e-10,
-    norm_tol: float = 1e-8,
-    edge_cap: int = PROJECTION_EDGE_CAP,
-) -> float:
+def competitive_ratio(g: Multigraph, p: float, tol: float = 1e-10) -> float:
     """l_p -> l_p competitive ratio of electrical routing on a unit graph.
 
-    Materializes |Pi| (dense, capped at edge_cap edges). p = 1 and p = inf
-    use the exact column/row-sum formulas; other p run the nonnegative power
-    iteration. Non-unit weights are refused: use competitive_ratio_operator,
-    which applies the weighted scaling.
+    Materializes |Pi| (dense, capped at PROJECTION_EDGE_CAP edges) for every
+    p; competitive_ratio_inf gives p = inf without it. The induced norm is
+    linalg.induced_pnorm_nonneg's: exact column/row sums for p = 1 and
+    p = inf, the nonnegative power iteration otherwise. Non-unit weights are
+    refused: use competitive_ratio_operator, which applies the weighted
+    scaling.
     """
     if not g.is_unit_weight:
         raise ValueError(
             "competitive_ratio needs unit weights; use competitive_ratio_operator"
         )
-    if p < 1.0:
-        raise ValueError("p must be in [1, inf]")
-    pi = flow_projection(g, tol, edge_cap)
-    return _induced_norm(np.abs(pi, out=pi), p, norm_tol)
+    p = _check_p(p)
+    pi = flow_projection(g, tol)
+    return induced_pnorm_nonneg(np.abs(pi, out=pi), p)
 
 
 def _ratios(
@@ -302,12 +291,10 @@ def _ratios(
     norm of |W^-1 A B W| = |Pi| W, whose columns come from the same solves,
     so only a finite p pays for the dense m x m block.
     """
-    ps = [float(p) for p in p_list]
-    if any(not p >= 1.0 for p in ps):
-        raise ValueError("p must be in [1, inf]")
+    ps = [_check_p(p) for p in p_list]
     finite = [p for p in ps if not math.isinf(p)]
     if finite:
-        _require_projection_size(g, PROJECTION_EDGE_CAP)
+        _require_projection_size(g)
     l1, pi, max_residual = _sweep(g, tol, signed=bool(finite))
     rho = {math.inf: float(l1.max())}
     if finite:
@@ -315,7 +302,7 @@ def _ratios(
         cols *= g.weights  # column e times w(e); exact on unit graphs
         for p in finite:
             if p not in rho:
-                rho[p] = _induced_norm(cols, p, 1e-8)
+                rho[p] = induced_pnorm_nonneg(cols, p)
     loc = _edge_average(l1) if g.is_unit_weight else None
     return rho, loc, max_residual
 
@@ -325,22 +312,18 @@ def competitive_ratio_operator(
     routing: Callable[[np.ndarray], np.ndarray],
     p: float,
     tol: float = 1e-10,
-    norm_tol: float = 1e-8,
-    edge_cap: int = PROJECTION_EDGE_CAP,
-    check_edges: int = 8,
 ) -> float:
     """l_p -> l_p competitive ratio of an arbitrary demand -> flow operator.
 
     The operator must be linear and actually route: B (routing(chi_e)) = chi_e
-    is verified on a sample of edges within tolerance. The ratio is the
-    induced norm of the entrywise absolute value of W^-1 A B W, assembled one
-    column per edge as w(e) |W^-1 routing(chi_e)|.
+    is verified on _ROUTE_CHECK_EDGES edges within tolerance. The ratio is
+    the induced norm of the entrywise absolute value of W^-1 A B W, assembled
+    one column per edge as w(e) |W^-1 routing(chi_e)|, dense and so capped
+    at PROJECTION_EDGE_CAP edges.
     """
-    if p < 1.0:
-        raise ValueError("p must be in [1, inf]")
-    if g.m > edge_cap:
-        raise SizeLimitError(f"operator ratio needs m <= {edge_cap}, got m={g.m}")
-    sample = np.linspace(0, g.m - 1, num=min(check_edges, g.m), dtype=np.int64)
+    p = _check_p(p)
+    _require_projection_size(g)
+    sample = np.linspace(0, g.m - 1, num=min(_ROUTE_CHECK_EDGES, g.m), dtype=np.int64)
     inc = incidence(g)
     cols = np.empty((g.m, g.m))
     cache: Dict[tuple, np.ndarray] = {}
@@ -359,14 +342,13 @@ def competitive_ratio_operator(
                     f"operator does not route edge demand {e}: |B f - chi| = {err:.3e}"
                 )
         cols[:, e] = g.weights[e] * np.abs(f) / g.weights
-    return _induced_norm(cols, p, norm_tol)
+    return induced_pnorm_nonneg(cols, p)
 
 
 @dataclass(frozen=True)
 class CompetitiveReport:
     """Summary of a graph's routing quality against the expander bound."""
 
-    graph_id: str
     n: int
     m: int
     vol: float
@@ -376,9 +358,7 @@ class CompetitiveReport:
     rho: Dict[float, float]
     bound: float
     localization: Optional[float]
-    solver_tol: float
     max_residual: float
-    rho_error_bound: float
 
 
 def _conductance(
@@ -397,7 +377,6 @@ def competitive_report(
     g: Multigraph,
     p_list: Sequence[float] = (np.inf,),
     tol: float = 1e-10,
-    graph_id: Optional[str] = None,
     exact_n_cap: int = EXACT_CONDUCTANCE_CAP,
 ) -> CompetitiveReport:
     """Assemble conductance, competitive ratios, and the routing bound.
@@ -408,10 +387,8 @@ def competitive_report(
     otherwise (a smaller phi only loosens the bound, so it stays valid). On
     unit graphs vol(V) = 2m, so ln(vol(V)) matches the 2m reading of the
     bound. Every ratio and the localization come from one sweep that solves
-    each endpoint pair once. rho_error_bound = m * tol * sqrt(2) is only a
-    residual scale (m edges, the solver tolerance and ||chi||_2 = sqrt(2) of
-    a unit demand), not a certified bound on the ratio error: it leaves out
-    the 1/sqrt(lambda_2(L)) that turns a residual into a voltage error.
+    each endpoint pair once; max_residual is the worst true residual of
+    those solves.
     """
     if g.m == 0:
         raise ValueError("graph has no edges")
@@ -427,7 +404,6 @@ def competitive_report(
     vol = float(g.weighted_degrees.sum())
     bound = 3.0 * math.log(vol) / lower.phi if lower.phi > 0 else math.inf
     return CompetitiveReport(
-        graph_id=graph_id or f"n{g.n}-m{g.m}",
         n=g.n,
         m=g.m,
         vol=vol,
@@ -437,7 +413,5 @@ def competitive_report(
         rho=rho,
         bound=bound,
         localization=loc,
-        solver_tol=tol,
         max_residual=max_residual,
-        rho_error_bound=g.m * tol * math.sqrt(2.0),
     )

@@ -41,6 +41,11 @@ __all__ = [
     "expected_cut_l1",
 ]
 
+# relative size below which a Schur weight is fill-in noise (perfbench mirrors it)
+_SCHUR_DROP = 1e-12
+# relative objective rise that shows discretize_minimizer was given no minimizer
+_ROUNDING_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -146,11 +151,11 @@ def schur_complement(g: Multigraph, part: Partition) -> np.ndarray:
     return l_cc - l_fc.T @ lu.solve(l_fc.toarray())
 
 
-def schur_edge_weights(g: Multigraph, part: Partition, tol: float = 1e-12) -> Dict[tuple, float]:
+def schur_edge_weights(g: Multigraph, part: Partition) -> Dict[tuple, float]:
     """Off-diagonal Schur weights as {(u, v): weight} on original ids, u < v.
 
-    Entries below tol (relative to the largest magnitude) are dropped as
-    elimination fill-in noise.
+    Entries below _SCHUR_DROP (relative to the largest magnitude) are dropped
+    as elimination fill-in noise.
     """
     sc = schur_complement(g, part)
     c = part.terminals
@@ -158,7 +163,7 @@ def schur_edge_weights(g: Multigraph, part: Partition, tol: float = 1e-12) -> Di
     out: Dict[tuple, float] = {}
     for i, u in enumerate(c[:-1].tolist()):
         w = -sc[i, i + 1:]
-        keep = np.abs(w) > tol * max(scale, 1.0)
+        keep = np.abs(w) > _SCHUR_DROP * max(scale, 1.0)
         out.update(zip(((u, v) for v in c[i + 1:][keep].tolist()), w[keep].tolist()))
     return out
 
@@ -257,11 +262,7 @@ def min_l1_extension(
 
 
 def discretize_minimizer(
-    g: Multigraph,
-    part: Partition,
-    x: np.ndarray,
-    y: np.ndarray,
-    tol: float = 1e-6,
+    g: Multigraph, part: Partition, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
     """Round a real minimizer of the l1 extension problem to a 0/1 one.
 
@@ -269,8 +270,8 @@ def discretize_minimizer(
     minimizer the objective is linear, hence constant, along that shift, so
     each step preserves the value and strictly grows the 0/1 set. Values
     within 1e-9 of each other (or of 0/1) are snapped together first. If a
-    step changes the objective beyond tol (relative), y was not a minimizer
-    and the offending level is reported.
+    step raises the objective beyond _ROUNDING_TOL (relative), y was not a
+    minimizer and the offending level is reported.
     """
     if part.n != g.n:
         raise ValueError("partition size does not match the graph")
@@ -302,7 +303,7 @@ def discretize_minimizer(
         candidate = y.copy()
         candidate[level] = 0.0
         new_objective = l1_objective(g, part, x, candidate)
-        if new_objective > objective + tol * scale:
+        if new_objective > objective + _ROUNDING_TOL * scale:
             raise ValueError(
                 f"not a minimizer: shifting level {r} to 0 raises the "
                 f"objective from {objective} to {new_objective}"

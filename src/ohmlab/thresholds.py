@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 DIAGNOSTIC_COLUMNS = ("t", "delta", "vol_geq", "volplus", "dvolplus_dt", "crossing_flow")
+# relative miss of a derivative inequality left to solver and rounding noise
+_DERIVATIVE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -314,11 +316,10 @@ class DerivativeCheckReport:
     quad: -d/dt volplus >= 2 delta(t)^2 (crossing flow squared against the
     decay rate). ratio: delta(t) <= (3 / (2 phi)) * decay / volplus. Positive
     violation values mean the inequality failed by that relative amount;
-    violations counts samples beyond the tolerance.
+    violations counts samples beyond _DERIVATIVE_TOL.
     """
 
     evaluated: int
-    tolerance: float
     quad_max_violation: float
     quad_worst_t: float
     ratio_max_violation: float
@@ -331,8 +332,7 @@ class DerivativeCheckReport:
 
 
 def check_derivative_bounds(
-    profile: ThresholdProfile, phi: float, samples: Optional[int] = 50,
-    tolerance: float = 1e-8,
+    profile: ThresholdProfile, phi: float, samples: Optional[int] = 50
 ) -> DerivativeCheckReport:
     """Check both derivative inequalities at interval midpoints.
 
@@ -359,12 +359,11 @@ def check_derivative_bounds(
     t, quad, ratio = np.append(t, np.nan), np.append(quad, -np.inf), np.append(ratio, -np.inf)
     return DerivativeCheckReport(
         evaluated=t.size - 1,
-        tolerance=tolerance,
         quad_max_violation=float(quad.max()),
         quad_worst_t=float(t[quad.argmax()]),
         ratio_max_violation=float(ratio.max()),
         ratio_worst_t=float(t[ratio.argmax()]),
-        violations=int((quad > tolerance).sum() + (ratio > tolerance).sum()),
+        violations=int((quad > _DERIVATIVE_TOL).sum() + (ratio > _DERIVATIVE_TOL).sum()),
     )
 
 

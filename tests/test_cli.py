@@ -261,6 +261,17 @@ class TestMainEntry:
         assert exc.value.code == 0
         assert "p,rho,bound,slack" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("weight", ["inf", "nan"])
+    def test_non_finite_weight_exit_one(self, tmp_path, capsys, weight):
+        gpath = tmp_path / "tri.graph"
+        gpath.write_text(f"3 3\n0 1 {weight}\n1 2 1\n2 0 1\n")
+        with pytest.raises(SystemExit) as exc:
+            ohmlab.cli.main(["--no-timestamp", "report", str(gpath)])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: edge weights must be finite and >= 1\n"
+
     def test_operational_error_message(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a graph\n")

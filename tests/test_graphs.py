@@ -55,6 +55,11 @@ class TestMultigraph:
         with pytest.raises(ValueError, match="weights"):
             Multigraph.from_edges(2, [(0, 1, 0.5)])
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="weights"):
+            Multigraph.from_edges(3, [(0, 1, 1.0), (1, 2, weight)])
+
     def test_out_of_range_vertex_rejected(self):
         with pytest.raises(ValueError):
             Multigraph.from_edges(2, [(0, 2, 1.0)])

@@ -182,6 +182,31 @@ class TestSolveLaplacianBlock:
             solve_laplacian_block(g, b)
 
 
+class TestNonFiniteDemand:
+    """A NaN or infinite demand entry is refused before any solve, on the
+    factored path, the conjugate-gradient path, and the callers above them."""
+
+    @pytest.fixture(params=[np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def bad(self, request):
+        g = random_regular(10, 3, 1)
+        b = ohmlab.edge_demand(g, 0)
+        b[2] = request.param
+        return g, b
+
+    @pytest.mark.parametrize("cap", [3000, 0], ids=["factor", "pcg"])
+    def test_block_refuses(self, bad, cap, monkeypatch):
+        monkeypatch.setattr(ohmlab.linalg, "_DIRECT_VERTEX_CAP", cap)
+        g, b = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve_laplacian_block(g, np.column_stack([ohmlab.edge_demand(g, 1), b]))
+
+    def test_entry_points_refuse(self, bad):
+        g, b = bad
+        for solve in (solve_laplacian, ohmlab.route_electrical, ohmlab.threshold_profile):
+            with pytest.raises(ValueError, match="finite"):
+                solve(g, b)
+
+
 class TestDirectFallback:
     class _Perturbed:
         """Stands in for the cached factor and spoils one solution column."""

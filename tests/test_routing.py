@@ -51,6 +51,22 @@ class TestDemands:
         with pytest.raises(ValueError):
             validate_demand(g, np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("drift", [0.0, 5e-11, 1e-8, np.nan])
+    def test_same_zero_sum_rule_as_solver(self, drift):
+        g = cycle_graph(4)
+        chi = np.array([1.0, -1.0 + drift, 0.0, 0.0])
+
+        def accepts(check):
+            try:
+                check(g, chi)
+            except ValueError:
+                return False
+            return True
+
+        assert accepts(validate_demand) == accepts(ohmlab.solve_laplacian)
+        if accepts(validate_demand):
+            assert np.array_equal(validate_demand(g, chi), chi)  # not centred
+
 
 class TestRouteElectrical:
     def test_k2_routes_its_own_demand(self):
@@ -180,9 +196,9 @@ class TestProjectionMatrix:
         assert np.trace(pi) == pytest.approx(g.n - 1, abs=1e-6)
 
     def test_edge_cap(self):
-        g = random_regular(12, 3, 1)
+        g = random_regular(2668, 3, 1)  # m = 4002 > PROJECTION_EDGE_CAP
         with pytest.raises(SizeLimitError):
-            flow_projection(g, edge_cap=10)
+            flow_projection(g)
 
 
 class TestCompetitiveRatioP:
@@ -283,6 +299,26 @@ class TestOperatorRatio:
         g = cycle_graph(4)
         with pytest.raises(ValueError, match="route"):
             competitive_ratio_operator(g, lambda chi: np.zeros(g.m), np.inf)
+
+
+class TestPRange:
+    @pytest.mark.parametrize("p", [np.nan, 0.5, -np.inf])
+    def test_refused_before_any_solve(self, p, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved before checking p")
+
+        monkeypatch.setattr(ohmlab.routing, "solve_laplacian_block", no_solve)
+        g = random_regular(10, 3, 1)
+        calls = [
+            lambda: competitive_ratio(g, p),
+            lambda: competitive_ratio_operator(g, no_solve, p),
+            lambda: congestion(g, [np.ones(g.m)], p),
+            lambda: induced_pnorm_nonneg(np.ones((3, 3)), p),
+            lambda: ohmlab.routing._ratios(g, (np.inf, p), 1e-10),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="p must be in"):
+                call()
 
 
 class TestLocalization:
