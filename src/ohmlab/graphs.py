@@ -55,8 +55,9 @@ _PAIRING_TRIES = 10_000
 # conductance is enumerated exactly up to this many vertices, and bracketed
 # by conductance_bounds above it
 EXACT_CONDUCTANCE_CAP = 24
-# conductance_exact evaluates this many cuts per block (2 MB per float array)
-_CUT_BLOCK_ENTRIES = 1 << 18
+# conductance_exact evaluates this many cuts per block into three reused
+# 256 KB float buffers, small enough to stay in a 2 MB L2 cache together
+_CUT_BLOCK_ENTRIES = 1 << 15
 # lambda_2 comes from dense eigh up to this many vertices, from ARPACK above
 _DENSE_EIGEN_CAP = 2000
 # ARPACK restart budget; graphs above 1000 vertices get 10 per vertex
@@ -217,8 +218,12 @@ def conductance_exact(
     rows are one matrix product, X W_AB (1 - Y)^T + (1 - X) W_AB Y^T with X,
     Y the bit rows. Every sum has nonnegative terms only, so heavy weights
     cancel neither a light bridge nor a light side. Cost: about
-    4 (n-1-a) 2^(n-1) flops in blocks of at most _CUT_BLOCK_ENTRIES cuts,
-    plus O(n 2^a) memory for the tables.
+    4 (n-1-a) 2^(n-1) flops in blocks of up to _CUT_BLOCK_ENTRIES cuts (but
+    8 y rows at least), plus O(n 2^a) memory for the tables. Each block is
+    written in place into three (rows, 2^a) buffers allocated once per
+    call, the cut weights turning into the ratios and the S-side volumes
+    into the smaller side's, so a block allocates nothing and the buffers
+    stay in cache.
 
     The witness is the smaller-volume side of the minimizing cut (the first
     in cut-number order among equal values); on a volume tie, the side
@@ -254,21 +259,30 @@ def conductance_exact(
     best_phi = np.inf
     best_mask_id = -1
     ny = y_bits.shape[0]
-    rows = max(1, _CUT_BLOCK_ENTRIES >> a)
-    for y0 in range(0, ny, rows):
-        y1 = min(y0 + rows, ny)
-        cut = y_sides[y0:y1] @ cross
+    # 8 rows at least: each block re-reads all of `cross`, which outgrows the
+    # cache above the cap (n >= 26), where 2^15 entries are 4 rows or fewer
+    rows = min(ny, max(8, _CUT_BLOCK_ENTRIES >> a))
+    cut, side, rest = (np.empty((rows, x_bits.shape[0])) for _ in range(3))
+    for start in range(0, ny, rows):
+        # a partial last block moves back to end at row ny, so every product
+        # has the same row count, two or more from n = 3 on: a one-row
+        # product takes BLAS's vector path, which sums in another order
+        y0 = min(start, ny - rows)
+        y1 = y0 + rows
+        np.matmul(y_sides[y0:y1], cross, out=cut)
         cut += cut_a
         cut += cut_b[y0:y1, None]
-        side = np.minimum(vol_a + vol_b[y0:y1, None], rest_a + rest_b[y0:y1, None])
+        np.add(vol_a, vol_b[y0:y1, None], out=side)
+        np.add(rest_a, rest_b[y0:y1, None], out=rest)
+        np.minimum(side, rest, out=side)
         with np.errstate(divide="ignore", invalid="ignore"):
-            phi_cand = cut / side
+            np.divide(cut, side, out=cut)
         # S = V (the all-ones mask) is not a proper cut
         if y1 == ny:
-            phi_cand[-1, -1] = np.inf
-        idx = int(np.argmin(phi_cand))
-        if phi_cand.flat[idx] < best_phi:
-            best_phi = float(phi_cand.flat[idx])
+            cut[-1, -1] = np.inf
+        idx = int(np.argmin(cut))
+        if cut.flat[idx] < best_phi:
+            best_phi = float(cut.flat[idx])
             best_mask_id = (y0 << a) + idx
 
     bits = (best_mask_id >> np.arange(nbits)) & 1

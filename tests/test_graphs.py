@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -705,6 +706,20 @@ class TestSplitEnumerationMatchesReference:
             _assert_matches_reference(g)
         assert default[-1].phi == 1.0 / 13.0
         assert np.flatnonzero(default[-1].witness).tolist() == [0, 5, 6, 7]
+
+    def test_block_loop_allocates_nothing_per_block(self):
+        # three reused (rows, 2^a) buffers peak near 1.3 MB at n = 20; a
+        # fresh array per block for the product, the two volume sums, their
+        # minimum and the quotient peaks at 12.4 MB
+        g = random_regular(20, 3, 1)
+        g.laplacian
+        tracemalloc.start()
+        try:
+            conductance_exact(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
     def test_disconnected_shortcut_and_refusal(self):
         g = Multigraph.from_edges(5, [(0, 3, 2.0), (1, 2, 1.0), (2, 4, 1.0)])

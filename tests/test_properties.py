@@ -7,6 +7,8 @@ import itertools
 import numpy as np
 import pytest
 
+import ohmlab.graphs
+
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
@@ -32,10 +34,10 @@ LIGHT_CORNER = Multigraph(3, np.array([1, 2, 1]), np.array([0, 0, 0]),
 
 
 @st.composite
-def weighted_multigraphs(draw):
+def weighted_multigraphs(draw, max_n=9):
     """Connected multigraph: a random spanning tree, extra edges, parallel
     copies of some of them, log-uniform weights in [1, 1e6], vertex ids shuffled."""
-    n = draw(st.integers(2, 9))
+    n = draw(st.integers(2, max_n))
     edges = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     edges += draw(st.lists(pair.filter(lambda e: e[0] != e[1]), max_size=2 * n))
@@ -66,6 +68,24 @@ def test_conductance_exact_matches_brute_force(g):
     s = cert.witness
     assert volume(g, s) <= volume(g, ~s)
     assert cut_weight(g, s) / volume(g, s) == pytest.approx(cert.phi, rel=1e-13, abs=0.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(weighted_multigraphs(max_n=14))
+def test_conductance_exact_same_bits_in_any_block_size(g):
+    # The block buffers are reused, so a row left over from the previous
+    # block would show here. Rows per block: 8 (the floor), 12 (which divides
+    # no power of two, so from n = 9 on the last block is partial) and the
+    # default; for n <= 8 all three are one block.
+    a = g.n // 2
+    certs = []
+    for entries in (1, 12 << a, ohmlab.graphs._CUT_BLOCK_ENTRIES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ohmlab.graphs, "_CUT_BLOCK_ENTRIES", entries)
+            certs.append(conductance_exact(g))
+    for cert in certs[:2]:
+        assert cert.phi == certs[-1].phi
+        assert np.array_equal(cert.witness, certs[-1].witness)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
