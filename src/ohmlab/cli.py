@@ -91,8 +91,6 @@ def _emit_result(ctx, result: ExperimentResult) -> None:
 
 
 @click.group()
-@click.option("--tol", type=float, default=1e-10, show_default=True,
-              help="Laplacian solver tolerance.")
 @click.option("--seed", type=int, default=1, show_default=True,
               help="Default generator seed.")
 @click.option("--cap-edges", type=int, default=DEFAULT_EDGE_CAP, show_default=True,
@@ -102,10 +100,9 @@ def _emit_result(ctx, result: ExperimentResult) -> None:
 @click.option("--no-timestamp", is_flag=True,
               help="Suppress the generated-at header line.")
 @click.pass_context
-def cli(ctx, tol, seed, cap_edges, out, no_timestamp):
+def cli(ctx, seed, cap_edges, out, no_timestamp):
     """Electrical-flow routing laboratory."""
     ctx.obj = {
-        "tol": tol,
         "seed": seed,
         "cap_edges": cap_edges,
         "out": out,
@@ -163,7 +160,7 @@ def gen_union(ctx, path_a, path_b):
 def report(ctx, graph, p_grid):
     """Competitive ratios against the 3 ln(vol)/phi routing bound."""
     g = read_graph(graph)
-    result = run_report(g, _parse_p_grid(p_grid), ctx.obj["tol"])
+    result = run_report(g, _parse_p_grid(p_grid))
     return _emit_result(ctx, result)
 
 
@@ -176,7 +173,7 @@ def report(ctx, graph, p_grid):
 def diagnose(ctx, graph, edge, samples):
     """Threshold-cut diagnostics for one unit edge demand."""
     g = read_graph(graph)
-    result = run_diagnose(g, edge, samples, ctx.obj["tol"])
+    result = run_diagnose(g, edge, samples)
     return _emit_result(ctx, result)
 
 
@@ -228,7 +225,6 @@ def experiment(ctx, name, n_list, d_list, seeds, p_grid, k_list, graph_path,
         base_n=base_n,
         base_d=base_d,
         base_seed=ctx.obj["seed"],
-        tol=ctx.obj["tol"],
         cap_edges=ctx.obj["cap_edges"],
     )
     graph = read_graph(graph_path) if graph_path else None

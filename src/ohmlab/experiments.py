@@ -75,7 +75,6 @@ class ExperimentConfig:
     base_n: int = 10
     base_d: int = 3
     base_seed: int = 1
-    tol: float = 1e-10
     cap_edges: int = DEFAULT_EDGE_CAP
 
     def __post_init__(self):
@@ -124,9 +123,9 @@ def _p_label(p: float) -> str:
     return format_value(float(p))
 
 
-def run_report(g: Multigraph, p_grid: Sequence[float], tol: float = 1e-10) -> ExperimentResult:
+def run_report(g: Multigraph, p_grid: Sequence[float]) -> ExperimentResult:
     """Competitive ratios against the routing bound, one row per p."""
-    rep = competitive_report(g, p_grid, tol)
+    rep = competitive_report(g, p_grid)
     rows = []
     violations = []
     for p in p_grid:
@@ -148,10 +147,9 @@ def run_report(g: Multigraph, p_grid: Sequence[float], tol: float = 1e-10) -> Ex
     return ExperimentResult(("p", "rho", "bound", "slack"), rows, comments, violations)
 
 
-def run_diagnose(g: Multigraph, edge: int, samples: int = 50,
-                 tol: float = 1e-10) -> ExperimentResult:
+def run_diagnose(g: Multigraph, edge: int, samples: int = 50) -> ExperimentResult:
     """Threshold diagnostics for one unit edge demand, plus identity checks."""
-    profile = threshold_profile(g, edge_demand(g, edge), tol)
+    profile = threshold_profile(g, edge_demand(g, edge))
     lower, _ = _conductance(g)
     integral = check_integral_identity(profile)
     flow_dev = check_unit_flow(profile)
@@ -220,7 +218,7 @@ def _grid_reports(cfg: ExperimentConfig):
     for n in cfg.n_list:
         for d in cfg.d_list:
             for seed in cfg.seeds:
-                yield n, d, seed, competitive_report(random_regular(n, d, seed), tol=cfg.tol)
+                yield n, d, seed, competitive_report(random_regular(n, d, seed))
 
 
 def _run_upperbound(cfg: ExperimentConfig) -> ExperimentResult:
@@ -253,7 +251,7 @@ def _run_interpolation(cfg: ExperimentConfig, g: Optional[Multigraph]) -> Experi
         g = random_regular(cfg.base_n, cfg.base_d, cfg.base_seed)
     if not g.is_unit_weight:
         raise ValueError("interpolation needs a unit-weight graph")
-    rhos, _, _ = _ratios(g, (1.0, 2.0, *cfg.p_grid), cfg.tol)
+    rhos, _, _ = _ratios(g, (1.0, 2.0, *cfg.p_grid))
     rho_1, rho_2, rho_inf = rhos[1.0], rhos[2.0], rhos[math.inf]
     rows = []
     violations = []
@@ -293,7 +291,7 @@ def _run_lowerbound(cfg: ExperimentConfig, base: Optional[Multigraph]) -> Experi
     for k in cfg.k_list:
         u = graph_union(base, gadget_subdivide(base, k, cfg.cap_edges))
         # the table reports the spectral bracket, so cuts are never enumerated
-        rep = competitive_report(u, cfg.p_grid, cfg.tol, exact_n_cap=0)
+        rep = competitive_report(u, cfg.p_grid, exact_n_cap=0)
         rho, bound = rep.rho[math.inf], rep.bound
         row = [k, u.n, u.m, rep.phi_lower, rep.phi_upper, rho]
         row.extend(rep.rho[float(p)] for p in finite_p)

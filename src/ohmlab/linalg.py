@@ -8,15 +8,15 @@ Two solve methods, picked by the graph alone. Up to _DIRECT_VERTEX_CAP
 vertices a graph's Laplacian is factored once, with vertex 0 grounded, and
 solve_laplacian_block solves blocks of demands against that factor. Above
 the cap, and for any column the factor misses, solve_laplacian's
-Jacobi-preconditioned conjugate gradient runs. Both meet the same contract:
-the solution sums to zero and its true residual satisfies
-||L x - b|| <= tol * ||b|| for the centred demand b.
+Jacobi-preconditioned conjugate gradient runs. Both meet the same contract,
+fixed at _SOLVE_TOL: the solution sums to zero and its true residual
+satisfies ||L x - b|| <= 1e-10 ||b|| for the centred demand b.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -74,6 +74,9 @@ def laplacian(g: Multigraph) -> sp.csr_array:
 # factor after about 30 solves, which any all-pairs sweep makes (about 1.5 n
 # pairs), while a block entry point called once pays at most the 0.14 s.
 _DIRECT_VERTEX_CAP = 3000
+# Residual contract of every solve, ||L x - b|| <= _SOLVE_TOL ||b||; fixed,
+# because every printed ratio and every exit-code-2 gate is calibrated to it
+_SOLVE_TOL = 1e-10
 
 
 def _direct_factor(g: Multigraph):
@@ -83,9 +86,7 @@ def _direct_factor(g: Multigraph):
     return g.laplacian_factor if g.n <= _DIRECT_VERTEX_CAP else None
 
 
-def _iteration_cap(g: Multigraph, max_iter: Optional[int]) -> int:
-    if max_iter is not None:
-        return max_iter
+def _iteration_cap(g: Multigraph) -> int:
     # crude condition estimate; only the order of magnitude matters for a cap
     w = g.weights
     kappa_hat = g.n * (float(w.max()) / float(w.min())) if g.m else 1.0
@@ -100,15 +101,15 @@ def _check_p(p: float) -> float:
     return p
 
 
-def _centred(b: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _centred(b: np.ndarray) -> np.ndarray:
     """Project a demand (or each column of a block) onto the sum-zero
     subspace; a non-finite entry, or a sum that drifts beyond
-    10 * tol * ||b||, is an error. This is the one zero-sum rule: the solvers
-    and routing.validate_demand (at the solvers' default tol) all apply it."""
+    10 * _SOLVE_TOL * ||b||, is an error. This is the one zero-sum rule: the
+    solvers and routing.validate_demand all apply it."""
     if not np.all(np.isfinite(b)):
         raise ValueError("demand entries must be finite")
     drift = np.ravel(np.abs(b.sum(axis=0)))
-    allowance = np.ravel(10.0 * tol * np.linalg.norm(b, axis=0))
+    allowance = np.ravel(10.0 * _SOLVE_TOL * np.linalg.norm(b, axis=0))
     bad = np.flatnonzero(drift > allowance)
     if bad.size:
         j = bad[0]
@@ -119,21 +120,16 @@ def _centred(b: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return b - b.mean(axis=0)
 
 
-def solve_laplacian(
-    g: Multigraph,
-    b: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: Optional[int] = None,
-) -> SolveReport:
+def solve_laplacian(g: Multigraph, b: np.ndarray) -> SolveReport:
     """Solve L x = b on the sum-zero subspace with 1^T x = 0.
 
     Preconditioned conjugate gradient with the diagonal (weighted degree)
     preconditioner, re-orthogonalized against the all-ones vector every
     iteration. b is projected onto the sum-zero subspace first; a non-finite
-    entry or drift beyond 10 * tol * ||b|| is an error. Convergence means the
-    true residual satisfies ||L x - b|| <= tol * ||b||.
+    entry or drift beyond 10 * _SOLVE_TOL * ||b|| is an error. Convergence
+    means the true residual satisfies ||L x - b|| <= _SOLVE_TOL * ||b||.
 
-    The default iteration cap is max(1e4, 10 n sqrt(kappa_hat)) with
+    The iteration cap is max(1e4, 10 n sqrt(kappa_hat)) with
     kappa_hat = n * w_max / w_min, a deliberately crude condition-number
     heuristic; hitting the cap raises a convergence error carrying the best
     iterate.
@@ -149,14 +145,14 @@ def solve_laplacian(
     nb = float(np.linalg.norm(b))
     if nb == 0.0:
         return SolveReport(np.zeros(g.n), 0.0, 0)
-    b = _centred(b, tol)
+    b = _centred(b)
     nb = float(np.linalg.norm(b))
     if nb == 0.0:
         return SolveReport(np.zeros(g.n), 0.0, 0)
 
     lap = g.laplacian
     dinv = 1.0 / g.weighted_degrees
-    cap = _iteration_cap(g, max_iter)
+    cap = _iteration_cap(g)
 
     x = np.zeros(g.n)
     r = b.copy()
@@ -166,7 +162,7 @@ def solve_laplacian(
     rz = float(r @ z)
     best_x = x.copy()
     best_res = nb
-    target = tol * nb
+    target = _SOLVE_TOL * nb
     iterations = 0
     while iterations < cap:
         iterations += 1
@@ -199,7 +195,7 @@ def solve_laplacian(
         p = z + beta * p
     true_res = float(np.linalg.norm(b - lap @ best_x))
     raise ConvergenceError(
-        f"conjugate gradient missed tolerance {tol:g} after {iterations} "
+        f"conjugate gradient missed tolerance {_SOLVE_TOL:g} after {iterations} "
         f"iterations (residual {true_res:.3e})",
         best=best_x,
         residual=true_res,
@@ -207,19 +203,17 @@ def solve_laplacian(
     )
 
 
-def solve_laplacian_block(
-    g: Multigraph, b: np.ndarray, tol: float = 1e-10
-) -> Tuple[np.ndarray, np.ndarray]:
+def solve_laplacian_block(g: Multigraph, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Solve L X = B for an n x k block of demands, one column per demand.
 
     Returns the n x k solutions and the k true residual norms ||L x - b||.
     Every column meets solve_laplacian's contract, whichever method made it:
-    b is centred (a non-finite entry or sum drift beyond 10 * tol * ||b|| is
-    an error), the
-    solution sums to zero, and ||L x - b|| <= tol * ||b||. Up to
-    _DIRECT_VERTEX_CAP vertices each column is a grounded LU solve against
-    the graph's cached factor, centred, whose true residual is checked; a
-    column that misses the bound is solved again with solve_laplacian. Above
+    b is centred (a non-finite entry or sum drift beyond
+    10 * _SOLVE_TOL * ||b|| is an error), the solution sums to zero, and
+    ||L x - b|| <= _SOLVE_TOL * ||b||. Up to _DIRECT_VERTEX_CAP vertices each
+    column is a grounded LU solve against the graph's cached factor,
+    centred, whose true residual is checked; a column that misses the bound
+    is solved again with solve_laplacian. Above
     the cap, or on a disconnected graph, every column is a solve_laplacian
     call.
     """
@@ -231,12 +225,12 @@ def solve_laplacian_block(
     # NaN until a column is solved: a NaN residual counts as a miss
     residuals = np.full(b.shape[1], np.nan)
     if lu is not None:
-        b = _centred(b, tol)
+        b = _centred(b)
         x[1:] = lu.solve(b[1:])
         x -= x.mean(axis=0)
         residuals = np.linalg.norm(g.laplacian @ x - b, axis=0)
-    for j in np.flatnonzero(~(residuals <= tol * np.linalg.norm(b, axis=0))):
-        rep = solve_laplacian(g, b[:, j], tol)
+    for j in np.flatnonzero(~(residuals <= _SOLVE_TOL * np.linalg.norm(b, axis=0))):
+        rep = solve_laplacian(g, b[:, j])
         x[:, j] = rep.solution
         residuals[j] = rep.residual_norm
     return x, residuals

@@ -61,6 +61,8 @@ __all__ = [
 PROJECTION_EDGE_CAP = 4000
 # edges on which competitive_ratio_operator checks that the operator routes
 _ROUTE_CHECK_EDGES = 8
+# largest |B f - chi| entry the route check accepts on those edges
+_ROUTE_CHECK_TOL = 1e-8
 # Pairs per sweep block on the direct path: wide enough that the factor's
 # block solve beats column-at-a-time solves, narrow enough that the n x k
 # voltages and the m x k flows of one block stay small. Conjugate gradient
@@ -71,8 +73,7 @@ _SWEEP_COLUMNS = 128
 
 def validate_demand(g: Multigraph, chi: np.ndarray) -> np.ndarray:
     """Check a demand vector: length n, finite entries summing to zero under
-    the solvers' rule (linalg._centred at the default tol). Returns chi as
-    given, not centred."""
+    the solvers' rule (linalg._centred). Returns chi as given, not centred."""
     chi = np.asarray(chi, dtype=np.float64)
     if chi.shape != (g.n,):
         raise ValueError(f"demand must have length n={g.n}")
@@ -98,21 +99,21 @@ def edge_demand(g: Multigraph, eid: int) -> np.ndarray:
     return _pair_demands(g, [g.tails[eid]], [g.heads[eid]])[:, 0]
 
 
-def route_electrical(g: Multigraph, chi: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def route_electrical(g: Multigraph, chi: np.ndarray) -> np.ndarray:
     """Electrical flow for the demand: f(e) = w(e) (v(head) - v(tail)) with
     v the Laplacian voltages. Satisfies B f = chi up to solver residual."""
     chi = validate_demand(g, chi)
-    v = solve_laplacian_block(g, chi[:, None], tol)[0][:, 0]
+    v = solve_laplacian_block(g, chi[:, None])[0][:, 0]
     return g.weights * (v[g.heads] - v[g.tails])
 
 
-def effective_resistance(g: Multigraph, s: int, t: int, tol: float = 1e-10) -> float:
+def effective_resistance(g: Multigraph, s: int, t: int) -> float:
     """chi^T L^+ chi for the unit s-t demand; 0 when s == t."""
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError("endpoint out of range")
     if s == t:
         return 0.0
-    v = solve_laplacian_block(g, _pair_demands(g, [s], [t]), tol)[0][:, 0]
+    v = solve_laplacian_block(g, _pair_demands(g, [s], [t]))[0][:, 0]
     return float(v[s] - v[t])
 
 
@@ -144,11 +145,18 @@ def demand_fraction(g: Multigraph, f: np.ndarray, chi: np.ndarray, edges) -> flo
     vertex (chi > 0) and divides by the total supply. Over a partition of
     the edge set the fractions add to 1, which makes this the right meter
     for how a flow splits across edge classes that meet only at vertices.
+    f needs one value per edge and the edge ids must be integers in [0, m).
     """
     f = np.asarray(f, dtype=np.float64)
+    if f.shape != (g.m,):
+        raise ValueError(f"flow must have length m={g.m}")
     chi = validate_demand(g, chi)
+    ids = np.asarray(edges).ravel()
+    if ids.size and not (np.issubdtype(ids.dtype, np.integer)
+                         and ids.min() >= 0 and ids.max() < g.m):
+        raise ValueError(f"edge ids must be integers in [0, m={g.m})")
     mask = np.zeros(g.m, dtype=bool)
-    mask[np.asarray(edges, dtype=np.int64)] = True
+    mask[ids.astype(np.int64)] = True
     supply = chi > 0
     total = float(chi[supply].sum())
     if total == 0.0:
@@ -176,7 +184,7 @@ def _endpoint_pairs(g: Multigraph) -> Dict[Tuple[int, int], List[int]]:
 
 
 def _sweep(
-    g: Multigraph, tol: float, signed: bool = False
+    g: Multigraph, signed: bool = False
 ) -> Tuple[np.ndarray, Optional[np.ndarray], float]:
     """One solve per distinct endpoint pair, in blocks of _SWEEP_COLUMNS pairs
     on the direct path and of one pair above the cap.
@@ -195,7 +203,7 @@ def _sweep(
     for start in range(0, len(groups), width):
         block = groups[start:start + width]
         lows, highs = zip(*(pair for pair, _ in block))
-        volts, residuals = solve_laplacian_block(g, _pair_demands(g, lows, highs), tol)
+        volts, residuals = solve_laplacian_block(g, _pair_demands(g, lows, highs))
         max_residual = max(max_residual, float(residuals.max()))
         # one row per pair, so each norm below sums a contiguous row the way
         # a single flow vector is summed
@@ -227,7 +235,7 @@ def _require_projection_size(g: Multigraph) -> None:
         )
 
 
-def competitive_ratio_inf(g: Multigraph, tol: float = 1e-10) -> float:
+def competitive_ratio_inf(g: Multigraph) -> float:
     """Worst l1 flow norm over unit edge demands, one solve per endpoint pair.
 
     This equals the inf -> inf competitive ratio of electrical routing; the
@@ -235,10 +243,10 @@ def competitive_ratio_inf(g: Multigraph, tol: float = 1e-10) -> float:
     """
     if g.m == 0:
         raise ValueError("graph has no edges")
-    return float(_sweep(g, tol)[0].max())
+    return float(_sweep(g)[0].max())
 
 
-def localization(g: Multigraph, tol: float = 1e-10) -> float:
+def localization(g: Multigraph) -> float:
     """Average l1 flow norm over unit edge demands, (1/m) sum_e ||W B^T L^+ chi_e||_1.
 
     Defined for unit-weight graphs; parallel edges each count toward the
@@ -248,10 +256,10 @@ def localization(g: Multigraph, tol: float = 1e-10) -> float:
         raise ValueError("localization is defined for unit-weight graphs")
     if g.m == 0:
         raise ValueError("graph has no edges")
-    return _edge_average(_sweep(g, tol)[0])
+    return _edge_average(_sweep(g)[0])
 
 
-def flow_projection(g: Multigraph, tol: float = 1e-10) -> np.ndarray:
+def flow_projection(g: Multigraph) -> np.ndarray:
     """Dense flow projection Pi = B^T L^+ B, m x m, one solve per endpoint pair.
 
     Symmetric and idempotent up to solver tolerance. Refused, before any
@@ -259,10 +267,10 @@ def flow_projection(g: Multigraph, tol: float = 1e-10) -> np.ndarray:
     (competitive_ratio_inf) never needs it.
     """
     _require_projection_size(g)
-    return _sweep(g, tol, signed=True)[1]
+    return _sweep(g, signed=True)[1]
 
 
-def competitive_ratio(g: Multigraph, p: float, tol: float = 1e-10) -> float:
+def competitive_ratio(g: Multigraph, p: float) -> float:
     """l_p -> l_p competitive ratio of electrical routing on a unit graph.
 
     Materializes |Pi| (dense, capped at PROJECTION_EDGE_CAP edges) for every
@@ -277,12 +285,12 @@ def competitive_ratio(g: Multigraph, p: float, tol: float = 1e-10) -> float:
             "competitive_ratio needs unit weights; use competitive_ratio_operator"
         )
     p = _check_p(p)
-    pi = flow_projection(g, tol)
+    pi = flow_projection(g)
     return induced_pnorm_nonneg(np.abs(pi, out=pi), p)
 
 
 def _ratios(
-    g: Multigraph, p_list: Sequence[float], tol: float
+    g: Multigraph, p_list: Sequence[float]
 ) -> Tuple[Dict[float, float], Optional[float], float]:
     """rho_inf and every requested rho_p, the localization (unit graphs only)
     and the worst solver residual, all from one sweep.
@@ -295,7 +303,7 @@ def _ratios(
     finite = [p for p in ps if not math.isinf(p)]
     if finite:
         _require_projection_size(g)
-    l1, pi, max_residual = _sweep(g, tol, signed=bool(finite))
+    l1, pi, max_residual = _sweep(g, signed=bool(finite))
     rho = {math.inf: float(l1.max())}
     if finite:
         cols = np.abs(pi, out=pi)
@@ -308,18 +316,15 @@ def _ratios(
 
 
 def competitive_ratio_operator(
-    g: Multigraph,
-    routing: Callable[[np.ndarray], np.ndarray],
-    p: float,
-    tol: float = 1e-10,
+    g: Multigraph, routing: Callable[[np.ndarray], np.ndarray], p: float
 ) -> float:
     """l_p -> l_p competitive ratio of an arbitrary demand -> flow operator.
 
     The operator must be linear and actually route: B (routing(chi_e)) = chi_e
-    is verified on _ROUTE_CHECK_EDGES edges within tolerance. The ratio is
-    the induced norm of the entrywise absolute value of W^-1 A B W, assembled
-    one column per edge as w(e) |W^-1 routing(chi_e)|, dense and so capped
-    at PROJECTION_EDGE_CAP edges.
+    is verified on _ROUTE_CHECK_EDGES edges to within _ROUTE_CHECK_TOL. The
+    ratio is the induced norm of the entrywise absolute value of W^-1 A B W,
+    assembled one column per edge as w(e) |W^-1 routing(chi_e)|, dense and
+    so capped at PROJECTION_EDGE_CAP edges.
     """
     p = _check_p(p)
     _require_projection_size(g)
@@ -337,7 +342,7 @@ def competitive_ratio_operator(
         if e in sample:
             chi = edge_demand(g, e)
             err = float(np.abs(inc @ f - chi).max())
-            if err > max(100.0 * tol, 1e-8):
+            if err > _ROUTE_CHECK_TOL:
                 raise ValueError(
                     f"operator does not route edge demand {e}: |B f - chi| = {err:.3e}"
                 )
@@ -376,7 +381,6 @@ def _conductance(
 def competitive_report(
     g: Multigraph,
     p_list: Sequence[float] = (np.inf,),
-    tol: float = 1e-10,
     exact_n_cap: int = EXACT_CONDUCTANCE_CAP,
 ) -> CompetitiveReport:
     """Assemble conductance, competitive ratios, and the routing bound.
@@ -393,7 +397,7 @@ def competitive_report(
     if g.m == 0:
         raise ValueError("graph has no edges")
     lower, upper = _conductance(g, exact_n_cap)
-    rho, loc, max_residual = _ratios(g, p_list, tol)
+    rho, loc, max_residual = _ratios(g, p_list)
     floor = 1.0 - 1e-6
     for p, value in rho.items():
         if value < floor:

@@ -199,6 +199,15 @@ def harmonic_extension(g: Multigraph, part: Partition, x: np.ndarray) -> np.ndar
 
 
 def _full_vector(g: Multigraph, part: Partition, x, y) -> np.ndarray:
+    """One vertex vector: x on the terminals, y on the eliminated vertices."""
+    if part.n != g.n:
+        raise ValueError("partition size does not match the graph")
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != (part.terminals.size,):
+        raise ValueError("need one boundary value per terminal")
+    if y.shape != (part.eliminated.size,):
+        raise ValueError("need one extension value per eliminated vertex")
     z = np.empty(g.n)
     z[part.terminals] = x
     z[part.eliminated] = y
@@ -207,13 +216,13 @@ def _full_vector(g: Multigraph, part: Partition, x, y) -> np.ndarray:
 
 def extension_energy(g: Multigraph, part: Partition, x, y) -> float:
     """Energy z^T L z of the combined boundary + extension vector."""
-    z = _full_vector(g, part, np.asarray(x, float), np.asarray(y, float))
+    z = _full_vector(g, part, x, y)
     return float(z @ (laplacian(g) @ z))
 
 
 def l1_objective(g: Multigraph, part: Partition, x, y) -> float:
     """Weighted l1 edge-difference objective sum_e w |z(a) - z(b)|."""
-    z = _full_vector(g, part, np.asarray(x, float), np.asarray(y, float))
+    z = _full_vector(g, part, x, y)
     return float((g.weights * np.abs(z[g.heads] - z[g.tails])).sum())
 
 
@@ -273,14 +282,10 @@ def discretize_minimizer(
     step raises the objective beyond _ROUNDING_TOL (relative), y was not a
     minimizer and the offending level is reported.
     """
-    if part.n != g.n:
-        raise ValueError("partition size does not match the graph")
     x = np.asarray(x, dtype=np.float64)
     if not np.all((x == 0.0) | (x == 1.0)):
         raise ValueError("boundary data must be 0/1")
     y = _box_check(np.array(y, dtype=np.float64, copy=True), "extension")
-    if y.shape != (part.eliminated.size,):
-        raise ValueError("need one extension value per eliminated vertex")
 
     # snap near-equal levels to their common minimum, and the 0/1 rims exactly
     order = np.argsort(y, kind="stable")

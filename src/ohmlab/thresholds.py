@@ -208,10 +208,10 @@ def profile_from_voltages(
     )
 
 
-def threshold_profile(g: Multigraph, chi: np.ndarray, tol: float = 1e-10) -> ThresholdProfile:
+def threshold_profile(g: Multigraph, chi: np.ndarray) -> ThresholdProfile:
     """Solve for the demand's voltages and build the centered profile."""
     chi = validate_demand(g, chi)
-    rep = solve_laplacian(g, chi, tol)
+    rep = solve_laplacian(g, chi)
     return profile_from_voltages(g, rep.solution, solver_residual=rep.residual_norm)
 
 
@@ -342,8 +342,8 @@ def check_derivative_bounds(
     must be a valid conductance (lower bound) for the graph, and a smaller
     phi only weakens the ratio inequality.
     """
-    if phi <= 0.0:
-        raise ValueError("phi must be positive")
+    if not phi > 0.0:
+        raise ValueError(f"phi must be positive, got {phi}")
     sides = []
     for sign, prof in ((1.0, profile), (-1.0, mirrored_profile(profile))):
         bp = prof.breakpoints

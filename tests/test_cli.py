@@ -272,6 +272,15 @@ class TestMainEntry:
         assert out == ""
         assert err == "error: edge weights must be finite and >= 1\n"
 
+    def test_solver_tolerance_is_not_an_option(self, tmp_path, capsys):
+        gpath = tmp_path / "g.txt"
+        write_graph(path_graph(3), gpath)
+        with pytest.raises(SystemExit) as exc:
+            ohmlab.cli.main(["--tol", "1e-6", "report", str(gpath)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "No such option" in err and "--tol" in err
+
     def test_operational_error_message(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a graph\n")

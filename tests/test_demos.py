@@ -11,8 +11,9 @@ ROOT = Path(__file__).resolve().parents[1]
 def _run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    # the RuntimeWarning rule pyproject.toml applies inside the test process
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)

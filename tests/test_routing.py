@@ -84,7 +84,7 @@ class TestRouteElectrical:
             for _ in range(3):
                 chi = rng.standard_normal(g.n)
                 chi -= chi.mean()
-                f = route_electrical(g, chi, tol=1e-10)
+                f = route_electrical(g, chi)
                 resid = np.linalg.norm(b @ f - chi)
                 assert resid <= 10 * 1e-10 * np.linalg.norm(chi)
 
@@ -314,7 +314,7 @@ class TestPRange:
             lambda: competitive_ratio_operator(g, no_solve, p),
             lambda: congestion(g, [np.ones(g.m)], p),
             lambda: induced_pnorm_nonneg(np.ones((3, 3)), p),
-            lambda: ohmlab.routing._ratios(g, (np.inf, p), 1e-10),
+            lambda: ohmlab.routing._ratios(g, (np.inf, p)),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="p must be in"):
@@ -353,6 +353,19 @@ class TestDemandFraction:
         chi = edge_demand(g, 0)
         f = route_electrical(g, chi)
         assert demand_fraction(g, f, chi, [0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_bad_inputs_rejected(self):
+        g = cycle_graph(4)
+        chi = edge_demand(g, 0)
+        f = route_electrical(g, chi)
+        # -1 once read as the last edge and 0.5 as edge 0; 4 and a short flow
+        # once raised a bare numpy IndexError
+        for edges in ([-1], [0.5], [g.m], np.array([[0, g.m]])):
+            with pytest.raises(ValueError, match="edge ids"):
+                demand_fraction(g, f, chi, edges)
+        with pytest.raises(ValueError, match="length m"):
+            demand_fraction(g, f[:-1], chi, [0])
+        assert demand_fraction(g, f, chi, []) == 0.0
 
 
 class TestGadgetUnionFlow:
@@ -460,7 +473,7 @@ class TestSweepMatchesDense:
 
     def check(self, g):
         flow_l1, scaled = self.dense_columns(g)
-        rho, loc, max_residual = ohmlab.routing._ratios(g, (1.0, np.inf), 1e-10)
+        rho, loc, max_residual = ohmlab.routing._ratios(g, (1.0, np.inf))
         assert rho[np.inf] == pytest.approx(flow_l1.sum(axis=0).max(), rel=1e-9)
         assert rho[1.0] == pytest.approx(scaled.sum(axis=0).max(), rel=1e-9)
         if g.is_unit_weight:

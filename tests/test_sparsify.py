@@ -309,6 +309,31 @@ class TestMinL1Extension:
             min_l1_extension(g, part, np.array([0.5, 0.0]))
 
 
+class TestVectorLengths:
+    # a length-1 boundary was once broadcast over every terminal
+    def test_wrong_length_boundary_rejected(self):
+        g = path_graph(5)
+        part = Partition.from_eliminated(5, [1, 2, 3])
+        y = [0.5, 0.5, 0.5]
+        for call in (l1_objective, extension_energy, discretize_minimizer):
+            with pytest.raises(ValueError, match="one boundary value per terminal"):
+                call(g, part, [1.0], y)
+        assert l1_objective(g, part, [1.0, 0.0], y) == 1.0
+
+    def test_wrong_length_extension_rejected(self):
+        g = path_graph(5)
+        part = Partition.from_eliminated(5, [1, 2, 3])
+        for y in ([0.5], [0.5, 0.5, 0.5, 0.5]):
+            for call in (l1_objective, extension_energy):
+                with pytest.raises(ValueError, match="per eliminated vertex"):
+                    call(g, part, [1.0, 0.0], y)
+
+    def test_partition_of_another_graph_rejected(self):
+        part = Partition.from_eliminated(4, [1, 2])
+        with pytest.raises(ValueError, match="partition size"):
+            l1_objective(path_graph(5), part, [1.0, 0.0], [0.5, 0.5])
+
+
 class TestDiscretize:
     def test_preserves_objective(self):
         rng = np.random.default_rng(23)

@@ -328,6 +328,13 @@ class TestDerivativeBounds:
         with pytest.raises(ValueError):
             check_derivative_bounds(k2_profile(), 0.0)
 
+    def test_nan_phi_rejected(self):
+        # a NaN phi once passed with ok=True and a NaN worst ratio
+        g = random_regular(30, 3, 1)
+        prof = threshold_profile(g, edge_demand(g, 0))
+        with pytest.raises(ValueError, match="phi must be positive"):
+            check_derivative_bounds(prof, float("nan"))
+
 
 class TestDiagnosticRows:
     def test_columns_and_shape(self):
