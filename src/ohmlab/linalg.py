@@ -77,6 +77,12 @@ _DIRECT_VERTEX_CAP = 3000
 # Residual contract of every solve, ||L x - b|| <= _SOLVE_TOL ||b||; fixed,
 # because every printed ratio and every exit-code-2 gate is calibrated to it
 _SOLVE_TOL = 1e-10
+# Right-hand-side columns per block solve against a sparse LU factor: wide
+# enough that the factor's block solve beats column-at-a-time solves, narrow
+# enough that one block of solutions (n x k, and routing's m x k flows) stays
+# small. The all-pairs sweep and the Schur complement both solve in blocks of
+# this width.
+_BLOCK_COLUMNS = 128
 
 
 def _direct_factor(g: Multigraph):

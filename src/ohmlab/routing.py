@@ -6,7 +6,7 @@ norm of the entrywise absolute value of W^-1 A B W applied to edge demands;
 on unit-weight graphs this is the flow projection matrix Pi = B^T L^+ B.
 
 Every ratio comes from one sweep per graph that solves each distinct endpoint
-pair once through linalg.solve_laplacian_block: in blocks of _SWEEP_COLUMNS
+pair once through linalg.solve_laplacian_block: in blocks of _BLOCK_COLUMNS
 pairs against the graph's cached LU factor up to the direct vertex cap, one
 pair at a time by conjugate gradient above it, every column under the same
 residual contract. rho_inf and localization read the l1 flow norm of
@@ -31,6 +31,7 @@ from .graphs import (
     conductance_exact,
 )
 from .linalg import (
+    _BLOCK_COLUMNS,
     _centred,
     _check_p,
     _direct_factor,
@@ -63,12 +64,6 @@ PROJECTION_EDGE_CAP = 4000
 _ROUTE_CHECK_EDGES = 8
 # largest |B f - chi| entry the route check accepts on those edges
 _ROUTE_CHECK_TOL = 1e-8
-# Pairs per sweep block on the direct path: wide enough that the factor's
-# block solve beats column-at-a-time solves, narrow enough that the n x k
-# voltages and the m x k flows of one block stay small. Conjugate gradient
-# solves one column per call anyway, so above the cap a block is one pair and
-# the sweep holds one voltage vector, as a single solve does.
-_SWEEP_COLUMNS = 128
 
 
 def validate_demand(g: Multigraph, chi: np.ndarray) -> np.ndarray:
@@ -186,8 +181,10 @@ def _endpoint_pairs(g: Multigraph) -> Dict[Tuple[int, int], List[int]]:
 def _sweep(
     g: Multigraph, signed: bool = False
 ) -> Tuple[np.ndarray, Optional[np.ndarray], float]:
-    """One solve per distinct endpoint pair, in blocks of _SWEEP_COLUMNS pairs
-    on the direct path and of one pair above the cap.
+    """One solve per distinct endpoint pair, in blocks of _BLOCK_COLUMNS pairs
+    on the direct path and of one pair above the cap: conjugate gradient
+    solves one column per call anyway, so there the sweep holds one voltage
+    vector, as a single solve does.
 
     Returns the l1 flow norm sum_f w(f) |v(head) - v(tail)| of every edge's
     unit demand (parallel edges share their pair's value), the dense signed
@@ -199,7 +196,7 @@ def _sweep(
     pi = np.empty((g.m, g.m)) if signed else None
     max_residual = 0.0
     groups = list(_endpoint_pairs(g).items())
-    width = _SWEEP_COLUMNS if _direct_factor(g) is not None else 1
+    width = _BLOCK_COLUMNS if _direct_factor(g) is not None else 1
     for start in range(0, len(groups), width):
         block = groups[start:start + width]
         lows, highs = zip(*(pair for pair, _ in block))

@@ -5,11 +5,13 @@ vertices F. Eliminating F from the Laplacian gives the Schur complement
 L_H = L_CC - L_CF L_FF^{-1} L_FC, itself the Laplacian of a weighted graph
 on C. The Schur complement and the harmonic extension both solve against one
 sparse LU factor of L_FF, sliced from the cached Laplacian, so the size of F
-is not capped and no |F| x |F| block is ever dense. Boundary values on C
-extend to F either harmonically (minimizing energy) or by minimizing the l1
-edge-difference objective; the l1 problem with 0/1 boundary data is an s-t
-minimum cut and always has a 0/1 minimizer, which the level-set rounding
-recovers from any real minimizer.
+is not capped and no |F| x |F| block is ever dense. The Schur complement is
+eliminated in column blocks into a sparse result, which schur_edge_weights
+reads directly; only the public schur_complement densifies it. Boundary
+values on C extend to F either harmonically (minimizing energy) or by
+minimizing the l1 edge-difference objective; the l1 problem with 0/1
+boundary data is an s-t minimum cut and always has a 0/1 minimizer, which
+the level-set rounding recovers from any real minimizer.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .graphs import Multigraph, _interval_sums
-from .linalg import laplacian
+from .linalg import _BLOCK_COLUMNS, laplacian
 from .maxflow import min_cut
 
 __all__ = [
@@ -56,13 +58,14 @@ class Partition:
     eliminated: np.ndarray
 
     def __post_init__(self):
-        c = np.unique(np.asarray(self.terminals, dtype=np.int64))
-        f = np.unique(np.asarray(self.eliminated, dtype=np.int64))
+        # sorted copies, not np.unique: a repeated id must fail the size check
+        c = np.sort(np.asarray(self.terminals, dtype=np.int64))
+        f = np.sort(np.asarray(self.eliminated, dtype=np.int64))
         if c.size == 0:
             raise ValueError("partition needs at least one terminal")
         ids = np.concatenate([c, f])
         if ids.size != self.n or np.unique(ids).size != self.n:
-            raise ValueError("terminals and eliminated must partition 0..n-1")
+            raise ValueError("terminals and eliminated must partition 0..n-1, each id once")
         if ids.min() < 0 or ids.max() >= self.n:
             raise ValueError("vertex id out of range")
         object.__setattr__(self, "terminals", c)
@@ -73,7 +76,7 @@ class Partition:
     @classmethod
     def from_eliminated(cls, n: int, eliminated) -> "Partition":
         """Partition with the given eliminated set; the rest are terminals."""
-        f = np.unique(np.asarray(eliminated, dtype=np.int64))
+        f = np.asarray(eliminated, dtype=np.int64)
         mask = np.ones(n, dtype=bool)
         if f.size:
             if f.min() < 0 or f.max() >= n:
@@ -100,6 +103,8 @@ def read_partition(path, n: int) -> Partition:
             key = key.strip().upper()
             if key not in ("C", "F"):
                 raise ValueError(f"{path}: expected 'C:' or 'F:' lines, got {key!r}")
+            if key in sets:
+                raise ValueError(f"{path}: repeated '{key}:' line")
             sets[key] = [int(tok) for tok in rest.split()]
     if "C" not in sets:
         raise ValueError(f"{path}: missing 'C:' line")
@@ -132,45 +137,67 @@ def _elimination(g: Multigraph, part: Partition) -> tuple:
     return f_rows[:, part.terminals], lu
 
 
+def _schur_sparse(g: Multigraph, part: Partition) -> sp.csr_array:
+    """Sparse Schur complement L_CC - L_CF L_FF^{-1} L_FC, ordered by ascending
+    terminal id: the one result behind both public Schur functions.
+
+    L_FC is solved against the L_FF factor in blocks of _BLOCK_COLUMNS
+    columns, and each block of L_CF X is kept sparse, so only one |F| x k and
+    one |C| x k dense block live at a time. SuperLU solves every column on its
+    own and the product sums each entry in L_CF's nonzero order, so every
+    entry has the same bits whatever the block width.
+    """
+    l_fc, lu = _elimination(g, part)
+    c = part.terminals
+    l_cc = g.laplacian[c][:, c]
+    if part.eliminated.size == 0:
+        return l_cc
+    blocks = [
+        sp.csc_array(l_fc.T @ lu.solve(l_fc[:, start:start + _BLOCK_COLUMNS].toarray()))
+        for start in range(0, c.size, _BLOCK_COLUMNS)
+    ]
+    # power-of-two instances stay bit-exact: the 3-path gives exactly 1/2
+    return l_cc - sp.hstack(blocks, format="csr")
+
+
 def schur_complement(g: Multigraph, part: Partition) -> np.ndarray:
     """Dense Schur complement L_CC - L_CF L_FF^{-1} L_FC, ordered by
     ascending terminal id.
 
-    L_FF is eliminated through one sparse LU factor, so |F| has no cap; the
-    dense arrays are the |F| x |C| right-hand side L_FC, its solve and the
-    result. Every connected component must keep at least one terminal,
-    otherwise the eliminated block is singular and the elimination is
-    refused.
+    L_FF is eliminated through one sparse LU factor, so |F| has no cap, and
+    the elimination runs in column blocks with a sparse result; only this
+    final |C| x |C| array is dense. Every connected component must keep at
+    least one terminal, otherwise the eliminated block is singular and the
+    elimination is refused.
     """
-    l_fc, lu = _elimination(g, part)
-    c = part.terminals
-    l_cc = g.laplacian[c][:, c].toarray()
-    if part.eliminated.size == 0:
-        return l_cc
-    # power-of-two instances stay bit-exact: the 3-path gives exactly 1/2
-    return l_cc - l_fc.T @ lu.solve(l_fc.toarray())
+    return _schur_sparse(g, part).toarray()
 
 
 def schur_edge_weights(g: Multigraph, part: Partition) -> Dict[tuple, float]:
-    """Off-diagonal Schur weights as {(u, v): weight} on original ids, u < v.
+    """Off-diagonal Schur weights as {(u, v): weight} on original ids, u < v,
+    in row-major order.
 
     Entries below _SCHUR_DROP (relative to the largest magnitude) are dropped
-    as elimination fill-in noise.
+    as elimination fill-in noise. The Schur complement is never densified.
     """
-    sc = schur_complement(g, part)
+    sc = _schur_sparse(g, part)
     c = part.terminals
-    scale = float(np.abs(sc).max()) if sc.size else 0.0
-    out: Dict[tuple, float] = {}
-    for i, u in enumerate(c[:-1].tolist()):
-        w = -sc[i, i + 1:]
-        keep = np.abs(w) > _SCHUR_DROP * max(scale, 1.0)
-        out.update(zip(((u, v) for v in c[i + 1:][keep].tolist()), w[keep].tolist()))
-    return out
+    # the scale is the largest |entry|, diagonal included, floored at 1
+    cutoff = _SCHUR_DROP * float(np.abs(sc.data).max(initial=1.0))
+    upper = sp.triu(sc, k=1, format="csr")
+    # canonical form sorts each row's columns, so the dict comes out row-major
+    upper.sum_duplicates()
+    rows = np.repeat(c, np.diff(upper.indptr))
+    w = -upper.data
+    keep = np.abs(w) > cutoff
+    pairs = zip(rows[keep].tolist(), c[upper.indices[keep]].tolist())
+    return dict(zip(pairs, w[keep].tolist()))
 
 
 def _box_check(x: np.ndarray, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.size and (x.min() < 0.0 or x.max() > 1.0):
+    # written so that NaN fails it, like linalg._check_p
+    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
         raise ValueError(f"{name} entries must lie in [0, 1]")
     return x
 

@@ -21,7 +21,9 @@ from ohmlab import (  # noqa: E402
     extension_energy,
     harmonic_extension,
     path_graph,
+    random_regular,
     schur_complement,
+    schur_edge_weights,
     volume,
 )
 
@@ -118,16 +120,28 @@ def _star(leaves, weights):
                       np.arange(1, leaves + 1), np.array(weights))
 
 
+ELIMINATION_CORNERS = [
+    # nothing eliminated
+    (path_graph(4), Partition.from_eliminated(4, []), np.array([1.0, 0.0, 0.5, 0.25])),
+    # one terminal: the Schur complement is the 1 x 1 zero matrix
+    (_star(5, [1.0, 1e6, 3.0, 1e3, 7.0]), Partition.from_eliminated(6, [1, 2, 3, 4, 5]),
+     np.array([0.5])),
+    # F falls apart into one component per eliminated leaf
+    (_star(8, [1.0, 1e6, 3.0, 1e3, 7.0, 1e5, 2.0, 40.0]),
+     Partition.from_eliminated(9, [1, 2, 3, 4, 5, 6, 7]), np.array([1.0, 0.0])),
+]
+
+
+def corner_examples(test):
+    """Run an elimination property on ELIMINATION_CORNERS as well."""
+    for case in ELIMINATION_CORNERS:
+        test = example(case)(test)
+    return test
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(eliminations())
-# nothing eliminated
-@example((path_graph(4), Partition.from_eliminated(4, []), np.array([1.0, 0.0, 0.5, 0.25])))
-# one terminal: the Schur complement is the 1 x 1 zero matrix
-@example((_star(5, [1.0, 1e6, 3.0, 1e3, 7.0]), Partition.from_eliminated(6, [1, 2, 3, 4, 5]),
-          np.array([0.5])))
-# F falls apart into one component per eliminated leaf
-@example((_star(8, [1.0, 1e6, 3.0, 1e3, 7.0, 1e5, 2.0, 40.0]),
-          Partition.from_eliminated(9, [1, 2, 3, 4, 5, 6, 7]), np.array([1.0, 0.0])))
+@corner_examples
 def test_elimination_matches_dense_pinv(case):
     g, part, x = case
     lap = g.laplacian.toarray()
@@ -146,3 +160,51 @@ def test_elimination_matches_dense_pinv(case):
     # energy identity: x^T S x is the energy of the harmonic extension
     energy = extension_energy(g, part, x, y)
     assert abs(energy - x @ schur @ x) <= slack * g.weights.sum()
+
+
+def _reference_schur(g, part):
+    """The dense elimination: L_CC - L_FC^T lu.solve(L_FC) with the whole
+    |F| x |C| right-hand side at once, and the weights read back row by row."""
+    l_fc, lu = ohmlab.sparsify._elimination(g, part)
+    c = part.terminals
+    schur = g.laplacian[c][:, c].toarray()
+    if part.eliminated.size:
+        schur = schur - l_fc.T @ lu.solve(l_fc.toarray())
+    cutoff = ohmlab.sparsify._SCHUR_DROP * max(float(np.abs(schur).max()), 1.0)
+    weights = {}
+    for i, u in enumerate(c[:-1].tolist()):
+        w = -schur[i, i + 1:]
+        keep = np.abs(w) > cutoff
+        weights.update(zip(((u, v) for v in c[i + 1:][keep].tolist()), w[keep].tolist()))
+    return schur, weights
+
+
+def _assert_schur_matches_reference(g, part, widths):
+    want, want_weights = _reference_schur(g, part)
+    for width in widths:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ohmlab.sparsify, "_BLOCK_COLUMNS", width)
+            got = schur_complement(g, part)
+            weights = schur_edge_weights(g, part)
+        assert got.tobytes() == want.tobytes()
+        # same keys, values and insertion order; floats compared exactly
+        assert list(weights.items()) == list(want_weights.items())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(eliminations())
+@corner_examples
+def test_sparse_schur_same_bits_as_dense_reference(case):
+    # width 7 splits |C| >= 8 into a full and a partial block, width 1 gives
+    # one column per block
+    g, part, _ = case
+    _assert_schur_matches_reference(g, part, (1, 7, ohmlab.linalg._BLOCK_COLUMNS))
+
+
+def test_sparse_schur_several_default_blocks():
+    # |C| = 300 spans three blocks of the default width
+    n = 600
+    g = random_regular(n, 3, 1)
+    part = Partition.from_eliminated(n, np.random.default_rng(1).choice(n, n // 2, replace=False))
+    assert part.terminals.size > 2 * ohmlab.linalg._BLOCK_COLUMNS
+    _assert_schur_matches_reference(g, part, (7, ohmlab.linalg._BLOCK_COLUMNS))

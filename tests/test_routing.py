@@ -492,5 +492,5 @@ class TestSweepMatchesDense:
 
     def test_spans_several_blocks(self, random_multigraph):
         g = random_multigraph(np.random.default_rng(32), 200, extra=150, weighted=False)
-        assert len(ohmlab.routing._endpoint_pairs(g)) > 2 * ohmlab.routing._SWEEP_COLUMNS
+        assert len(ohmlab.routing._endpoint_pairs(g)) > 2 * ohmlab.linalg._BLOCK_COLUMNS
         self.check(g)

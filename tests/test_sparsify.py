@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,25 @@ class TestPartition:
         with pytest.raises(ValueError):
             read_partition(path, 5)
 
+    def test_repeated_id_rejected(self):
+        # np.unique used to swallow the second 0 and the second 2
+        with pytest.raises(ValueError, match="each id once"):
+            Partition(3, np.array([0, 0, 1]), np.array([2]))
+        with pytest.raises(ValueError, match="each id once"):
+            Partition(3, np.array([0, 1]), np.array([2, 2]))
+        with pytest.raises(ValueError, match="each id once"):
+            Partition.from_eliminated(4, [1, 1])
+
+    def test_read_rejects_repeated_section(self, tmp_path):
+        # the second 'C:' line used to replace the first one
+        path = tmp_path / "part.txt"
+        path.write_text("C: 0 1\nC: 2\nF: 0 1\n")
+        with pytest.raises(ValueError, match="repeated 'C:' line"):
+            read_partition(path, 3)
+        path.write_text("C: 0 1 1\nF: 2\n")
+        with pytest.raises(ValueError, match="each id once"):
+            read_partition(path, 3)
+
 
 class TestSchurComplement:
     def test_path_weight_half(self):
@@ -136,6 +156,24 @@ class TestSchurComplement:
         assert weights[(0, n - 1)] == pytest.approx(1.0 / (n - 1), rel=1e-10, abs=0.0)
         y = harmonic_extension(g, part, np.array([1.0, 0.0]))
         assert y == pytest.approx(1.0 - np.arange(1, n - 1) / (n - 1), rel=0.0, abs=1e-10)
+
+    def test_elimination_memory_follows_its_output(self):
+        # |C| = |F| = 1500 and about 70,000 Schur entries: the dense |F| x |C|
+        # right-hand side, its solve and a dense |C| x |C| result peaked near
+        # 70 MB; column blocks and a sparse result peak near 9 MB, the
+        # returned dict included
+        n = 3000
+        g = random_regular(n, 3, 1)
+        part = Partition.from_eliminated(
+            n, np.random.default_rng(1).choice(n, n // 2, replace=False))
+        g.laplacian
+        tracemalloc.start()
+        try:
+            schur_edge_weights(g, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000_000
 
     def test_quadratic_form_is_minimized_energy(self):
         # x^T S x equals the energy of the harmonic extension, for any x
@@ -203,6 +241,14 @@ class TestHarmonicExtension:
         part = Partition.from_eliminated(3, [1])
         with pytest.raises(ValueError):
             harmonic_extension(g, part, np.array([2.0, 0.0]))
+
+    def test_nan_boundary_rejected(self):
+        # NaN fails no ordered comparison, so a min/max range check let it
+        # through and the extension came back [nan]
+        g = path_graph(3)
+        part = Partition.from_eliminated(3, [1])
+        with pytest.raises(ValueError):
+            harmonic_extension(g, part, np.array([0.0, np.nan]))
 
 
 class TestMinL1Extension:
@@ -437,3 +483,10 @@ class TestThresholdRounding:
         g = path_graph(2)
         with pytest.raises(ValueError):
             expected_cut_l1(g, np.array([-0.1, 0.5]))
+
+    def test_nan_rejected(self):
+        # expected_cut_l1 used to return (nan, nan)
+        with pytest.raises(ValueError):
+            expected_cut_l1(path_graph(3), np.array([0.0, np.nan, 1.0]))
+        with pytest.raises(ValueError):
+            random_threshold_cut(np.array([np.nan, 0.5]), 0.5)
