@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: gen (regular | gadget | union), report, diagnose, sparsify, and
-experiment (upperbound | interpolation | lowerbound | localization). Output
-is CSV (or the graph text format for gen) to --out or stdout, deterministic
-apart from the timestamp header line, which --no-timestamp suppresses.
+experiment (upperbound | localization | interpolation | lowerbound), each
+experiment with only the options it reads. Output is CSV (or the graph text
+format for gen) to --out or stdout, deterministic apart from the timestamp
+header line, which --no-timestamp suppresses.
 
 Exit codes: 0 success, 1 operational error, 2 a checked bound or identity
 was violated (so CI can gate on the distinction).
@@ -19,17 +20,18 @@ import numpy as np
 
 from .errors import ConvergenceError, DisconnectedError, SizeLimitError
 from .experiments import (
-    EXPERIMENT_NAMES,
-    ExperimentConfig,
     ExperimentResult,
     render_csv,
     run_diagnose,
-    run_experiment,
+    run_interpolation,
+    run_localization,
+    run_lowerbound,
     run_report,
     run_sparsify,
+    run_upperbound,
 )
 from .graphs import (
-    DEFAULT_EDGE_CAP,
+    Multigraph,
     gadget_subdivide,
     graph_text,
     graph_union,
@@ -93,21 +95,14 @@ def _emit_result(ctx, result: ExperimentResult) -> None:
 @click.group()
 @click.option("--seed", type=int, default=1, show_default=True,
               help="Default generator seed.")
-@click.option("--cap-edges", type=int, default=DEFAULT_EDGE_CAP, show_default=True,
-              help="Edge-count cap for gadget and capacity expansion.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Output file (default stdout).")
 @click.option("--no-timestamp", is_flag=True,
               help="Suppress the generated-at header line.")
 @click.pass_context
-def cli(ctx, seed, cap_edges, out, no_timestamp):
+def cli(ctx, seed, out, no_timestamp):
     """Electrical-flow routing laboratory."""
-    ctx.obj = {
-        "seed": seed,
-        "cap_edges": cap_edges,
-        "out": out,
-        "no_timestamp": no_timestamp,
-    }
+    ctx.obj = {"seed": seed, "out": out, "no_timestamp": no_timestamp}
 
 
 @cli.group()
@@ -118,14 +113,11 @@ def gen():
 @gen.command("regular")
 @click.option("--n", type=int, required=True, help="Vertex count.")
 @click.option("--d", type=int, required=True, help="Degree (>= 3).")
-@click.option("--seed", "seed_opt", type=int, default=None,
-              help="Seed (defaults to the global --seed).")
 @click.pass_context
-def gen_regular(ctx, n, d, seed_opt):
-    """Random d-regular simple connected graph (pairing model)."""
-    seed = ctx.obj["seed"] if seed_opt is None else seed_opt
-    g = random_regular(n, d, seed)
-    _emit(ctx, graph_text(g))
+def gen_regular(ctx, n, d):
+    """Random d-regular simple connected graph (pairing model), seeded by
+    the global --seed."""
+    _emit(ctx, graph_text(random_regular(n, d, ctx.obj["seed"])))
     return 0
 
 
@@ -138,7 +130,7 @@ def gen_regular(ctx, n, d, seed_opt):
 def gen_gadget(ctx, base, k):
     """Replace each edge of the base by k disjoint k-hop paths."""
     g = read_graph(base)
-    _emit(ctx, graph_text(gadget_subdivide(g, k, ctx.obj["cap_edges"])))
+    _emit(ctx, graph_text(gadget_subdivide(g, k)))
     return 0
 
 
@@ -200,36 +192,69 @@ def sparsify(ctx, graph, partition_path, x_text):
     return _emit_result(ctx, result)
 
 
-@cli.command()
-@click.argument("name", type=click.Choice(EXPERIMENT_NAMES))
-@click.option("--n-list", default="10,12,16,20", show_default=True)
-@click.option("--d-list", default="3,4", show_default=True)
-@click.option("--seeds", default="1,2,3,4,5", show_default=True)
-@click.option("--p", "p_grid", default="inf,2", show_default=True)
-@click.option("--k-list", default="1,2,3,4", show_default=True)
-@click.option("--graph", "graph_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Explicit base graph for interpolation/lowerbound.")
-@click.option("--base-n", type=int, default=10, show_default=True)
-@click.option("--base-d", type=int, default=3, show_default=True)
+# each experiment's options, shared by the experiments that read them
+_GRID_OPTIONS = (
+    click.Option(["--n-list"], default="10,12,16,20", show_default=True),
+    click.Option(["--d-list"], default="3,4", show_default=True),
+    click.Option(["--seeds"], default="1,2,3,4,5", show_default=True),
+)
+_BASE_OPTIONS = (
+    click.Option(["--p", "p_grid"], default="inf,2", show_default=True),
+    click.Option(["--graph", "graph_path"], type=click.Path(exists=True, dir_okay=False),
+                 help="Base graph file (default: generated)."),
+    click.Option(["--base-n"], type=int, default=10, show_default=True),
+    click.Option(["--base-d"], type=int, default=3, show_default=True),
+)
+
+
+def _grid(n_list: str, d_list: str, seeds: str) -> tuple:
+    return (_parse_int_list(n_list, "n"), _parse_int_list(d_list, "d"),
+            _parse_int_list(seeds, "seed"))
+
+
+def _base_graph(ctx, graph_path, base_n: int, base_d: int) -> Multigraph:
+    """The --graph file, else random_regular(base_n, base_d, global --seed)."""
+    if graph_path:
+        return read_graph(graph_path)
+    return random_regular(base_n, base_d, ctx.obj["seed"])
+
+
+@cli.group()
+def experiment():
+    """Run one of the paper's experiments and emit its CSV."""
+
+
+@experiment.command(params=list(_GRID_OPTIONS))
 @click.pass_context
-def experiment(ctx, name, n_list, d_list, seeds, p_grid, k_list, graph_path,
-               base_n, base_d):
-    """Run a named experiment and emit its CSV."""
-    cfg = ExperimentConfig(
-        name=name,
-        n_list=_parse_int_list(n_list, "n"),
-        d_list=_parse_int_list(d_list, "d"),
-        seeds=_parse_int_list(seeds, "seed"),
-        p_grid=_parse_p_grid(p_grid),
-        k_list=_parse_int_list(k_list, "k"),
-        base_n=base_n,
-        base_d=base_d,
-        base_seed=ctx.obj["seed"],
-        cap_edges=ctx.obj["cap_edges"],
-    )
-    graph = read_graph(graph_path) if graph_path else None
-    result = run_experiment(cfg, graph)
-    return _emit_result(ctx, result)
+def upperbound(ctx, n_list, d_list, seeds):
+    """rho_inf against 3 ln(vol)/phi on a regular-graph grid."""
+    return _emit_result(ctx, run_upperbound(*_grid(n_list, d_list, seeds)))
+
+
+@experiment.command(params=list(_GRID_OPTIONS))
+@click.pass_context
+def localization(ctx, n_list, d_list, seeds):
+    """Localization against rho_inf and its bounds on a regular-graph grid."""
+    return _emit_result(ctx, run_localization(*_grid(n_list, d_list, seeds)))
+
+
+@experiment.command(params=list(_BASE_OPTIONS))
+@click.pass_context
+def interpolation(ctx, p_grid, graph_path, base_n, base_d):
+    """rho_p against its interpolation bounds on one unit-weight graph."""
+    p_grid = _parse_p_grid(p_grid)
+    g = _base_graph(ctx, graph_path, base_n, base_d)
+    return _emit_result(ctx, run_interpolation(g, p_grid))
+
+
+@experiment.command(params=[
+    *_BASE_OPTIONS, click.Option(["--k-list"], default="1,2,3,4", show_default=True)])
+@click.pass_context
+def lowerbound(ctx, p_grid, graph_path, base_n, base_d, k_list):
+    """Ratios of the base graph united with its k-gadget, one row per k."""
+    p_grid, k_list = _parse_p_grid(p_grid), _parse_int_list(k_list, "k")
+    base = _base_graph(ctx, graph_path, base_n, base_d)
+    return _emit_result(ctx, run_lowerbound(base, k_list, p_grid))
 
 
 def main(argv=None) -> None:

@@ -1,10 +1,15 @@
 """Experiment runners behind the command-line interface.
 
-Each runner produces an ExperimentResult: a column header, data rows,
-leading comment lines, and a list of violation messages. A nonempty
-violation list is what the CLI turns into exit code 2, so CI can gate on
-bound violations. All numeric output is formatted with %.12g, which makes
-reruns byte-identical.
+Each runner takes only the inputs it reads and produces an
+ExperimentResult: a column header, data rows, leading comment lines, and a
+list of violation messages. A nonempty violation list is what the CLI turns
+into exit code 2, so CI can gate on bound violations. All numeric output is
+formatted with %.12g, which makes reruns byte-identical.
+
+The four paper experiments come in two shapes. run_upperbound and
+run_localization sweep a grid of random regular graphs (n, d, seed);
+run_interpolation and run_lowerbound take one unit-weight base graph, which
+the CLI reads from a file or generates.
 """
 
 from __future__ import annotations
@@ -15,14 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graphs import (
-    DEFAULT_EDGE_CAP,
-    Multigraph,
-    gadget_subdivide,
-    graph_union,
-    random_regular,
-)
-from .linalg import _check_p
+from .graphs import Multigraph, gadget_subdivide, graph_union, random_regular
 from .routing import _conductance, _ratios, competitive_report, edge_demand
 from .sparsify import (
     Partition,
@@ -42,52 +40,19 @@ from .thresholds import (
 )
 
 __all__ = [
-    "ExperimentConfig",
     "ExperimentResult",
-    "run_experiment",
+    "run_upperbound",
+    "run_localization",
+    "run_interpolation",
+    "run_lowerbound",
     "run_report",
     "run_diagnose",
     "run_sparsify",
     "format_value",
     "render_csv",
-    "EXPERIMENT_NAMES",
 ]
 
-EXPERIMENT_NAMES = ("upperbound", "interpolation", "lowerbound", "localization")
 SLACK_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Which experiment to run and on what graphs.
-
-    The regular-graph grids drive upperbound and localization; lowerbound
-    and interpolation use base_n/base_d/base_seed (or an explicit graph the
-    CLI resolved beforehand).
-    """
-
-    name: str
-    n_list: Tuple[int, ...] = (10, 12, 16, 20)
-    d_list: Tuple[int, ...] = (3, 4)
-    seeds: Tuple[int, ...] = (1, 2, 3, 4, 5)
-    p_grid: Tuple[float, ...] = (float("inf"),)
-    k_list: Tuple[int, ...] = (1, 2, 3, 4)
-    base_n: int = 10
-    base_d: int = 3
-    base_seed: int = 1
-    cap_edges: int = DEFAULT_EDGE_CAP
-
-    def __post_init__(self):
-        if self.name not in EXPERIMENT_NAMES:
-            raise ValueError(f"unknown experiment {self.name!r}, expected one of {EXPERIMENT_NAMES}")
-        if not self.seeds:
-            raise ValueError("seed list must be nonempty")
-        if not self.n_list or not self.d_list or not self.k_list:
-            raise ValueError("n, d, and k grids must be nonempty")
-        if min(self.k_list) < 1:
-            raise ValueError("k values must be >= 1")
-        for p in self.p_grid:
-            _check_p(p)
 
 
 @dataclass
@@ -213,18 +178,21 @@ def run_sparsify(g: Multigraph, part: Partition, x: np.ndarray) -> ExperimentRes
     return ExperimentResult(("section", "u", "v", "value"), rows, comments, violations)
 
 
-def _grid_reports(cfg: ExperimentConfig):
-    """(n, d, seed, report) over the regular-graph grid."""
-    for n in cfg.n_list:
-        for d in cfg.d_list:
-            for seed in cfg.seeds:
+def _grid_reports(n_list: Sequence[int], d_list: Sequence[int], seeds: Sequence[int]):
+    """(n, d, seed, report) over the regular-graph grid, in (n, d, seed) order."""
+    for n in n_list:
+        for d in d_list:
+            for seed in seeds:
                 yield n, d, seed, competitive_report(random_regular(n, d, seed))
 
 
-def _run_upperbound(cfg: ExperimentConfig) -> ExperimentResult:
+def run_upperbound(
+    n_list: Sequence[int], d_list: Sequence[int], seeds: Sequence[int]
+) -> ExperimentResult:
+    """rho_inf against the 3 ln(vol)/phi routing bound on every grid graph."""
     rows = []
     violations = []
-    for n, d, seed, rep in _grid_reports(cfg):
+    for n, d, seed, rep in _grid_reports(n_list, d_list, seeds):
         rho, bound = rep.rho[math.inf], rep.bound
         ratio = rho / bound if math.isfinite(bound) and bound > 0 else 0.0
         rows.append((n, d, seed, rep.phi_lower, rho, bound, ratio))
@@ -246,16 +214,16 @@ def _dual(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _run_interpolation(cfg: ExperimentConfig, g: Optional[Multigraph]) -> ExperimentResult:
-    if g is None:
-        g = random_regular(cfg.base_n, cfg.base_d, cfg.base_seed)
+def run_interpolation(g: Multigraph, p_grid: Sequence[float]) -> ExperimentResult:
+    """rho_p of a unit-weight graph against the Riesz-Thorin interpolation of
+    rho_1 and rho_inf and the spectral interpolation through rho_2."""
     if not g.is_unit_weight:
         raise ValueError("interpolation needs a unit-weight graph")
-    rhos, _, _ = _ratios(g, (1.0, 2.0, *cfg.p_grid))
+    rhos, _, _ = _ratios(g, (1.0, 2.0, *p_grid))
     rho_1, rho_2, rho_inf = rhos[1.0], rhos[2.0], rhos[math.inf]
     rows = []
     violations = []
-    for p in cfg.p_grid:
+    for p in p_grid:
         p = float(p)
         rho = rhos[p]
         inv_p = 0.0 if math.isinf(p) else 1.0 / p
@@ -280,18 +248,19 @@ def _run_interpolation(cfg: ExperimentConfig, g: Optional[Multigraph]) -> Experi
     )
 
 
-def _run_lowerbound(cfg: ExperimentConfig, base: Optional[Multigraph]) -> ExperimentResult:
-    if base is None:
-        base = random_regular(cfg.base_n, cfg.base_d, cfg.base_seed)
+def run_lowerbound(
+    base: Multigraph, k_list: Sequence[int], p_grid: Sequence[float]
+) -> ExperimentResult:
+    """Ratios of the base graph united with its k-gadget, one row per k."""
     header = ["k", "n", "m", "phi_lower", "phi_upper", "rho_inf"]
-    finite_p = [p for p in cfg.p_grid if not math.isinf(float(p))]
+    finite_p = [p for p in p_grid if not math.isinf(float(p))]
     header.extend(f"rho_p_{_p_label(float(p))}" for p in finite_p)
     rows = []
     violations = []
-    for k in cfg.k_list:
-        u = graph_union(base, gadget_subdivide(base, k, cfg.cap_edges))
+    for k in k_list:
+        u = graph_union(base, gadget_subdivide(base, k))
         # the table reports the spectral bracket, so cuts are never enumerated
-        rep = competitive_report(u, cfg.p_grid, exact_n_cap=0)
+        rep = competitive_report(u, p_grid, exact_n_cap=0)
         rho, bound = rep.rho[math.inf], rep.bound
         row = [k, u.n, u.m, rep.phi_lower, rep.phi_upper, rho]
         row.extend(rep.rho[float(p)] for p in finite_p)
@@ -303,10 +272,14 @@ def _run_lowerbound(cfg: ExperimentConfig, base: Optional[Multigraph]) -> Experi
     return ExperimentResult(tuple(header), rows, [], violations)
 
 
-def _run_localization(cfg: ExperimentConfig) -> ExperimentResult:
+def run_localization(
+    n_list: Sequence[int], d_list: Sequence[int], seeds: Sequence[int]
+) -> ExperimentResult:
+    """Localization against rho_inf, the phi bound and log^2 n + 10 on every
+    grid graph."""
     rows = []
     violations = []
-    for n, d, seed, rep in _grid_reports(cfg):
+    for n, d, seed, rep in _grid_reports(n_list, d_list, seeds):
         loc, rho, phi_bound = rep.localization, rep.rho[math.inf], rep.bound
         logsq_bound = math.log(n) ** 2 + 10.0
         min_bound = min(phi_bound, logsq_bound)
@@ -327,15 +300,3 @@ def _run_localization(cfg: ExperimentConfig) -> ExperimentResult:
         [],
         violations,
     )
-
-
-def run_experiment(cfg: ExperimentConfig, graph: Optional[Multigraph] = None) -> ExperimentResult:
-    """Dispatch a named experiment; `graph` overrides the generated base
-    graph for interpolation and lowerbound."""
-    if cfg.name == "upperbound":
-        return _run_upperbound(cfg)
-    if cfg.name == "interpolation":
-        return _run_interpolation(cfg, graph)
-    if cfg.name == "lowerbound":
-        return _run_lowerbound(cfg, graph)
-    return _run_localization(cfg)

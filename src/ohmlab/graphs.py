@@ -49,6 +49,7 @@ __all__ = [
     "petersen_graph",
 ]
 
+# most edges gadget_subdivide and weighted_to_multigraph may create
 DEFAULT_EDGE_CAP = 2_000_000
 # random_regular's pairing attempts before it gives up
 _PAIRING_TRIES = 10_000
@@ -498,22 +499,23 @@ def random_regular(n: int, d: int, seed: int) -> Multigraph:
     )
 
 
-def gadget_subdivide(g: Multigraph, k: int, cap_edges: int = DEFAULT_EDGE_CAP) -> Multigraph:
+def gadget_subdivide(g: Multigraph, k: int) -> Multigraph:
     """Replace each unit edge by k vertex-disjoint paths of k unit edges.
 
     Original vertex ids are preserved; each original edge adds k*(k-1) fresh
     internal vertices and k^2 unit edges. k = 1 returns a copy of the input.
     Effective resistance across a replaced edge's endpoints is preserved
-    (k parallel paths of k unit resistors each).
+    (k parallel paths of k unit resistors each). More than DEFAULT_EDGE_CAP
+    new edges are refused before anything is built.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not g.is_unit_weight:
         raise ValueError("gadget subdivision is defined for unit-weight graphs")
     new_m = g.m * k * k
-    if new_m > cap_edges:
+    if new_m > DEFAULT_EDGE_CAP:
         raise SizeLimitError(
-            f"subdivision would create {new_m} edges, over the cap {cap_edges}"
+            f"subdivision would create {new_m} edges, over the cap {DEFAULT_EDGE_CAP}"
         )
     n, tails, heads = _subdivide(
         g.n, np.repeat(g.tails, k), np.repeat(g.heads, k), np.full(g.m * k, k)

@@ -225,6 +225,11 @@ def _edge_average(l1: np.ndarray) -> float:
     return total / l1.size
 
 
+def _require_edges(g: Multigraph) -> None:
+    if g.m == 0:
+        raise ValueError("graph has no edges")
+
+
 def _require_projection_size(g: Multigraph) -> None:
     if g.m > PROJECTION_EDGE_CAP:
         raise SizeLimitError(
@@ -238,9 +243,7 @@ def competitive_ratio_inf(g: Multigraph) -> float:
     This equals the inf -> inf competitive ratio of electrical routing; the
     projection matrix is never materialized, so it scales to large m.
     """
-    if g.m == 0:
-        raise ValueError("graph has no edges")
-    return float(_sweep(g)[0].max())
+    return _ratios(g, (math.inf,))[0][math.inf]
 
 
 def localization(g: Multigraph) -> float:
@@ -251,9 +254,7 @@ def localization(g: Multigraph) -> float:
     """
     if not g.is_unit_weight:
         raise ValueError("localization is defined for unit-weight graphs")
-    if g.m == 0:
-        raise ValueError("graph has no edges")
-    return _edge_average(_sweep(g)[0])
+    return _ratios(g, (math.inf,))[1]
 
 
 def flow_projection(g: Multigraph) -> np.ndarray:
@@ -294,8 +295,10 @@ def _ratios(
 
     rho_inf is the largest per-edge l1 flow norm. A finite p takes the induced
     norm of |W^-1 A B W| = |Pi| W, whose columns come from the same solves,
-    so only a finite p pays for the dense m x m block.
+    so only a finite p pays for the dense m x m block. A graph without edges
+    has no ratio and is refused first.
     """
+    _require_edges(g)
     ps = [_check_p(p) for p in p_list]
     finite = [p for p in ps if not math.isinf(p)]
     if finite:
@@ -389,10 +392,11 @@ def competitive_report(
     unit graphs vol(V) = 2m, so ln(vol(V)) matches the 2m reading of the
     bound. Every ratio and the localization come from one sweep that solves
     each endpoint pair once; max_residual is the worst true residual of
-    those solves.
+    those solves. An edgeless graph is refused before any conductance work.
+    The conductance comes first, before the sweep factors the Laplacian, so
+    the factor is not held through the eigensolve.
     """
-    if g.m == 0:
-        raise ValueError("graph has no edges")
+    _require_edges(g)
     lower, upper = _conductance(g, exact_n_cap)
     rho, loc, max_residual = _ratios(g, p_list)
     floor = 1.0 - 1e-6

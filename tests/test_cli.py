@@ -1,3 +1,6 @@
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -47,14 +50,6 @@ class TestGen:
         for out in (a, b):
             invoke(runner, ["--seed", "9", "--out", str(out), "gen", "regular",
                             "--n", "12", "--d", "3"])
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_seed_option_overrides_global(self, runner, tmp_path):
-        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        invoke(runner, ["--seed", "1", "--out", str(a), "gen", "regular",
-                        "--n", "10", "--d", "3", "--seed", "5"])
-        invoke(runner, ["--seed", "5", "--out", str(b), "gen", "regular",
-                        "--n", "10", "--d", "3"])
         assert a.read_bytes() == b.read_bytes()
 
     def test_gadget_and_union(self, runner, tmp_path, small_graph):
@@ -188,8 +183,30 @@ class TestExperiment:
         assert res.exit_code == 0
         assert "localization" in res.output.split("\n")[0]
 
-    def test_unknown_name_rejected(self, runner):
-        res = runner.invoke(cli, ["experiment", "frobnicate"], obj={})
+    def test_upperbound_default_grid(self, runner):
+        res = invoke(runner, ["--no-timestamp", "experiment", "upperbound"])
+        assert res.exit_code == 0
+        lines = res.output.strip().split("\n")
+        assert lines[0] == "n,d,seed,phi,rho_inf,bound,ratio"
+        keys = [tuple(int(v) for v in line.split(",")[:3]) for line in lines[1:]]
+        assert keys == [(n, d, seed) for n in (10, 12, 16, 20) for d in (3, 4)
+                        for seed in (1, 2, 3, 4, 5)]
+
+    def test_interpolation_default_graph(self, runner, small_graph):
+        # without --graph the base graph is random_regular(--base-n, --base-d, --seed)
+        generated = invoke(runner, ["--no-timestamp", "experiment", "interpolation"])
+        explicit = invoke(runner, ["--no-timestamp", "experiment", "interpolation",
+                                   "--graph", small_graph])
+        assert generated.exit_code == explicit.exit_code == 0
+        assert generated.output == explicit.output
+
+    @pytest.mark.parametrize("args", [
+        ["experiment", "frobnicate"],
+        ["experiment", "upperbound", "--n-list", ""],
+        ["experiment", "lowerbound", "--k-list", "0"],
+    ])
+    def test_bad_name_or_grid_rejected(self, runner, args):
+        res = runner.invoke(cli, args, obj={})
         assert res.exit_code != 0
 
     def test_violation_exits_two(self, runner, small_graph, monkeypatch):
@@ -272,6 +289,25 @@ class TestMainEntry:
         assert out == ""
         assert err == "error: edge weights must be finite and >= 1\n"
 
+    @pytest.mark.parametrize("args", [
+        ["experiment", "upperbound", "--p", "2"],
+        ["experiment", "upperbound", "--graph", "G"],
+        ["experiment", "localization", "--k-list", "2"],
+        ["experiment", "interpolation", "--seeds", "3"],
+        ["experiment", "lowerbound", "--n-list", "10"],
+        ["--cap-edges", "5", "gen", "regular", "--n", "10", "--d", "3"],
+        ["gen", "regular", "--n", "10", "--d", "3", "--seed", "5"],
+    ], ids=" ".join)
+    def test_option_not_read_is_refused(self, tmp_path, monkeypatch, capsys, args):
+        monkeypatch.chdir(tmp_path)
+        write_graph(path_graph(3), tmp_path / "G")
+        with pytest.raises(SystemExit) as exc:
+            ohmlab.cli.main(["--no-timestamp", *args])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "No such option" in err
+
     def test_solver_tolerance_is_not_an_option(self, tmp_path, capsys):
         gpath = tmp_path / "g.txt"
         write_graph(path_graph(3), gpath)
@@ -288,3 +324,23 @@ class TestMainEntry:
             ohmlab.cli.main(["report", str(bad)])
         assert exc.value.code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_readme_command_block_runs(self, tmp_path, monkeypatch, capsys):
+        # the "Command line" section: a part.txt block, then the commands,
+        # run in order in an empty directory
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+        blocks = section.split("```\n")[1::2]
+        partition = next(b for b in blocks if b.startswith("C:"))
+        commands = next(b for b in blocks if b.startswith("ohmlab "))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "part.txt").write_text(partition)
+        codes = {}
+        for line in commands.splitlines():
+            argv = shlex.split(line)
+            assert argv[0] == "ohmlab"
+            with pytest.raises(SystemExit) as exc:
+                ohmlab.cli.main(argv[1:])
+            codes[line] = exc.value.code
+        assert len(codes) == 7
+        assert codes == dict.fromkeys(codes, 0), capsys.readouterr().err

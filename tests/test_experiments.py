@@ -4,34 +4,17 @@ import pytest
 import ohmlab
 from ohmlab import Partition, complete_graph, cycle_graph, path_graph, random_regular
 from ohmlab.experiments import (
-    EXPERIMENT_NAMES,
-    ExperimentConfig,
     ExperimentResult,
     format_value,
     render_csv,
     run_diagnose,
-    run_experiment,
+    run_interpolation,
+    run_localization,
+    run_lowerbound,
     run_report,
     run_sparsify,
+    run_upperbound,
 )
-
-
-class TestConfig:
-    def test_defaults(self):
-        cfg = ExperimentConfig("upperbound")
-        assert cfg.n_list == (10, 12, 16, 20)
-        assert cfg.d_list == (3, 4)
-        assert cfg.seeds == (1, 2, 3, 4, 5)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig("frobnicate")
-
-    def test_bad_grid_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig("upperbound", n_list=())
-        with pytest.raises(ValueError):
-            ExperimentConfig("lowerbound", k_list=(0,))
 
 
 class TestRenderCsv:
@@ -122,10 +105,7 @@ class TestRunSparsify:
 
 class TestExperiments:
     def test_upperbound_rows(self):
-        cfg = ExperimentConfig(
-            "upperbound", n_list=(10, 12), d_list=(3,), seeds=(1, 2)
-        )
-        res = run_experiment(cfg)
+        res = run_upperbound((10, 12), (3,), (1, 2))
         assert res.header == ("n", "d", "seed", "phi", "rho_inf", "bound", "ratio")
         assert len(res.rows) == 4
         for n, d, seed, phi, rho, bound, ratio in res.rows:
@@ -135,8 +115,7 @@ class TestExperiments:
 
     def test_interpolation_bounds_dominate(self):
         g = random_regular(10, 3, 1)
-        cfg = ExperimentConfig("interpolation", p_grid=(1.5, 2.0, 3.0, np.inf))
-        res = run_experiment(cfg, graph=g)
+        res = run_interpolation(g, (1.5, 2.0, 3.0, np.inf))
         assert res.header == ("p", "rho_p", "interp_bound", "spectral_bound")
         rows = {row[0]: row for row in res.rows}
         for p, rho, interp, spectral in res.rows:
@@ -148,11 +127,7 @@ class TestExperiments:
         assert res.violations == []
 
     def test_lowerbound_monotone(self):
-        cfg = ExperimentConfig(
-            "lowerbound", base_n=10, base_d=3, base_seed=1, k_list=(1, 2, 3),
-            p_grid=(np.inf,),
-        )
-        res = run_experiment(cfg)
+        res = run_lowerbound(random_regular(10, 3, 1), (1, 2, 3), (np.inf,))
         assert res.header[:6] == ("k", "n", "m", "phi_lower", "phi_upper", "rho_inf")
         rhos = [row[5] for row in res.rows]
         assert rhos == sorted(rhos)
@@ -164,17 +139,13 @@ class TestExperiments:
         assert rhos[0] == pytest.approx(ohmlab.competitive_ratio_inf(base), abs=1e-8)
 
     def test_lowerbound_finite_p_columns(self):
-        cfg = ExperimentConfig(
-            "lowerbound", base_n=6, base_d=3, k_list=(1, 2), p_grid=(2.0, np.inf)
-        )
-        res = run_experiment(cfg)
+        res = run_lowerbound(random_regular(6, 3, 1), (1, 2), (2.0, np.inf))
         assert res.header[-1] == "rho_p_2"
         for row in res.rows:
             assert row[-1] >= 1.0 - 1e-6
 
     def test_localization_bounds(self):
-        cfg = ExperimentConfig("localization", n_list=(10,), d_list=(3,), seeds=(1, 2))
-        res = run_experiment(cfg)
+        res = run_localization((10,), (3,), (1, 2))
         assert res.header == (
             "n", "d", "seed", "localization", "rho_inf", "phi_bound", "logsq_bound",
         )
@@ -182,15 +153,3 @@ class TestExperiments:
             assert loc <= rho + 1e-10
             assert loc <= min(phi_bound, logsq) + 1e-6
         assert res.violations == []
-
-    def test_interpolation_default_graph(self):
-        # without an explicit graph the base_n/base_d/base_seed graph is used
-        cfg = ExperimentConfig("interpolation", base_n=10, base_d=3, base_seed=1)
-        res = run_experiment(cfg)
-        explicit = run_experiment(cfg, graph=random_regular(10, 3, 1))
-        assert res.rows == explicit.rows
-
-    def test_names_registry(self):
-        assert EXPERIMENT_NAMES == (
-            "upperbound", "interpolation", "lowerbound", "localization",
-        )

@@ -295,9 +295,16 @@ class TestGadget:
             )
 
     def test_edge_cap_enforced(self):
-        g = random_regular(10, 3, 1)
-        with pytest.raises(SizeLimitError):
-            gadget_subdivide(g, 10, cap_edges=100)
+        # 1415^2 = 2,002,225 edges from one: refused before anything is built
+        g = path_graph(2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="2002225 edges"):
+                gadget_subdivide(g, 1415)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_weighted_input_rejected(self):
         g = Multigraph.from_edges(2, [(0, 1, 2.0)])

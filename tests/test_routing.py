@@ -321,6 +321,21 @@ class TestPRange:
                 call()
 
 
+class TestEdgelessGraph:
+    def test_refused_before_any_conductance_work(self, monkeypatch):
+        def no_conductance(*args, **kwargs):
+            raise AssertionError("conductance computed for an edgeless graph")
+
+        monkeypatch.setattr(ohmlab.routing, "conductance_exact", no_conductance)
+        monkeypatch.setattr(ohmlab.routing, "conductance_bounds", no_conductance)
+        g = Multigraph(3, np.array([], dtype=np.int64), np.array([], dtype=np.int64),
+                       np.array([]))
+        for call in (competitive_ratio_inf, localization, competitive_report,
+                     lambda g: competitive_report(g, (2.0, np.inf), exact_n_cap=0)):
+            with pytest.raises(ValueError, match="^graph has no edges$"):
+                call(g)
+
+
 class TestLocalization:
     def test_k2(self):
         assert localization(complete_graph(2)) == pytest.approx(1.0, abs=1e-9)
