@@ -5,12 +5,13 @@ B[head, e] = +1 for edge e = (tail, head). The Laplacian L = B W B^T is
 solved only on the sum-zero subspace; the pseudo-inverse is never formed.
 
 Two solve methods, picked by the graph alone. Up to _DIRECT_VERTEX_CAP
-vertices a graph's Laplacian is factored once, with vertex 0 grounded, and
-solve_laplacian_block solves blocks of demands against that factor. Above
-the cap, and for any column the factor misses, solve_laplacian's
-Jacobi-preconditioned conjugate gradient runs. Both meet the same contract,
-fixed at _SOLVE_TOL: the solution sums to zero and its true residual
-satisfies ||L x - b|| <= 1e-10 ||b|| for the centred demand b.
+vertices a graph's Laplacian is factored once, with vertex 0 grounded, by
+symmetric-mode LU with diagonal pivots, and solve_laplacian_block solves
+blocks of demands against that factor. Above the cap, and for any column
+the factor misses, solve_laplacian's Jacobi-preconditioned conjugate
+gradient runs. Both meet the same contract, fixed at _SOLVE_TOL: the
+solution sums to zero and its true residual satisfies
+||L x - b|| <= 1e-10 ||b|| for the centred demand b.
 """
 
 from __future__ import annotations
@@ -67,12 +68,21 @@ def laplacian(g: Multigraph) -> sp.csr_array:
 
 
 # Largest vertex count whose Laplacian is factored. Expander fill-in makes the
-# factor cost grow faster than n^2: on random 3-regular graphs it took 0.01 s
-# at n = 1000, 0.07 s at 2000, 0.14 s at 3000, 0.5 s at 5000 and 2.0 s at
-# 7000, against 4-8 ms for one conjugate-gradient solve at any of these sizes
-# (one thread of a 2-vCPU x86-64 guest). At this cap a graph repays its
-# factor after about 30 solves, which any all-pairs sweep makes (about 1.5 n
-# pairs), while a block entry point called once pays at most the 0.14 s.
+# factor cost grow faster than n^2. On random 3-regular graphs (one thread of
+# a 2-vCPU x86-64 guest, symmetric-mode LU with diagonal pivots):
+#
+#        n   factor entries   factor   solve per column, blocks of 128
+#     1000           64,914   0.006 s   0.07 ms
+#     2000          240,160   0.025 s   0.21 ms
+#     3000          530,494   0.056 s   0.49 ms
+#     5000        1,452,816   0.20 s    1.4 ms
+#     7000        2,827,640   0.54 s    2.8 ms
+#
+# against 4-6 ms for one conjugate-gradient solve at any of these sizes. At
+# this cap a graph repays its factor after about 11 solves, which any
+# all-pairs sweep makes (about 1.5 n pairs), while a block entry point
+# called once pays at most the 0.056 s. No benchmark workload has
+# 3000 < n <= 7000, so the cap stays where it was measured to pay.
 _DIRECT_VERTEX_CAP = 3000
 # Residual contract of every solve, ||L x - b|| <= _SOLVE_TOL ||b||; fixed,
 # because every printed ratio and every exit-code-2 gate is calibrated to it
@@ -86,9 +96,9 @@ _BLOCK_COLUMNS = 128
 
 
 def _direct_factor(g: Multigraph):
-    """The graph's cached LU factor (Multigraph.laplacian_factor) when g has
-    at most _DIRECT_VERTEX_CAP vertices, else None; above the cap no factor
-    is built."""
+    """The graph's cached symmetric-mode LU factor, diagonal pivots
+    (Multigraph.laplacian_factor), when g has at most _DIRECT_VERTEX_CAP
+    vertices, else None; above the cap no factor is built."""
     return g.laplacian_factor if g.n <= _DIRECT_VERTEX_CAP else None
 
 
@@ -217,9 +227,9 @@ def solve_laplacian_block(g: Multigraph, b: np.ndarray) -> Tuple[np.ndarray, np.
     b is centred (a non-finite entry or sum drift beyond
     10 * _SOLVE_TOL * ||b|| is an error), the solution sums to zero, and
     ||L x - b|| <= _SOLVE_TOL * ||b||. Up to _DIRECT_VERTEX_CAP vertices each
-    column is a grounded LU solve against the graph's cached factor,
-    centred, whose true residual is checked; a column that misses the bound
-    is solved again with solve_laplacian. Above
+    column is a grounded solve against the graph's cached symmetric-mode LU
+    factor (diagonal pivots), centred, whose true residual is checked; a
+    column that misses the bound is solved again with solve_laplacian. Above
     the cap, or on a disconnected graph, every column is a solve_laplacian
     call.
     """

@@ -7,11 +7,11 @@ on unit-weight graphs this is the flow projection matrix Pi = B^T L^+ B.
 
 Every ratio comes from one sweep per graph that solves each distinct endpoint
 pair once through linalg.solve_laplacian_block: in blocks of _BLOCK_COLUMNS
-pairs against the graph's cached LU factor up to the direct vertex cap, one
-pair at a time by conjugate gradient above it, every column under the same
-residual contract. rho_inf and localization read the l1 flow norm of
-each solve, and |Pi| for finite p is filled from the same solves; Pi is
-materialized only when a finite p asks for it.
+pairs against the graph's cached symmetric-mode LU factor (diagonal pivots)
+up to the direct vertex cap, one pair at a time by conjugate gradient above
+it, every column under the same residual contract. rho_inf and localization
+read the l1 flow norm of each solve, and |Pi| for finite p is filled from
+the same solves; Pi is materialized only when a finite p asks for it.
 """
 
 from __future__ import annotations

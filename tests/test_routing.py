@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import ohmlab
 from ohmlab import (
@@ -473,6 +474,37 @@ class TestCompetitiveReport:
         g = Multigraph.from_edges(2, [(0, 1, 2.0)])
         rep = competitive_report(g)
         assert rep.rho[np.inf] == pytest.approx(1.0, abs=1e-8)
+
+    def test_one_factor_and_one_block_column_per_pair(self, monkeypatch):
+        # below the direct vertex cap: one LU factor, no conjugate gradient,
+        # and each endpoint pair solved once, in blocks of the sweep width
+        g = random_regular(200, 3, 1)
+        factors, pcg, widths = [], [], []
+        splu = scipy.sparse.linalg.splu
+        solve = ohmlab.linalg.solve_laplacian
+        block = ohmlab.routing.solve_laplacian_block
+
+        def counted_splu(*args, **kwargs):
+            factors.append(args[0].shape)
+            return splu(*args, **kwargs)
+
+        def counted_solve(g, b, *args, **kwargs):
+            pcg.append(b)
+            return solve(g, b, *args, **kwargs)
+
+        def recorded_block(g, b, *args, **kwargs):
+            widths.append(b.shape[1])
+            return block(g, b, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+        monkeypatch.setattr(ohmlab.linalg, "solve_laplacian", counted_solve)
+        monkeypatch.setattr(ohmlab.routing, "solve_laplacian_block", recorded_block)
+        competitive_report(g, (1.0, 2.0, np.inf))
+        pairs, width = len(ohmlab.routing._endpoint_pairs(g)), ohmlab.linalg._BLOCK_COLUMNS
+        assert factors == [(g.n - 1, g.n - 1)]
+        assert pcg == []
+        assert sum(widths) == pairs
+        assert widths == [width] * (pairs // width) + [pairs % width]
 
 
 class TestSweepMatchesDense:
