@@ -94,7 +94,9 @@ def _emit_result(ctx, result: ExperimentResult) -> None:
 
 @click.group()
 @click.option("--seed", type=int, default=1, show_default=True,
-              help="Default generator seed.")
+              help="Generator seed for gen regular and for the generated "
+                   "base graph of interpolation and lowerbound; refused "
+                   "where nothing reads it.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Output file (default stdout).")
 @click.option("--no-timestamp", is_flag=True,
@@ -103,6 +105,14 @@ def _emit_result(ctx, result: ExperimentResult) -> None:
 def cli(ctx, seed, out, no_timestamp):
     """Electrical-flow routing laboratory."""
     ctx.obj = {"seed": seed, "out": out, "no_timestamp": no_timestamp}
+
+
+def _refuse_seed(ctx, detail: str = "") -> None:
+    """Exit 1 on an explicit global --seed that the command would ignore."""
+    root = ctx.find_root()
+    if root.get_parameter_source("seed") is not click.core.ParameterSource.DEFAULT:
+        where = ctx.command_path[len(root.command_path) + 1:] + detail
+        raise click.UsageError(f"--seed is not read by {where}")
 
 
 @cli.group()
@@ -129,6 +139,7 @@ def gen_regular(ctx, n, d):
 @click.pass_context
 def gen_gadget(ctx, base, k):
     """Replace each edge of the base by k disjoint k-hop paths."""
+    _refuse_seed(ctx)
     g = read_graph(base)
     _emit(ctx, graph_text(gadget_subdivide(g, k)))
     return 0
@@ -140,6 +151,7 @@ def gen_gadget(ctx, base, k):
 @click.pass_context
 def gen_union(ctx, path_a, path_b):
     """Edge-disjoint union of two graphs on a shared id space."""
+    _refuse_seed(ctx)
     _emit(ctx, graph_text(graph_union(read_graph(path_a), read_graph(path_b))))
     return 0
 
@@ -151,6 +163,7 @@ def gen_union(ctx, path_a, path_b):
 @click.pass_context
 def report(ctx, graph, p_grid):
     """Competitive ratios against the 3 ln(vol)/phi routing bound."""
+    _refuse_seed(ctx)
     g = read_graph(graph)
     result = run_report(g, _parse_p_grid(p_grid))
     return _emit_result(ctx, result)
@@ -164,6 +177,7 @@ def report(ctx, graph, p_grid):
 @click.pass_context
 def diagnose(ctx, graph, edge, samples):
     """Threshold-cut diagnostics for one unit edge demand."""
+    _refuse_seed(ctx)
     g = read_graph(graph)
     result = run_diagnose(g, edge, samples)
     return _emit_result(ctx, result)
@@ -180,6 +194,7 @@ def diagnose(ctx, graph, edge, samples):
 @click.pass_context
 def sparsify(ctx, graph, partition_path, x_text):
     """Schur weights, boundary extensions, and the rounding check."""
+    _refuse_seed(ctx)
     g = read_graph(graph)
     part = read_partition(partition_path, g.n)
     bits = [tok.strip() for tok in x_text.split(",") if tok.strip()]
@@ -215,6 +230,7 @@ def _grid(n_list: str, d_list: str, seeds: str) -> tuple:
 def _base_graph(ctx, graph_path, base_n: int, base_d: int) -> Multigraph:
     """The --graph file, else random_regular(base_n, base_d, global --seed)."""
     if graph_path:
+        _refuse_seed(ctx, " with --graph")
         return read_graph(graph_path)
     return random_regular(base_n, base_d, ctx.obj["seed"])
 
@@ -228,6 +244,7 @@ def experiment():
 @click.pass_context
 def upperbound(ctx, n_list, d_list, seeds):
     """rho_inf against 3 ln(vol)/phi on a regular-graph grid."""
+    _refuse_seed(ctx, " (it reads --seeds)")
     return _emit_result(ctx, run_upperbound(*_grid(n_list, d_list, seeds)))
 
 
@@ -235,6 +252,7 @@ def upperbound(ctx, n_list, d_list, seeds):
 @click.pass_context
 def localization(ctx, n_list, d_list, seeds):
     """Localization against rho_inf and its bounds on a regular-graph grid."""
+    _refuse_seed(ctx, " (it reads --seeds)")
     return _emit_result(ctx, run_localization(*_grid(n_list, d_list, seeds)))
 
 

@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+__all__ = ["SizeLimitError", "DisconnectedError", "ConvergenceError"]
+
 
 class SizeLimitError(ValueError):
     """A requested computation exceeds a configured size cap."""

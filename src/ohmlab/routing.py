@@ -48,6 +48,7 @@ __all__ = [
     "effective_resistance",
     "congestion",
     "flow_energy",
+    "demand_fraction",
     "voltage_energy",
     "flow_projection",
     "competitive_ratio_inf",
@@ -274,9 +275,10 @@ def competitive_ratio(g: Multigraph, p: float) -> float:
     Materializes |Pi| (dense, capped at PROJECTION_EDGE_CAP edges) for every
     p; competitive_ratio_inf gives p = inf without it. The induced norm is
     linalg.induced_pnorm_nonneg's: exact column/row sums for p = 1 and
-    p = inf, the nonnegative power iteration otherwise. Non-unit weights are
-    refused: use competitive_ratio_operator, which applies the weighted
-    scaling.
+    p = inf, otherwise the nonnegative power iteration, which stops once its
+    certified bracket on the norm is narrower than 1e-12 (relative).
+    Non-unit weights are refused: use competitive_ratio_operator, which
+    applies the weighted scaling.
     """
     if not g.is_unit_weight:
         raise ValueError(

@@ -10,6 +10,7 @@ import ohmlab.experiments
 from ohmlab import (
     Partition,
     competitive_ratio_operator,
+    cycle_graph,
     path_graph,
     random_regular,
     read_graph,
@@ -307,6 +308,33 @@ class TestMainEntry:
         out, err = capsys.readouterr()
         assert out == ""
         assert "No such option" in err
+
+    @pytest.mark.parametrize("args", [
+        ["report", "G"],
+        ["diagnose", "G"],
+        ["sparsify", "G", "--partition", "P", "--x", "1,0,0"],
+        ["gen", "gadget", "--base", "G", "--k", "2"],
+        ["gen", "union", "--a", "G", "--b", "G"],
+        ["experiment", "upperbound", "--n-list", "10", "--d-list", "3", "--seeds", "1"],
+        ["experiment", "localization", "--n-list", "10", "--d-list", "3", "--seeds", "1"],
+        ["experiment", "interpolation", "--graph", "G"],
+        ["experiment", "lowerbound", "--graph", "G", "--k-list", "1"],
+    ], ids=" ".join)
+    def test_seed_not_read_is_refused(self, tmp_path, monkeypatch, capsys, args):
+        # only gen regular and a generated experiment base graph read --seed
+        monkeypatch.chdir(tmp_path)
+        write_graph(cycle_graph(4), tmp_path / "G")
+        write_partition(Partition.from_eliminated(4, [1]), tmp_path / "P")
+        with pytest.raises(SystemExit) as exc:
+            ohmlab.cli.main(["--no-timestamp", "--seed", "2", *args])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--seed is not read by" in err
+        # the same command without --seed runs
+        with pytest.raises(SystemExit) as exc:
+            ohmlab.cli.main(["--no-timestamp", *args])
+        assert exc.value.code == 0
 
     def test_solver_tolerance_is_not_an_option(self, tmp_path, capsys):
         gpath = tmp_path / "g.txt"

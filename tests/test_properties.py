@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import ohmlab.graphs
 
@@ -13,14 +14,19 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from ohmlab import (  # noqa: E402
+    ConvergenceError,
     Multigraph,
     Partition,
     conductance_bounds,
     conductance_exact,
     cut_weight,
     extension_energy,
+    flow_projection,
     harmonic_extension,
     incidence,
+    induced_norm_1,
+    induced_norm_inf,
+    induced_pnorm_nonneg,
     path_graph,
     random_regular,
     schur_complement,
@@ -243,3 +249,94 @@ def test_sparse_schur_several_default_blocks():
     part = Partition.from_eliminated(n, np.random.default_rng(1).choice(n, n // 2, replace=False))
     assert part.terminals.size > 2 * ohmlab.linalg._BLOCK_COLUMNS
     _assert_schur_matches_reference(g, part, (7, ohmlab.linalg._BLOCK_COLUMNS))
+
+
+PNORM_PS = (1.1, 1.5, 2.0, 3.0, 10.0)
+
+
+@st.composite
+def nonneg_matrices(draw):
+    """Entrywise nonnegative matrix: one to three rectangular blocks on the
+    diagonal (reducible from two on), each entry zero or log-uniform in
+    [1e-3, 1e3], then up to two columns zeroed."""
+    entry = st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        values = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+        blocks.append(np.reshape(values, (rows, cols)))
+    mat = scipy.linalg.block_diag(*blocks)
+    mat[:, draw(st.lists(st.integers(0, mat.shape[1] - 1), max_size=2))] = 0.0
+    return mat
+
+
+def _pnorms(v, p):
+    return np.power(v, p).sum(axis=0) ** (1.0 / p)
+
+
+def _norm_or_lower_end(mat, p):
+    """(norm, True) when the bracket closed, else (the lower end the
+    iteration cap left, False)."""
+    try:
+        return induced_pnorm_nonneg(mat, p), True
+    except ConvergenceError as exc:
+        return exc.best, False
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(nonneg_matrices())
+def test_pnorm_bracket_contains_the_norm(mat):
+    # A closed bracket returns a value within 1e-12 below the norm: the dual
+    # exponent on the transpose agrees, no vector does better, and p = 2 is
+    # the top singular value. Near-degenerate top singular values slow the
+    # iteration to (s2/s1)^2 a step, so a few examples reach the cap (lowered
+    # here to keep them cheap) and raise; the lower end they carry must still
+    # be below the norm.
+    z = np.random.default_rng(0).random((mat.shape[1], 64)) ** 4 + 1e-9
+    n1, ninf = induced_norm_1(mat), induced_norm_inf(mat)
+    top = np.linalg.svd(mat, compute_uv=False)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ohmlab.linalg, "_PNORM_MAX_ITER", 2_000)
+        for p in PNORM_PS:
+            norm, closed = _norm_or_lower_end(mat, p)
+            dual, dual_closed = _norm_or_lower_end(mat.T, p / (p - 1.0))
+            # Riesz-Thorin bounds the norm by the exact p = 1 and p = inf ends
+            assert norm <= n1 ** (1.0 / p) * ninf ** (1.0 - 1.0 / p) * (1.0 + 1e-12)
+            if p == 2.0:
+                assert norm <= top * (1.0 + 1e-12)
+                assert not closed or norm == pytest.approx(top, rel=1e-11, abs=0.0)
+            if closed:
+                ratios = _pnorms(mat @ z, p) / _pnorms(z, p)
+                assert ratios.max() <= norm * (1.0 + 1e-11)
+            if closed and dual_closed:
+                assert dual == pytest.approx(norm, rel=1e-11, abs=0.0)
+
+
+def _cycles_and_bridge(a, b):
+    """A cycle on a vertices and one on b vertices, joined by one bridge."""
+    edges = [(i, (i + 1) % a) for i in range(a)]
+    edges += [(a + i, a + (i + 1) % b) for i in range(b)] + [(0, a)]
+    return Multigraph.from_edges(a + b, edges)
+
+
+@pytest.fixture(scope="module")
+def near_tied_cycles():
+    """|Pi| of a 300-cycle and a 301-cycle joined by a bridge."""
+    return np.abs(flow_projection(_cycles_and_bridge(300, 301)))
+
+
+@pytest.mark.parametrize("p", PNORM_PS)
+def test_pnorm_of_reducible_projections(p, near_tied_cycles):
+    # every edge of a path is a bridge, so |Pi| is the identity
+    assert induced_pnorm_nonneg(np.abs(flow_projection(path_graph(6))), p) == pytest.approx(
+        1.0, rel=1e-12, abs=0.0)
+    # a bridge splits |Pi| into the bridge's 1 x 1 block [1] and one block
+    # per cycle; a k-cycle's block (k - 2)/k I + J/k has the all-ones vector
+    # as its maximizer at every p, so its norm is 2 (k - 1)/k
+    pi = np.abs(flow_projection(_cycles_and_bridge(3, 5)))
+    assert induced_pnorm_nonneg(pi, p) == pytest.approx(8.0 / 5.0, rel=1e-12, abs=0.0)
+    # blocks 1.1e-5 apart: the iterate loses the smaller block's share only
+    # by (1 - 1.1e-5)^(pq) a step, so only the lower end on the leading
+    # block closes the bracket within the iteration cap
+    assert induced_pnorm_nonneg(near_tied_cycles, p) == pytest.approx(
+        600.0 / 301.0, rel=1e-12, abs=0.0)

@@ -1,3 +1,7 @@
+import ast
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -30,6 +34,15 @@ from ohmlab import (
     validate_demand,
     voltage_energy,
 )
+
+
+def test_package_reexports_are_in_submodule_all():
+    tree = ast.parse(Path(ohmlab.__file__).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"ohmlab.{node.module}")
+            missing = {alias.name for alias in node.names} - set(module.__all__)
+            assert not missing, f"ohmlab.{node.module}.__all__ lacks {sorted(missing)}"
 
 
 def electrical(g):
@@ -505,6 +518,21 @@ class TestCompetitiveReport:
         assert pcg == []
         assert sum(widths) == pairs
         assert widths == [width] * (pairs // width) + [pairs % width]
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_p2_token_is_the_svd_rounding(self, k):
+        # the p-norm iteration stops on a certified gap of 1e-12, so here the
+        # printed 12-digit token is the rounding of the dense top singular value
+        base = random_regular(10, 3, 1)
+        u = graph_union(base, gadget_subdivide(base, k))
+        top = np.linalg.svd(np.abs(flow_projection(u)), compute_uv=False)[0]
+        assert "%.12g" % competitive_report(u, (np.inf, 2.0)).rho[2.0] == "%.12g" % top
+
+    def test_dual_exponents_agree_on_gadget_union(self):
+        # |Pi| is symmetric, so ||A||_p = ||A^T||_q = ||A||_q
+        base = random_regular(10, 3, 1)
+        rho = competitive_report(graph_union(base, gadget_subdivide(base, 3)), (1.5, 3.0)).rho
+        assert rho[1.5] == pytest.approx(rho[3.0], rel=1e-12, abs=0.0)
 
 
 class TestSweepMatchesDense:
