@@ -7,7 +7,11 @@ vectors refer to; the graph itself is undirected. Weights are finite reals
 
 Adjacency lives in one place, the cached `Multigraph.laplacian`: component
 labels, the exact conductance's cut tables, the conductance bracket's
-normalized Laplacian and girth all read it, never per-vertex lists.
+normalized Laplacian and girth all read it, never per-vertex lists. Its one
+factorization, the cached `Multigraph.laplacian_factor` with vertex 0
+grounded, is built only up to _DIRECT_VERTEX_CAP vertices; there it serves
+the solves of linalg and, above _DENSE_EIGEN_CAP vertices, the conductance
+bracket's lambda_2.
 
 Vertex sets are numpy boolean masks of length n (bitset semantics). Helpers
 accept index iterables as well and normalize them.
@@ -59,13 +63,53 @@ EXACT_CONDUCTANCE_CAP = 24
 # conductance_exact evaluates this many cuts per block into three reused
 # 256 KB float buffers, small enough to stay in a 2 MB L2 cache together
 _CUT_BLOCK_ENTRIES = 1 << 15
-# lambda_2 comes from dense eigh up to this many vertices, from ARPACK above
-_DENSE_EIGEN_CAP = 2000
 # ARPACK restart budget; graphs above 1000 vertices get 10 per vertex
 _EIGSH_MAXITER = 10_000
 # girth's BFS runs over chunks of sources with this many (source, vertex) and
 # (source, edge) entries each
 _BFS_CHUNK_ENTRIES = 1 << 20
+# Largest vertex count whose Laplacian is factored, for linalg's solves and
+# for lambda_2 alike. Expander fill-in makes the factor cost grow faster than
+# n^2. On random 3-regular graphs (one thread of a 2-vCPU x86-64 guest,
+# symmetric-mode LU with diagonal pivots):
+#
+#        n   factor entries   factor   solve per column, blocks of 128
+#     1000           64,914   0.006 s   0.07 ms
+#     2000          240,160   0.025 s   0.21 ms
+#     3000          530,494   0.056 s   0.49 ms
+#     5000        1,452,816   0.20 s    1.4 ms
+#     7000        2,827,640   0.54 s    2.8 ms
+#
+# against 4-6 ms for one conjugate-gradient solve at any of these sizes. At
+# this cap a graph repays its factor after about 11 solves, which any
+# all-pairs sweep makes (about 1.5 n pairs), while a block entry point
+# called once pays at most the 0.056 s. No benchmark workload has
+# 3000 < n <= 7000, so the cap stays where it was measured to pay.
+_DIRECT_VERTEX_CAP = 3000
+# lambda_2 comes from dense eigh up to this many vertices, from Lanczos on
+# N^+ through the grounded factor up to _DIRECT_VERTEX_CAP, and from ARPACK
+# on N above. Medians of five runs or more on random 3-regular graphs (same
+# guest, runs about 20% apart; the factor path's time includes building the
+# factor, which the sweep's solves then reuse):
+#
+#        n   dense eigh   Lanczos on N^+
+#      200      0.002 s          0.0025 s
+#      300      0.005 s          0.004 s
+#      400      0.009 s          0.004 s
+#      600      0.023 s          0.006 s
+#     1000      0.10 s           0.011 s
+#     2000      0.85 s           0.045 s
+#     3000      2.4 s            0.09 s
+#
+# On path and cycle graphs of 1000 to 3000 vertices the factor path lands
+# within 1e-12 (relative) of the closed-form lambda_2, dense eigh 1e-11 to
+# 1e-10 away. The cap is not lower because the sweep's phi_upper on some of
+# the benchmark's lowerbound gadget unions (n <= 310) is set by eigensolver
+# rounding: lambda_2 is double, or Fiedler entries tie exactly. With the cap
+# at 4, five of the 112 full-size ratio-sweep CSVs print another phi_upper
+# (generator seeds 5, 6 and 8), so lowering it waits for a sweep that does
+# not depend on rounding.
+_DENSE_EIGEN_CAP = 400
 
 
 @dataclass(frozen=True)
@@ -136,6 +180,8 @@ class Multigraph:
         """Symmetric-mode sparse LU, diagonal pivots, of the Laplacian with
         vertex 0 grounded (its row and column removed), factored once on
         first use; None when the graph is disconnected or has one vertex.
+        Up to _DIRECT_VERTEX_CAP vertices linalg's solves and the
+        conductance bracket's lambda_2 both read it; above, neither builds it.
 
         The grounded block of a connected graph is symmetric positive
         definite, so every pivot is on the diagonal (perm_r == perm_c).
@@ -373,25 +419,52 @@ def _normalized_laplacian(g: Multigraph) -> sp.csr_array:
 
 
 def _lambda2(g: Multigraph):
-    """Second-smallest normalized-Laplacian eigenvalue and its eigenvector."""
-    nl = _normalized_laplacian(g)
+    """Second-smallest normalized-Laplacian eigenvalue and its eigenvector.
+
+    Dense eigh up to _DENSE_EIGEN_CAP vertices. Up to _DIRECT_VERTEX_CAP,
+    Lanczos on N^+ restricted to the complement of u = sqrt(d) / ||sqrt(d)||,
+    the operator x -> P D^1/2 L^+ D^1/2 P x with P = I - u u^T: its largest
+    eigenvalue is 1 / lambda_2, and L^+ is one solve against the graph's
+    grounded factor, whose constant P removes. ARPACK on N itself above.
+    """
     if g.n <= _DENSE_EIGEN_CAP:
-        vals, vecs = scipy.linalg.eigh(nl.toarray(), subset_by_index=[0, 1])
-    else:
-        cap = max(10 * g.n, _EIGSH_MAXITER)
-        # a fixed start vector: ARPACK's own random start differs per call
-        v0 = np.random.default_rng(0).standard_normal(g.n)
-        try:
-            vals, vecs = sp.linalg.eigsh(nl, k=2, which="SA", maxiter=cap, tol=1e-10, v0=v0)
-        except sp.linalg.ArpackNoConvergence as exc:
-            found = exc.eigenvectors
-            best = found[:, -1] if found is not None and found.size else None
-            raise ConvergenceError(
-                f"eigenvalue iteration did not converge within {cap} iterations",
-                best=best,
-                iterations=cap,
-            ) from exc
-    return max(float(vals[1]), 0.0), vecs[:, 1]
+        nl = _normalized_laplacian(g).toarray()
+        vals, vecs = scipy.linalg.eigh(nl, subset_by_index=[0, 1])
+        return max(float(vals[1]), 0.0), vecs[:, 1]
+    if g.n > _DIRECT_VERTEX_CAP:
+        vals, vecs = _eigsh(g, _normalized_laplacian(g), k=2, which="SA")
+        return max(float(vals[1]), 0.0), vecs[:, 1]
+    sqrt_d = np.sqrt(g.weighted_degrees)
+    u = sqrt_d / np.linalg.norm(sqrt_d)
+    factor = g.laplacian_factor
+
+    def inverse(x):
+        rhs = sqrt_d * (x - u * (u @ x))
+        y = np.zeros(g.n)
+        y[1:] = factor.solve(rhs[1:])
+        y *= sqrt_d
+        return y - u * (u @ y)
+
+    op = sp.linalg.LinearOperator((g.n, g.n), matvec=inverse, dtype=np.float64)
+    vals, vecs = _eigsh(g, op, k=1, which="LA")
+    return 1.0 / float(vals[0]), vecs[:, 0]
+
+
+def _eigsh(g: Multigraph, op, k: int, which: str):
+    """ARPACK's k extreme eigenpairs of op from a fixed start vector (its own
+    random start differs per call); no convergence is a ConvergenceError."""
+    cap = max(10 * g.n, _EIGSH_MAXITER)
+    v0 = np.random.default_rng(0).standard_normal(g.n)
+    try:
+        return sp.linalg.eigsh(op, k=k, which=which, maxiter=cap, tol=1e-10, v0=v0)
+    except sp.linalg.ArpackNoConvergence as exc:
+        found = exc.eigenvectors
+        best = found[:, -1] if found is not None and found.size else None
+        raise ConvergenceError(
+            f"eigenvalue iteration did not converge within {cap} iterations",
+            best=best,
+            iterations=cap,
+        ) from exc
 
 
 def _sweep_cut(g: Multigraph, vec: np.ndarray) -> tuple:
@@ -429,8 +502,10 @@ def conductance_bounds(g: Multigraph) -> tuple:
     every prefix's cut read from the shared interval sums (`_interval_sums`).
     The bracket lambda_2/2 <= phi <= sweep value holds with the sweep value
     itself at most sqrt(2 lambda_2). lambda_2 comes from dense eigh up to
-    `_DENSE_EIGEN_CAP` vertices and from ARPACK on the sparse matrix above,
-    started from a fixed vector so that repeated calls return equal floats.
+    `_DENSE_EIGEN_CAP` vertices; up to `_DIRECT_VERTEX_CAP`, from Lanczos on
+    the pseudo-inverse, one solve per step against the graph's cached
+    grounded factor; above, from ARPACK on the sparse matrix. Both Lanczos
+    runs start from a fixed vector, so repeated calls return equal floats.
     """
     if not g.is_connected:
         raise DisconnectedError("conductance bounds need a connected graph")

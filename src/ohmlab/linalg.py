@@ -5,7 +5,8 @@ B[head, e] = +1 for edge e = (tail, head). The Laplacian L = B W B^T is
 solved only on the sum-zero subspace; the pseudo-inverse is never formed.
 
 Two solve methods, picked by the graph alone. Up to _DIRECT_VERTEX_CAP
-vertices a graph's Laplacian is factored once, with vertex 0 grounded, by
+vertices (set in graphs.py, where the same cap picks lambda_2's path) a
+graph's Laplacian is factored once, with vertex 0 grounded, by
 symmetric-mode LU with diagonal pivots, and solve_laplacian_block solves
 blocks of demands against that factor. Above the cap, and for any column
 the factor misses, solve_laplacian's Jacobi-preconditioned conjugate
@@ -23,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConvergenceError, DisconnectedError
-from .graphs import Multigraph
+from .graphs import _DIRECT_VERTEX_CAP, Multigraph
 
 __all__ = [
     "SolveReport",
@@ -67,23 +68,6 @@ def laplacian(g: Multigraph) -> sp.csr_array:
     return g.laplacian
 
 
-# Largest vertex count whose Laplacian is factored. Expander fill-in makes the
-# factor cost grow faster than n^2. On random 3-regular graphs (one thread of
-# a 2-vCPU x86-64 guest, symmetric-mode LU with diagonal pivots):
-#
-#        n   factor entries   factor   solve per column, blocks of 128
-#     1000           64,914   0.006 s   0.07 ms
-#     2000          240,160   0.025 s   0.21 ms
-#     3000          530,494   0.056 s   0.49 ms
-#     5000        1,452,816   0.20 s    1.4 ms
-#     7000        2,827,640   0.54 s    2.8 ms
-#
-# against 4-6 ms for one conjugate-gradient solve at any of these sizes. At
-# this cap a graph repays its factor after about 11 solves, which any
-# all-pairs sweep makes (about 1.5 n pairs), while a block entry point
-# called once pays at most the 0.056 s. No benchmark workload has
-# 3000 < n <= 7000, so the cap stays where it was measured to pay.
-_DIRECT_VERTEX_CAP = 3000
 # Residual contract of every solve, ||L x - b|| <= _SOLVE_TOL ||b||; fixed,
 # because every printed ratio and every exit-code-2 gate is calibrated to it
 _SOLVE_TOL = 1e-10

@@ -395,8 +395,9 @@ def competitive_report(
     bound. Every ratio and the localization come from one sweep that solves
     each endpoint pair once; max_residual is the worst true residual of
     those solves. An edgeless graph is refused before any conductance work.
-    The conductance comes first, before the sweep factors the Laplacian, so
-    the factor is not held through the eigensolve.
+    Up to the direct vertex cap the graph's Laplacian is factored once: above
+    the dense eigensolver's cap the bracket's lambda_2 reads that factor, and
+    the sweep's solves reuse it.
     """
     _require_edges(g)
     lower, upper = _conductance(g, exact_n_cap)

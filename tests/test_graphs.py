@@ -201,6 +201,78 @@ class TestConductanceBounds:
         assert info.value.iterations == 10_000
         assert info.value.best.shape == (18,)
 
+    def test_arpack_path_is_reproducible(self, monkeypatch):
+        # above the direct cap no factor is built, so ARPACK runs on N itself
+        import scipy.sparse.linalg
+
+        g = random_regular(60, 3, 1)
+        eigsh, which = scipy.sparse.linalg.eigsh, []
+
+        def recorded(*args, **kwargs):
+            which.append(kwargs["which"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(ohmlab.graphs, "_DENSE_EIGEN_CAP", 4)
+        monkeypatch.setattr(ohmlab.graphs, "_DIRECT_VERTEX_CAP", 4)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorded)
+        first, second = conductance_bounds(g)[0].phi, conductance_bounds(g)[0].phi
+        assert which == ["SA", "SA"]
+        assert first == second
+        assert first == pytest.approx(_dense_lambda2(g)[0] / 2.0, rel=0.0, abs=1e-10)
+
+    def test_arpack_path_failure_is_convergence_error(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        which = []
+
+        def no_convergence(*args, **kwargs):
+            which.append(kwargs["which"])
+            raise scipy.sparse.linalg.ArpackNoConvergence("stalled", np.zeros(2),
+                                                          np.zeros((18, 2)))
+
+        monkeypatch.setattr(ohmlab.graphs, "_DENSE_EIGEN_CAP", 4)
+        monkeypatch.setattr(ohmlab.graphs, "_DIRECT_VERTEX_CAP", 4)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        with pytest.raises(ohmlab.ConvergenceError) as info:
+            conductance_bounds(random_regular(18, 3, 7))
+        assert which == ["SA"]
+        assert info.value.iterations == 10_000
+        assert info.value.best.shape == (18,)
+
+    @pytest.mark.parametrize("shape", ["path", "cycle"])
+    def test_long_path_and_cycle_match_closed_forms(self, shape):
+        # lambda_2 / 2 of N is sin^2(pi / (2 (n - 1))) on a path and
+        # sin^2(pi / n) on a cycle; unshifted ARPACK on N gave up on this
+        # path and missed the cycle's 11th digit
+        n = 2500
+        if shape == "path":
+            g, want = path_graph(n), np.sin(np.pi / (2 * (n - 1))) ** 2
+        else:
+            g, want = cycle_graph(n), np.sin(np.pi / n) ** 2
+        lower, _ = conductance_bounds(g)
+        assert lower.phi == pytest.approx(want, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [402, 1000])
+    def test_factor_path_matches_dense_on_regular_graphs(self, n, seed):
+        # between the two caps lambda_2 comes from Lanczos on N^+ through the
+        # grounded factor; dense eigh is the independent check, and the
+        # sweep over either Fiedler vector finds the same cut
+        assert ohmlab.graphs._DENSE_EIGEN_CAP < n <= ohmlab.graphs._DIRECT_VERTEX_CAP
+        g = random_regular(n, 3, seed)
+        lam, vec = _dense_lambda2(g)
+        lower, upper = conductance_bounds(g)
+        assert abs(2.0 * lower.phi - lam) <= n * np.finfo(float).eps * 2.0
+        assert upper.phi == ohmlab.graphs._sweep_cut(g, vec)[0]
+
+    def test_factor_path_matches_dense_on_weighted_multigraphs(self, random_multigraph):
+        rng = np.random.default_rng(15)
+        for _ in range(4):
+            n = int(rng.integers(500, 1001))
+            g = random_multigraph(rng, n, int(rng.integers(0, n)))
+            lam = ohmlab.graphs._lambda2(g)[0]
+            assert abs(lam - _dense_lambda2(g)[0]) <= n * np.finfo(float).eps * 2.0
+
 
 class TestGirth:
     def test_known_girths(self):
@@ -422,6 +494,14 @@ class TestCertificate:
 
 
 # -- reference implementations: the per-vertex loops the array code replaced --
+
+def _dense_lambda2(g):
+    """lambda_2 of the normalized Laplacian and its eigenvector by dense eigh;
+    its error is about n eps ||N||, with ||N|| <= 2."""
+    nl = ohmlab.graphs._normalized_laplacian(g).toarray()
+    vals, vecs = scipy.linalg.eigh(nl, subset_by_index=[1, 1])
+    return float(vals[0]), vecs[:, 0]
+
 
 def _reference_sweep(g, vec):
     """Best sweep ratio and witness, one vertex at a time with a running cut."""

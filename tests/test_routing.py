@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 import ohmlab
@@ -518,6 +519,28 @@ class TestCompetitiveReport:
         assert pcg == []
         assert sum(widths) == pairs
         assert widths == [width] * (pairs // width) + [pairs % width]
+
+    def test_one_factor_serves_lambda2_and_the_sweep(self, monkeypatch):
+        # above the dense eigensolver's cap, lambda_2 is read from the
+        # grounded factor that the sweep then reuses
+        g = random_regular(1000, 3, 1)
+        factors, dense = [], []
+        splu, eigh = scipy.sparse.linalg.splu, scipy.linalg.eigh
+
+        def counted_splu(*args, **kwargs):
+            factors.append(args[0].shape)
+            return splu(*args, **kwargs)
+
+        def counted_eigh(*args, **kwargs):
+            dense.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+        monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+        rep = competitive_report(g)
+        assert rep.phi_kind == "bracket"
+        assert factors == [(g.n - 1, g.n - 1)]
+        assert dense == []
 
     @pytest.mark.parametrize("k", [4, 5])
     def test_p2_token_is_the_svd_rounding(self, k):
