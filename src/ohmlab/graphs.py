@@ -11,7 +11,9 @@ normalized Laplacian and girth all read it, never per-vertex lists. Its one
 factorization, the cached `Multigraph.laplacian_factor` with vertex 0
 grounded, is built only up to _DIRECT_VERTEX_CAP vertices; there it serves
 the solves of linalg and, above _DENSE_EIGEN_CAP vertices, the conductance
-bracket's lambda_2.
+bracket's lambda_2. Above _DIRECT_VERTEX_CAP no factor is built, and
+lambda_2 comes from Lanczos on a Chebyshev filter of the normalized
+Laplacian, which needs only its sparse products.
 
 Vertex sets are numpy boolean masks of length n (bitset semantics). Helpers
 accept index iterables as well and normalize them.
@@ -87,10 +89,10 @@ _BFS_CHUNK_ENTRIES = 1 << 20
 # 3000 < n <= 7000, so the cap stays where it was measured to pay.
 _DIRECT_VERTEX_CAP = 3000
 # lambda_2 comes from dense eigh up to this many vertices, from Lanczos on
-# N^+ through the grounded factor up to _DIRECT_VERTEX_CAP, and from ARPACK
-# on N above. Medians of five runs or more on random 3-regular graphs (same
-# guest, runs about 20% apart; the factor path's time includes building the
-# factor, which the sweep's solves then reuse):
+# N^+ through the grounded factor up to _DIRECT_VERTEX_CAP, and from Lanczos
+# on a Chebyshev filter of N above. Medians of five runs or more on random
+# 3-regular graphs (same guest, runs about 20% apart; the factor path's time
+# includes building the factor, which the sweep's solves then reuse):
 #
 #        n   dense eigh   Lanczos on N^+
 #      200      0.002 s          0.0025 s
@@ -101,6 +103,23 @@ _DIRECT_VERTEX_CAP = 3000
 #     2000      0.85 s           0.045 s
 #     3000      2.4 s            0.09 s
 #
+# Above the direct cap, unshifted ARPACK on N (which="SA") against Lanczos on
+# the degree-_FILTER_DEGREE filter (medians of five generator seeds, one BLAS
+# thread):
+#
+#        n   ARPACK on N   Lanczos on the filter
+#     5000      0.069 s          0.036 s
+#    10000      0.16 s           0.086 s
+#    20000      0.76 s           0.27 s
+#
+# and on long cycles and paths, where lambda_2 is tiny (single runs):
+#
+#    cycle_graph(3200)   21 s                    0.30 s
+#    cycle_graph(3500)   29 s                    0.36 s
+#    path_graph(3500)    no convergence, 41 s    1.2-1.4 s
+#
+# The filter's lambda_2 lands within 1.5e-12 (relative) of the closed form
+# on that path and 1e-13 on those cycles.
 # On path and cycle graphs of 1000 to 3000 vertices the factor path lands
 # within 1e-12 (relative) of the closed-form lambda_2, dense eigh 1e-11 to
 # 1e-10 away. The cap is not lower because the sweep's phi_upper on some of
@@ -110,6 +129,10 @@ _DIRECT_VERTEX_CAP = 3000
 # (generator seeds 5, 6 and 8), so lowering it waits for a sweep that does
 # not depend on rounding.
 _DENSE_EIGEN_CAP = 400
+# degree of the Chebyshev filter above _DIRECT_VERTEX_CAP; even, so every
+# eigenvalue below the filter's interval maps above 1. Degrees 4, 6 and 8
+# took the same time at n = 20000 within the runs' spread
+_FILTER_DEGREE = 6
 
 
 @dataclass(frozen=True)
@@ -425,17 +448,43 @@ def _lambda2(g: Multigraph):
     Lanczos on N^+ restricted to the complement of u = sqrt(d) / ||sqrt(d)||,
     the operator x -> P D^1/2 L^+ D^1/2 P x with P = I - u u^T: its largest
     eigenvalue is 1 / lambda_2, and L^+ is one solve against the graph's
-    grounded factor, whose constant P removes. ARPACK on N itself above.
+    grounded factor, whose constant P removes.
+
+    Above, Lanczos on x -> P T_m(l(N)) P x, with T_m the Chebyshev
+    polynomial of degree m = _FILTER_DEGREE (m products with N by the
+    three-term recurrence) and l the affine map of [c, 2] onto [-1, 1],
+    c = n / (n - 1). The trace of N is n, so c is the mean of N's n - 1
+    eigenvalues off u and c >= lambda_2; 2 bounds them all. So [c, 2] maps
+    into |T_m| <= 1 and every eigenvalue below c above 1, the smallest
+    highest: the top eigenvector is the Fiedler vector, and no spectrum
+    estimate is needed. lambda_2 is returned as the Rayleigh quotient of the
+    projected Ritz vector x, summed over edges as
+    sum w (y_a - y_b)^2 / x^T x with y = D^-1/2 x, which has no cancellation
+    on long paths; being a Rayleigh quotient on u's complement, it is >=
+    lambda_2 (Courant-Fischer), the side every Ritz value falls on.
     """
     if g.n <= _DENSE_EIGEN_CAP:
         nl = _normalized_laplacian(g).toarray()
         vals, vecs = scipy.linalg.eigh(nl, subset_by_index=[0, 1])
         return max(float(vals[1]), 0.0), vecs[:, 1]
-    if g.n > _DIRECT_VERTEX_CAP:
-        vals, vecs = _eigsh(g, _normalized_laplacian(g), k=2, which="SA")
-        return max(float(vals[1]), 0.0), vecs[:, 1]
     sqrt_d = np.sqrt(g.weighted_degrees)
     u = sqrt_d / np.linalg.norm(sqrt_d)
+    if g.n > _DIRECT_VERTEX_CAP:
+        c = g.n / (g.n - 1)
+        mapped = _normalized_laplacian(g) * (2.0 / (2.0 - c))
+        mapped.setdiag(mapped.diagonal() - (c + 2.0) / (2.0 - c))
+
+        def filtered(x):
+            prev = x - u * (u @ x)
+            cur = mapped @ prev
+            for _ in range(_FILTER_DEGREE - 1):
+                prev, cur = cur, 2.0 * (mapped @ cur) - prev
+            return cur - u * (u @ cur)
+
+        x = _top_eigenpair(g, filtered)[1]
+        x -= u * (u @ x)
+        y = x / sqrt_d
+        return float(g.weights @ (y[g.tails] - y[g.heads]) ** 2) / float(x @ x), x
     factor = g.laplacian_factor
 
     def inverse(x):
@@ -445,18 +494,19 @@ def _lambda2(g: Multigraph):
         y *= sqrt_d
         return y - u * (u @ y)
 
-    op = sp.linalg.LinearOperator((g.n, g.n), matvec=inverse, dtype=np.float64)
-    vals, vecs = _eigsh(g, op, k=1, which="LA")
-    return 1.0 / float(vals[0]), vecs[:, 0]
+    theta, x = _top_eigenpair(g, inverse)
+    return 1.0 / theta, x
 
 
-def _eigsh(g: Multigraph, op, k: int, which: str):
-    """ARPACK's k extreme eigenpairs of op from a fixed start vector (its own
-    random start differs per call); no convergence is a ConvergenceError."""
+def _top_eigenpair(g: Multigraph, matvec) -> tuple:
+    """ARPACK's largest eigenvalue and its eigenvector of the symmetric n x n
+    operator x -> matvec(x), from a fixed start vector (its own random start
+    differs per call); no convergence is a ConvergenceError."""
     cap = max(10 * g.n, _EIGSH_MAXITER)
     v0 = np.random.default_rng(0).standard_normal(g.n)
+    op = sp.linalg.LinearOperator((g.n, g.n), matvec=matvec, dtype=np.float64)
     try:
-        return sp.linalg.eigsh(op, k=k, which=which, maxiter=cap, tol=1e-10, v0=v0)
+        vals, vecs = sp.linalg.eigsh(op, k=1, which="LA", maxiter=cap, tol=1e-10, v0=v0)
     except sp.linalg.ArpackNoConvergence as exc:
         found = exc.eigenvectors
         best = found[:, -1] if found is not None and found.size else None
@@ -465,6 +515,7 @@ def _eigsh(g: Multigraph, op, k: int, which: str):
             best=best,
             iterations=cap,
         ) from exc
+    return float(vals[0]), vecs[:, 0]
 
 
 def _sweep_cut(g: Multigraph, vec: np.ndarray) -> tuple:
@@ -504,8 +555,11 @@ def conductance_bounds(g: Multigraph) -> tuple:
     itself at most sqrt(2 lambda_2). lambda_2 comes from dense eigh up to
     `_DENSE_EIGEN_CAP` vertices; up to `_DIRECT_VERTEX_CAP`, from Lanczos on
     the pseudo-inverse, one solve per step against the graph's cached
-    grounded factor; above, from ARPACK on the sparse matrix. Both Lanczos
-    runs start from a fixed vector, so repeated calls return equal floats.
+    grounded factor; above, from Lanczos on a Chebyshev polynomial filter of
+    the sparse matrix, `_FILTER_DEGREE` products per step, whose top
+    eigenvector is the Fiedler vector (`_lambda2`). Both Lanczos runs start
+    from a fixed vector, so repeated calls return equal floats, and both
+    return a value >= lambda_2 up to rounding.
     """
     if not g.is_connected:
         raise DisconnectedError("conductance bounds need a connected graph")

@@ -397,7 +397,9 @@ def competitive_report(
     those solves. An edgeless graph is refused before any conductance work.
     Up to the direct vertex cap the graph's Laplacian is factored once: above
     the dense eigensolver's cap the bracket's lambda_2 reads that factor, and
-    the sweep's solves reuse it.
+    the sweep's solves reuse it. Above the direct cap lambda_2 comes from
+    Lanczos on a Chebyshev filter of the normalized Laplacian, with no
+    factor, and the sweep runs conjugate gradient.
     """
     _require_edges(g)
     lower, upper = _conductance(g, exact_n_cap)

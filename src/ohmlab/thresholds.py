@@ -209,10 +209,20 @@ def profile_from_voltages(
 
 
 def threshold_profile(g: Multigraph, chi: np.ndarray) -> ThresholdProfile:
-    """Solve for the demand's voltages and build the centered profile."""
+    """Solve for the demand's voltages and build the centered profile.
+
+    The voltages are harmonic off the demand's support, so by the maximum
+    principle the support's extremes bound them all. The solve is clamped to
+    that range: a voltage within eps of exact stays within eps, and one that
+    rounding pushed past the sink no longer opens an interval whose threshold
+    set is not a source-sink cut."""
     chi = validate_demand(g, chi)
     rep = solve_laplacian(g, chi)
-    return profile_from_voltages(g, rep.solution, solver_residual=rep.residual_norm)
+    voltages = rep.solution
+    if chi.any():
+        support = voltages[chi != 0]
+        voltages = np.clip(voltages, support.min(), support.max())
+    return profile_from_voltages(g, voltages, solver_residual=rep.residual_norm)
 
 
 def mirrored_profile(profile: ThresholdProfile) -> ThresholdProfile:

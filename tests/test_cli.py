@@ -130,6 +130,15 @@ class TestDiagnose:
         res = invoke(runner, ["diagnose", small_graph])
         assert res.exit_code == 0
 
+    @pytest.mark.parametrize("n, edge", [(3, 0), (3, 1), (4, 0), (50, 10), (50, 48)])
+    def test_short_paths_exit_zero(self, runner, tmp_path, n, edge):
+        # a voltage rounded one ulp past the sink used to fail the
+        # crossing-flow check with exit code 2
+        p = tmp_path / "path.txt"
+        write_graph(path_graph(n), p)
+        res = invoke(runner, ["--no-timestamp", "diagnose", str(p), "--edge", str(edge)])
+        assert res.exit_code == 0, res.output
+
 
 class TestSparsify:
     def test_path_instance(self, runner, tmp_path):

@@ -140,6 +140,13 @@ class TestConductanceExact:
             conductance_exact(g, max_n=24)
 
 
+def _grid(a, b):
+    """a x b grid graph, vertex i * b + j at row i, column j."""
+    edges = [(i * b + j, i * b + j + 1) for i in range(a) for j in range(b - 1)]
+    edges += [(i * b + j, (i + 1) * b + j) for i in range(a - 1) for j in range(b)]
+    return Multigraph.from_edges(a * b, edges)
+
+
 class TestConductanceBounds:
     def test_bracket_and_ordering(self):
         for seed in (1, 2, 3):
@@ -202,55 +209,80 @@ class TestConductanceBounds:
         assert info.value.best.shape == (18,)
 
     def test_arpack_path_is_reproducible(self, monkeypatch):
-        # above the direct cap no factor is built, so ARPACK runs on N itself
+        # above the direct cap no factor is built, so ARPACK finds the top
+        # eigenvalue of the Chebyshev filter of N
         import scipy.sparse.linalg
 
         g = random_regular(60, 3, 1)
-        eigsh, which = scipy.sparse.linalg.eigsh, []
+        eigsh, calls = scipy.sparse.linalg.eigsh, []
 
         def recorded(*args, **kwargs):
-            which.append(kwargs["which"])
+            calls.append((kwargs["k"], kwargs["which"]))
             return eigsh(*args, **kwargs)
 
         monkeypatch.setattr(ohmlab.graphs, "_DENSE_EIGEN_CAP", 4)
         monkeypatch.setattr(ohmlab.graphs, "_DIRECT_VERTEX_CAP", 4)
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorded)
         first, second = conductance_bounds(g)[0].phi, conductance_bounds(g)[0].phi
-        assert which == ["SA", "SA"]
+        assert calls == [(1, "LA"), (1, "LA")]
         assert first == second
         assert first == pytest.approx(_dense_lambda2(g)[0] / 2.0, rel=0.0, abs=1e-10)
 
     def test_arpack_path_failure_is_convergence_error(self, monkeypatch):
         import scipy.sparse.linalg
 
-        which = []
+        calls = []
 
         def no_convergence(*args, **kwargs):
-            which.append(kwargs["which"])
-            raise scipy.sparse.linalg.ArpackNoConvergence("stalled", np.zeros(2),
-                                                          np.zeros((18, 2)))
+            calls.append((kwargs["k"], kwargs["which"]))
+            raise scipy.sparse.linalg.ArpackNoConvergence("stalled", np.zeros(1),
+                                                          np.zeros((18, 1)))
 
         monkeypatch.setattr(ohmlab.graphs, "_DENSE_EIGEN_CAP", 4)
         monkeypatch.setattr(ohmlab.graphs, "_DIRECT_VERTEX_CAP", 4)
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
         with pytest.raises(ohmlab.ConvergenceError) as info:
             conductance_bounds(random_regular(18, 3, 7))
-        assert which == ["SA"]
+        assert calls == [(1, "LA")]
         assert info.value.iterations == 10_000
         assert info.value.best.shape == (18,)
 
-    @pytest.mark.parametrize("shape", ["path", "cycle"])
-    def test_long_path_and_cycle_match_closed_forms(self, shape):
+    @pytest.mark.parametrize("shape, n", [
+        pytest.param("path", 2500, id="path"),
+        pytest.param("cycle", 2500, id="cycle"),
+        pytest.param("path", 3500, id="path-above-cap"),
+        pytest.param("cycle", 3200, id="cycle-above-cap"),
+    ])
+    def test_long_path_and_cycle_match_closed_forms(self, shape, n):
         # lambda_2 / 2 of N is sin^2(pi / (2 (n - 1))) on a path and
-        # sin^2(pi / n) on a cycle; unshifted ARPACK on N gave up on this
-        # path and missed the cycle's 11th digit
-        n = 2500
+        # sin^2(pi / n) on a cycle. n = 2500 takes the factor path, 3200 and
+        # 3500 the Chebyshev filter above the direct cap. Unshifted ARPACK on
+        # N gave up on these paths (path_graph(3500) after 41 s) and missed
+        # the cycles' 11th digit
         if shape == "path":
             g, want = path_graph(n), np.sin(np.pi / (2 * (n - 1))) ** 2
         else:
             g, want = cycle_graph(n), np.sin(np.pi / n) ** 2
         lower, _ = conductance_bounds(g)
         assert lower.phi == pytest.approx(want, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("g", [cycle_graph(10), _grid(4, 5), complete_graph(8)],
+                             ids=["even-cycle", "grid", "complete"])
+    def test_filter_path_edge_cases(self, g, monkeypatch):
+        # the filter maps [c, 2], c = n / (n - 1), onto [-1, 1]. Bipartite
+        # graphs put lambda_max = 2 on its upper end; on complete_graph(8)
+        # lambda_2 = c, every eigenvalue off sqrt(d) sits on the lower end,
+        # and the filtered operator is the projector P itself
+        lam, _ = _dense_lambda2(g)
+        exact = conductance_exact(g).phi
+        monkeypatch.setattr(ohmlab.graphs, "_DENSE_EIGEN_CAP", 4)
+        monkeypatch.setattr(ohmlab.graphs, "_DIRECT_VERTEX_CAP", 4)
+        got, vec = ohmlab.graphs._lambda2(g)
+        assert abs(got - lam) <= 2.0 * g.n * np.finfo(float).eps
+        assert abs(vec @ np.sqrt(g.weighted_degrees)) <= 1e-12 * np.linalg.norm(vec)
+        lower, upper = conductance_bounds(g)
+        assert lower.phi <= exact + 1e-14
+        assert exact <= upper.phi * (1.0 + 1e-13)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [402, 1000])

@@ -29,8 +29,10 @@ from ohmlab import (  # noqa: E402
     induced_pnorm_nonneg,
     path_graph,
     random_regular,
+    route_electrical,
     schur_complement,
     schur_edge_weights,
+    solve_laplacian,
     volume,
 )
 from ohmlab.linalg import solve_laplacian_block  # noqa: E402
@@ -44,10 +46,10 @@ LIGHT_CORNER = Multigraph(3, np.array([1, 2, 1]), np.array([0, 0, 0]),
 
 
 @st.composite
-def weighted_multigraphs(draw, max_n=9):
+def weighted_multigraphs(draw, max_n=9, min_n=2):
     """Connected multigraph: a random spanning tree, extra edges, parallel
     copies of some of them, log-uniform weights in [1, 1e6], vertex ids shuffled."""
-    n = draw(st.integers(2, max_n))
+    n = draw(st.integers(min_n, max_n))
     edges = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     edges += draw(st.lists(pair.filter(lambda e: e[0] != e[1]), max_size=2 * n))
@@ -110,6 +112,52 @@ def test_cheeger_bracket_contains_exact(g):
     s = upper.witness
     assert volume(g, s) <= volume(g, ~s)
     assert cut_weight(g, s) / volume(g, s) == pytest.approx(upper.phi, rel=1e-13, abs=0.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(weighted_multigraphs(min_n=5))
+def test_filtered_lambda2_matches_dense(g):
+    # with both caps at 4 every graph here takes the Chebyshev-filtered
+    # Lanczos path; dense eigh is off by about n eps ||N|| with ||N|| <= 2
+    nl = ohmlab.graphs._normalized_laplacian(g).toarray()
+    dense = scipy.linalg.eigh(nl, eigvals_only=True, subset_by_index=[1, 1])[0]
+    exact = conductance_exact(g).phi
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ohmlab.graphs, "_DENSE_EIGEN_CAP", 4)
+        mp.setattr(ohmlab.graphs, "_DIRECT_VERTEX_CAP", 4)
+        lam, vec = ohmlab.graphs._lambda2(g)
+        lower, upper = conductance_bounds(g)
+    assert abs(lam - dense) <= 4.0 * g.n * EPS
+    assert lower.phi == lam / 2.0
+    assert upper.phi == ohmlab.graphs._sweep_cut(g, vec)[0]
+    assert lower.phi <= exact + 1e-14
+    assert exact <= upper.phi * (1.0 + 1e-13)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(weighted_multigraphs())
+@example(LIGHT_CORNER)
+def test_conjugate_gradient_and_factor_solves_agree(g):
+    # diagnose above the direct cap reads the conjugate-gradient solve, every
+    # other caller the factor; each meets ||L x - b|| <= _SOLVE_TOL ||b||, so
+    # two sum-zero solutions differ by at most twice that over lambda_2(L)
+    eigs = np.linalg.eigvalsh(g.laplacian.toarray())
+    inc = incidence(g)
+    b = inc.toarray()
+    tol = ohmlab.linalg._SOLVE_TOL * np.linalg.norm(b, axis=0)
+    block, block_res = solve_laplacian_block(g, b)
+    for j in range(g.m):
+        rep = solve_laplacian(g, b[:, j])
+        for x, res in ((rep.solution, rep.residual_norm), (block[:, j], block_res[j])):
+            assert res <= tol[j]
+            assert abs(x.sum()) <= 100.0 * EPS * g.n * np.abs(x).max()
+        slack = 100.0 * EPS * (eigs[-1] / eigs[1]) * np.linalg.norm(block[:, j])
+        assert np.linalg.norm(rep.solution - block[:, j]) <= 2.0 * tol[j] / eigs[1] + slack
+        # the routed flow meets the demand: B f = b up to the same contract
+        # and the rounding of summing each vertex's flows
+        f = route_electrical(g, b[:, j])
+        miss = np.linalg.norm(inc @ f - b[:, j])
+        assert miss <= tol[j] + 10.0 * EPS * np.linalg.norm(abs(inc) @ np.abs(f))
 
 
 def _check_laplacian_factor(g):

@@ -400,3 +400,53 @@ class TestProfileConstruction:
         g = cycle_graph(6)
         prof = threshold_profile(g, edge_demand(g, 0))
         assert 0.0 <= prof.solver_residual <= 1e-10 * np.sqrt(2.0)
+
+
+def _spider(legs):
+    """Tree of paths with the given numbers of edges hanging off vertex 0."""
+    edges, n = [], 1
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    return Multigraph.from_edges(n, edges)
+
+
+def _lollipop(k, tail):
+    """cycle_graph(k) with a pendant path of `tail` edges at vertex k - 1."""
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(k - 1 + i, k + i) for i in range(tail)]
+    return Multigraph.from_edges(k + tail, edges)
+
+
+def _random_tree(n, seed):
+    rng = np.random.default_rng(seed)
+    return Multigraph.from_edges(n, [(i, int(rng.integers(i))) for i in range(1, n)])
+
+
+class TestMaximumPrinciple:
+    # on path_graph(3) edge 0 the solve put vertex 2 at -0.33333333333333337,
+    # one ulp below the sink; that opened an interval whose threshold set is
+    # not a source-sink cut, with crossing flow 5.55e-17 instead of 1
+    @pytest.mark.parametrize("g, edges", [
+        (ohmlab.path_graph(3), [0, 1]),
+        (ohmlab.path_graph(4), [0, 1, 2]),
+        (ohmlab.path_graph(50), [10, 48]),
+        (_spider([1, 2, 5]), range(8)),
+        (_lollipop(6, 5), range(11)),
+        (_random_tree(30, 1), range(29)),
+        (_random_tree(30, 2), range(29)),
+    ], ids=["path3", "path4", "path50", "spider", "lollipop", "tree30-1", "tree30-2"])
+    def test_clamped_profile_is_a_unit_flow(self, g, edges):
+        pinv = np.linalg.pinv(g.laplacian.toarray())
+        for e in edges:
+            chi = edge_demand(g, e)
+            prof = threshold_profile(g, chi)
+            assert check_unit_flow(prof) <= 1e-8, e
+            v = prof.voltages
+            support = v[chi != 0]
+            assert (v.min(), v.max()) == (support.min(), support.max())
+            want = pinv @ chi
+            got = v + prof.center_shift
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), e
