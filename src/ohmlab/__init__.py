@@ -82,7 +82,6 @@ from .thresholds import (
     crossing_flow,
     diagnostic_rows,
     fractional_volume,
-    mirrored_profile,
     padded_volume,
     profile_from_voltages,
     threshold_cut,

@@ -9,11 +9,12 @@ Adjacency lives in one place, the cached `Multigraph.laplacian`: component
 labels, the exact conductance's cut tables, the conductance bracket's
 normalized Laplacian and girth all read it, never per-vertex lists. Its one
 factorization, the cached `Multigraph.laplacian_factor` with vertex 0
-grounded, is built only up to _DIRECT_VERTEX_CAP vertices; there it serves
-the solves of linalg and, above _DENSE_EIGEN_CAP vertices, the conductance
-bracket's lambda_2. Above _DIRECT_VERTEX_CAP no factor is built, and
-lambda_2 comes from Lanczos on a Chebyshev filter of the normalized
-Laplacian, which needs only its sparse products.
+grounded, decides by itself whether to exist: only up to _DIRECT_VERTEX_CAP
+vertices. Where it exists it serves the solves of linalg, the all-pairs
+sweep's block width and, above _DENSE_EIGEN_CAP vertices, the conductance
+bracket's lambda_2. Where it does not, lambda_2 comes from Lanczos on a
+Chebyshev filter of the normalized Laplacian, which needs only its sparse
+products.
 
 Vertex sets are numpy boolean masks of length n (bitset semantics). Helpers
 accept index iterables as well and normalize them.
@@ -202,15 +203,17 @@ class Multigraph:
     def laplacian_factor(self) -> Optional[scipy.sparse.linalg.SuperLU]:
         """Symmetric-mode sparse LU, diagonal pivots, of the Laplacian with
         vertex 0 grounded (its row and column removed), factored once on
-        first use; None when the graph is disconnected or has one vertex.
-        Up to _DIRECT_VERTEX_CAP vertices linalg's solves and the
-        conductance bracket's lambda_2 both read it; above, neither builds it.
+        first use; None, with nothing factored, above _DIRECT_VERTEX_CAP
+        vertices, on a disconnected graph or on one vertex. This is the one
+        place the cap is checked: linalg's solves, the all-pairs sweep's
+        block width and the conductance bracket's lambda_2 each take their
+        factored path exactly when this is not None.
 
         The grounded block of a connected graph is symmetric positive
         definite, so every pivot is on the diagonal (perm_r == perm_c).
         SuperLU's symmetric mode then gives the same fill as its general
         mode and about half the block-solve time on 3-regular graphs."""
-        if self.n < 2 or not self.is_connected:
+        if not 2 <= self.n <= _DIRECT_VERTEX_CAP or not self.is_connected:
             return None
         grounded = sp.csc_array(self.laplacian[1:, 1:])
         return scipy.sparse.linalg.splu(
@@ -444,13 +447,14 @@ def _normalized_laplacian(g: Multigraph) -> sp.csr_array:
 def _lambda2(g: Multigraph):
     """Second-smallest normalized-Laplacian eigenvalue and its eigenvector.
 
-    Dense eigh up to _DENSE_EIGEN_CAP vertices. Up to _DIRECT_VERTEX_CAP,
-    Lanczos on N^+ restricted to the complement of u = sqrt(d) / ||sqrt(d)||,
-    the operator x -> P D^1/2 L^+ D^1/2 P x with P = I - u u^T: its largest
-    eigenvalue is 1 / lambda_2, and L^+ is one solve against the graph's
-    grounded factor, whose constant P removes.
+    Dense eigh up to _DENSE_EIGEN_CAP vertices. Above, when the graph has a
+    Laplacian factor (Multigraph.laplacian_factor, which is None above
+    _DIRECT_VERTEX_CAP), Lanczos on N^+ restricted to the complement of
+    u = sqrt(d) / ||sqrt(d)||, the operator x -> P D^1/2 L^+ D^1/2 P x with
+    P = I - u u^T: its largest eigenvalue is 1 / lambda_2, and L^+ is one
+    solve against the grounded factor, whose constant P removes.
 
-    Above, Lanczos on x -> P T_m(l(N)) P x, with T_m the Chebyshev
+    Without a factor, Lanczos on x -> P T_m(l(N)) P x, with T_m the Chebyshev
     polynomial of degree m = _FILTER_DEGREE (m products with N by the
     three-term recurrence) and l the affine map of [c, 2] onto [-1, 1],
     c = n / (n - 1). The trace of N is n, so c is the mean of N's n - 1
@@ -469,7 +473,8 @@ def _lambda2(g: Multigraph):
         return max(float(vals[1]), 0.0), vecs[:, 1]
     sqrt_d = np.sqrt(g.weighted_degrees)
     u = sqrt_d / np.linalg.norm(sqrt_d)
-    if g.n > _DIRECT_VERTEX_CAP:
+    factor = g.laplacian_factor
+    if factor is None:
         c = g.n / (g.n - 1)
         mapped = _normalized_laplacian(g) * (2.0 / (2.0 - c))
         mapped.setdiag(mapped.diagonal() - (c + 2.0) / (2.0 - c))
@@ -485,7 +490,6 @@ def _lambda2(g: Multigraph):
         x -= u * (u @ x)
         y = x / sqrt_d
         return float(g.weights @ (y[g.tails] - y[g.heads]) ** 2) / float(x @ x), x
-    factor = g.laplacian_factor
 
     def inverse(x):
         rhs = sqrt_d * (x - u * (u @ x))

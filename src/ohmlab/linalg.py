@@ -4,15 +4,14 @@ The signed incidence matrix B is n x m with B[tail, e] = -1 and
 B[head, e] = +1 for edge e = (tail, head). The Laplacian L = B W B^T is
 solved only on the sum-zero subspace; the pseudo-inverse is never formed.
 
-Two solve methods, picked by the graph alone. Up to _DIRECT_VERTEX_CAP
-vertices (set in graphs.py, where the same cap picks lambda_2's path) a
-graph's Laplacian is factored once, with vertex 0 grounded, by
-symmetric-mode LU with diagonal pivots, and solve_laplacian_block solves
-blocks of demands against that factor. Above the cap, and for any column
-the factor misses, solve_laplacian's Jacobi-preconditioned conjugate
-gradient runs. Both meet the same contract, fixed at _SOLVE_TOL: the
-solution sums to zero and its true residual satisfies
-||L x - b|| <= 1e-10 ||b|| for the centred demand b.
+Two solve methods, picked by the graph alone. Where the graph has a
+Laplacian factor (`Multigraph.laplacian_factor`: vertex 0 grounded,
+symmetric-mode LU with diagonal pivots, built once and only up to the
+vertex cap graphs.py sets), solve_laplacian_block solves blocks of demands
+against it. Without one, and for any column the factor misses,
+solve_laplacian's Jacobi-preconditioned conjugate gradient runs. Both meet
+the same contract, fixed at _SOLVE_TOL: the solution sums to zero and its
+true residual satisfies ||L x - b|| <= 1e-10 ||b|| for the centred demand b.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConvergenceError, DisconnectedError
-from .graphs import _DIRECT_VERTEX_CAP, Multigraph
+from .graphs import Multigraph
 
 __all__ = [
     "SolveReport",
@@ -79,13 +78,6 @@ _SOLVE_TOL = 1e-10
 _BLOCK_COLUMNS = 128
 
 
-def _direct_factor(g: Multigraph):
-    """The graph's cached symmetric-mode LU factor, diagonal pivots
-    (Multigraph.laplacian_factor), when g has at most _DIRECT_VERTEX_CAP
-    vertices, else None; above the cap no factor is built."""
-    return g.laplacian_factor if g.n <= _DIRECT_VERTEX_CAP else None
-
-
 def _iteration_cap(g: Multigraph) -> int:
     # crude condition estimate; only the order of magnitude matters for a cap
     w = g.weights
@@ -134,8 +126,8 @@ def solve_laplacian(g: Multigraph, b: np.ndarray) -> SolveReport:
     heuristic; hitting the cap raises a convergence error carrying the best
     iterate.
 
-    solve_laplacian_block runs this solver for every column above the direct
-    vertex cap and for any column its LU factor misses.
+    solve_laplacian_block runs this solver for every column of a graph
+    without a Laplacian factor and for any column the factor misses.
     """
     if not g.is_connected:
         raise DisconnectedError("Laplacian solve needs a connected graph")
@@ -210,17 +202,17 @@ def solve_laplacian_block(g: Multigraph, b: np.ndarray) -> Tuple[np.ndarray, np.
     Every column meets solve_laplacian's contract, whichever method made it:
     b is centred (a non-finite entry or sum drift beyond
     10 * _SOLVE_TOL * ||b|| is an error), the solution sums to zero, and
-    ||L x - b|| <= _SOLVE_TOL * ||b||. Up to _DIRECT_VERTEX_CAP vertices each
-    column is a grounded solve against the graph's cached symmetric-mode LU
-    factor (diagonal pivots), centred, whose true residual is checked; a
-    column that misses the bound is solved again with solve_laplacian. Above
-    the cap, or on a disconnected graph, every column is a solve_laplacian
-    call.
+    ||L x - b|| <= _SOLVE_TOL * ||b||. When the graph has a Laplacian factor
+    (Multigraph.laplacian_factor) each column is a grounded solve against
+    it, centred, whose true residual is checked; a column that misses the
+    bound is solved again with solve_laplacian. Without a factor (above the
+    vertex cap, or on a disconnected graph) every column is a
+    solve_laplacian call.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 2 or b.shape[0] != g.n:
         raise ValueError(f"demand block must have n={g.n} rows")
-    lu = _direct_factor(g)
+    lu = g.laplacian_factor
     x = np.zeros_like(b)
     # NaN until a column is solved: a NaN residual counts as a miss
     residuals = np.full(b.shape[1], np.nan)

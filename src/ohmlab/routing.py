@@ -34,7 +34,6 @@ from .linalg import (
     _BLOCK_COLUMNS,
     _centred,
     _check_p,
-    _direct_factor,
     incidence,
     induced_pnorm_nonneg,
     laplacian,
@@ -183,9 +182,9 @@ def _sweep(
     g: Multigraph, signed: bool = False
 ) -> Tuple[np.ndarray, Optional[np.ndarray], float]:
     """One solve per distinct endpoint pair, in blocks of _BLOCK_COLUMNS pairs
-    on the direct path and of one pair above the cap: conjugate gradient
-    solves one column per call anyway, so there the sweep holds one voltage
-    vector, as a single solve does.
+    when the graph has a Laplacian factor and of one pair when it has none:
+    conjugate gradient solves one column per call anyway, so there the sweep
+    holds one voltage vector, as a single solve does.
 
     Returns the l1 flow norm sum_f w(f) |v(head) - v(tail)| of every edge's
     unit demand (parallel edges share their pair's value), the dense signed
@@ -197,7 +196,7 @@ def _sweep(
     pi = np.empty((g.m, g.m)) if signed else None
     max_residual = 0.0
     groups = list(_endpoint_pairs(g).items())
-    width = _BLOCK_COLUMNS if _direct_factor(g) is not None else 1
+    width = _BLOCK_COLUMNS if g.laplacian_factor is not None else 1
     for start in range(0, len(groups), width):
         block = groups[start:start + width]
         lows, highs = zip(*(pair for pair, _ in block))

@@ -16,6 +16,10 @@ r = searchsorted(bp, t, 'left'), the interval (bp[r-1], bp[r]] whose crossing
 set {v(a) < t <= v(b)} is the edges with v(a) <= bp[r-1] and v(b) >= bp[r];
 rows 0 (t <= t_min) and len(bp) (t > t_max) cross nothing and have vol_geq
 vol(V) and 0. In row r, vol_geq(t) = vol_geq(bp[r]) + (bp[r] - t) * decay.
+The table also holds vol_leq at each row's left end, the volume of the low
+side {v <= t} that the derivative check divides by at t <= 0; it is summed
+from the low end, never taken as vol(V) - vol_geq, which cancels when the low
+side is light. In row r, vol_leq(t) = vol_leq(bp[r-1]) + (t - bp[r-1]) * decay.
 Only the centering bisection (`_vol_geq_arrays`) still scans every edge per
 threshold: `ohmlab diagnose` prints its residual, which the scan keeps as is.
 
@@ -39,7 +43,6 @@ __all__ = [
     "ThresholdProfile",
     "threshold_profile",
     "profile_from_voltages",
-    "mirrored_profile",
     "threshold_cut",
     "threshold_cut_weight",
     "fractional_volume",
@@ -71,9 +74,6 @@ class ThresholdProfile:
     voltage solve, 0.0 for profiles built from explicit voltages.
     """
 
-    n: int
-    tails: np.ndarray
-    heads: np.ndarray
     weights: np.ndarray
     voltages: np.ndarray
     va: np.ndarray
@@ -95,20 +95,26 @@ class ThresholdProfile:
     @cached_property
     def table(self) -> np.ndarray:
         """Read-only, one row per threshold interval (module docstring): cut
-        weight, decay rate, crossing flow, and vol_geq at the right end."""
+        weight, decay rate, crossing flow, vol_geq at the right end and
+        vol_leq at the left end."""
         bp, w, span = self.breakpoints, self.weights, self.va < self.vb
         ws, gs = w[span], self.vb[span] - self.va[span]
-        rows = np.zeros((bp.size + 1, 4))
+        rows = np.zeros((bp.size + 1, 5))
         columns = [ws, 2.0 * ws / gs, ws * gs]
         rows[1:-1, :3] = _interval_sums(bp, self.va[span], self.vb[span], columns).T
         # vol_geq(bp[r]) adds, at each bp[j] >= bp[r], the zero-gap edges
         # there and the volume lost across the interval above it; spanning
-        # [bp[0], bp[j]], the term at bp[j] lands in every row r <= j
-        at_point = np.append(rows[1:-1, 1] * np.diff(bp), 0.0) + np.bincount(
-            np.searchsorted(bp, self.va[~span]), 2.0 * w[~span], minlength=bp.size
-        )
-        rows[1:-1, 3] = _interval_sums(bp, np.full(bp.size, bp[0]), bp, [at_point])[0]
-        rows[0, 3] = self.total_volume
+        # [bp[0], bp[j]], the term at bp[j] lands in every row r <= j.
+        # vol_leq(bp[r - 1]) adds the same from below: the zero-gap edges at
+        # each bp[j] <= bp[r - 1] and the volume gained across the interval
+        # below it, spanning [bp[j], bp[-1]]
+        lost = rows[1:-1, 1] * np.diff(bp)
+        flat = np.bincount(np.searchsorted(bp, self.va[~span]), 2.0 * w[~span],
+                           minlength=bp.size)
+        low, high = np.full(bp.size, bp[0]), np.full(bp.size, bp[-1])
+        rows[1:-1, 3] = _interval_sums(bp, low, bp, [np.append(lost, 0.0) + flat])[0]
+        rows[1:-1, 4] = _interval_sums(bp, bp, high, [np.insert(lost, 0, 0.0) + flat])[0]
+        rows[0, 3] = rows[-1, 4] = self.total_volume
         rows.setflags(write=False)
         return rows
 
@@ -117,7 +123,7 @@ def _rows_at(profile: ThresholdProfile, t):
     """(cut weight, decay rate, crossing flow, vol_geq) at thresholds t."""
     bp = profile.breakpoints
     r = np.searchsorted(bp, t, "left")
-    cut, decay, flow, right = profile.table[r].T
+    cut, decay, flow, right, _ = profile.table[r].T
     return cut, decay, flow, right + (bp[np.minimum(r, bp.size - 1)] - t) * decay
 
 
@@ -182,9 +188,7 @@ def profile_from_voltages(
     v = np.asarray(voltages, dtype=np.float64)
     if v.shape != (g.n,):
         raise ValueError(f"voltages must have length n={g.n}")
-    raw_va = v[g.tails]
-    raw_vb = v[g.heads]
-    flip = raw_va > raw_vb
+    flip = v[g.tails] > v[g.heads]
     tails = np.where(flip, g.heads, g.tails)
     heads = np.where(flip, g.tails, g.heads)
     total = float(g.weighted_degrees.sum())
@@ -193,10 +197,7 @@ def profile_from_voltages(
     shift, residual = _center_shift(va, vb, g.weights, total)
     centered = v - shift
     return ThresholdProfile(
-        n=g.n,
-        tails=tails,
-        heads=heads,
-        weights=g.weights.copy(),
+        weights=g.weights,
         voltages=centered,
         va=centered[tails],
         vb=centered[heads],
@@ -223,30 +224,6 @@ def threshold_profile(g: Multigraph, chi: np.ndarray) -> ThresholdProfile:
         support = voltages[chi != 0]
         voltages = np.clip(voltages, support.min(), support.max())
     return profile_from_voltages(g, voltages, solver_residual=rep.residual_norm)
-
-
-def mirrored_profile(profile: ThresholdProfile) -> ThresholdProfile:
-    """The profile of the negated voltages (swaps source and sink sides).
-
-    Per-edge volumes satisfy vol'_geq(t) = vol(V) - vol_geq(-t), so the
-    mirror of a centered profile is centered; the bound checks run the mirror
-    to cover thresholds t <= 0 of the original.
-    """
-    neg = -profile.voltages
-    return ThresholdProfile(
-        n=profile.n,
-        tails=profile.heads,
-        heads=profile.tails,
-        weights=profile.weights,
-        voltages=neg,
-        va=-profile.vb,
-        vb=-profile.va,
-        center_shift=-profile.center_shift,
-        center_residual=profile.center_residual,
-        breakpoints=np.sort(-profile.breakpoints),
-        total_volume=profile.total_volume,
-        solver_residual=profile.solver_residual,
-    )
 
 
 def threshold_cut(profile: ThresholdProfile, t: float) -> np.ndarray:
@@ -346,21 +323,27 @@ def check_derivative_bounds(
 ) -> DerivativeCheckReport:
     """Check both derivative inequalities at interval midpoints.
 
-    Samples cover the midpoints at t >= 0 on the profile and, through the
-    mirrored profile, t <= 0 of the original, each side thinned evenly to
-    `samples` points (every midpoint when samples is None or <= 0); phi
-    must be a valid conductance (lower bound) for the graph, and a smaller
-    phi only weakens the ratio inequality.
+    Samples cover the midpoints at t >= 0, where the volume is vol_geq(t),
+    and those at t <= 0, where it is vol_leq(t), the volume of the low side
+    {v <= t}; each side is thinned evenly from 0 outwards to `samples`
+    points (every midpoint when samples is None or <= 0). Both sides read
+    the one interval table. phi must be a valid conductance (lower bound)
+    for the graph, and a smaller phi only weakens the ratio inequality.
     """
     if not phi > 0.0:
         raise ValueError(f"phi must be positive, got {phi}")
-    sides = []
-    for sign, prof in ((1.0, profile), (-1.0, mirrored_profile(profile))):
-        bp = prof.breakpoints
-        mids = 0.5 * (bp[:-1] + bp[1:])
-        t = _thin(mids[mids >= 0.0], samples)
-        sides.append((sign * t, *_rows_at(prof, t)))
-    t, delta, decay, _, vol = map(np.concatenate, zip(*sides))
+    bp = profile.breakpoints
+    mids = 0.5 * (bp[:-1] + bp[1:])
+    up = _thin(mids[mids >= 0.0], samples)
+    down = -_thin(-mids[mids <= 0.0][::-1], samples)
+    # the low side's crossing set is {v(a) <= t < v(b)}: a midpoint that
+    # rounded onto a breakpoint reads the interval above it
+    r = np.searchsorted(bp, down, "right")
+    low_delta, low_decay, _, _, left = profile.table[r].T
+    delta, decay, _, vol = _rows_at(profile, up)
+    t = np.concatenate([up, down])
+    delta, decay = np.concatenate([delta, low_delta]), np.concatenate([decay, low_decay])
+    vol = np.concatenate([vol, left + (down - bp[r - 1]) * low_decay])
     lhs = 2.0 * delta * delta
     quad = (lhs - decay) / np.maximum(np.maximum(np.abs(lhs), np.abs(decay)), 1.0)
     allowed = (3.0 / (2.0 * phi)) * decay / (vol + 1.0)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,28 @@ class TestRunDiagnose:
     def test_edge_out_of_range(self):
         with pytest.raises(ValueError):
             run_diagnose(cycle_graph(4), 99)
+
+    def test_one_profile_one_table(self, monkeypatch):
+        # both half-axes of the derivative check read the profile's one table
+        cls = ohmlab.thresholds.ThresholdProfile
+        build, made, tabled = cls.table.func, [], []
+
+        def construct(*args, **kwargs):
+            made.append(cls(*args, **kwargs))
+            return made[-1]
+
+        def table(profile):
+            tabled.append(profile)
+            return build(profile)
+
+        counted = functools.cached_property(table)
+        counted.__set_name__(cls, "table")
+        monkeypatch.setattr(ohmlab.thresholds, "ThresholdProfile", construct)
+        monkeypatch.setattr(cls, "table", counted)
+        res = run_diagnose(random_regular(30, 3, 1), 0, samples=5)
+        assert res.violations == [] and len(res.rows) == 5
+        assert len(made) == 1
+        assert len(tabled) == 1 and tabled[0] is made[0]
 
 
 class TestRunSparsify:

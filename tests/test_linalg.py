@@ -196,7 +196,7 @@ class TestNonFiniteDemand:
 
     @pytest.mark.parametrize("cap", [3000, 0], ids=["factor", "pcg"])
     def test_block_refuses(self, bad, cap, monkeypatch):
-        monkeypatch.setattr(ohmlab.linalg, "_DIRECT_VERTEX_CAP", cap)
+        monkeypatch.setattr(ohmlab.graphs, "_DIRECT_VERTEX_CAP", cap)
         g, b = bad
         with pytest.raises(ValueError, match="finite"):
             solve_laplacian_block(g, np.column_stack([ohmlab.edge_demand(g, 1), b]))
@@ -251,8 +251,8 @@ class TestDirectFallback:
             assert residuals[j] <= 1e-10 * np.linalg.norm(b[:, j])
 
     def test_no_factor_above_cap(self, monkeypatch, pcg_calls):
-        monkeypatch.setattr(ohmlab.linalg, "_DIRECT_VERTEX_CAP", 9)
-        assert ohmlab.linalg._direct_factor(cycle_graph(9)) is not None
+        monkeypatch.setattr(ohmlab.graphs, "_DIRECT_VERTEX_CAP", 9)
+        assert cycle_graph(9).laplacian_factor is not None
         widths = []
         block = ohmlab.routing.solve_laplacian_block
 
@@ -263,7 +263,7 @@ class TestDirectFallback:
         monkeypatch.setattr(ohmlab.routing, "solve_laplacian_block", recorded)
         g = random_regular(10, 3, 1)
         rho = ohmlab.competitive_ratio_inf(g)
-        assert "laplacian_factor" not in g.__dict__  # never factored
+        assert g.__dict__["laplacian_factor"] is None  # asked for, never factored
         assert len(pcg_calls) == g.m  # a simple graph: one pair per edge
         assert widths == [1] * g.m  # the sweep holds one pair at a time
         monkeypatch.undo()

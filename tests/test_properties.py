@@ -17,9 +17,12 @@ from ohmlab import (  # noqa: E402
     ConvergenceError,
     Multigraph,
     Partition,
+    competitive_ratio,
+    competitive_ratio_inf,
     conductance_bounds,
     conductance_exact,
     cut_weight,
+    edge_demand,
     extension_energy,
     flow_projection,
     harmonic_extension,
@@ -27,7 +30,10 @@ from ohmlab import (  # noqa: E402
     induced_norm_1,
     induced_norm_inf,
     induced_pnorm_nonneg,
+    l1_objective,
+    min_l1_extension,
     path_graph,
+    profile_from_voltages,
     random_regular,
     route_electrical,
     schur_complement,
@@ -36,6 +42,10 @@ from ohmlab import (  # noqa: E402
     volume,
 )
 from ohmlab.linalg import solve_laplacian_block  # noqa: E402
+from test_thresholds import (  # noqa: E402
+    assert_low_column_matches_scan,
+    assert_matches_mirrored_reference,
+)
 
 EPS = np.finfo(np.float64).eps
 
@@ -160,6 +170,44 @@ def test_conjugate_gradient_and_factor_solves_agree(g):
         assert miss <= tol[j] + 10.0 * EPS * np.linalg.norm(abs(inc) @ np.abs(f))
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(weighted_multigraphs().map(lambda g: Multigraph(g.n, g.tails, g.heads, np.ones(g.m))))
+def test_flow_projection_is_an_orthogonal_projector(g):
+    # each column of Pi is B^T x for a solve with ||L (x - x*)|| <= tol ||b||,
+    # ||b|| = sqrt(2), so it is off by at most ||B|| sqrt(2) tol / lambda_2
+    # with ||B||^2 = lambda_max; symmetry then holds to twice that, and
+    # Pi^2 - Pi = Pi* E + E Pi* + E^2 - E to about 4 sqrt(m) times it
+    eigs = np.linalg.eigvalsh(g.laplacian.toarray())
+    col = np.sqrt(2.0 * eigs[-1]) * ohmlab.linalg._SOLVE_TOL / eigs[1] + 100.0 * EPS
+    pi = flow_projection(g)
+    assert np.abs(pi - pi.T).max() <= 2.0 * col
+    assert np.abs(pi @ pi - pi).max() <= 4.0 * np.sqrt(g.m) * col
+    # rho_1 is |Pi|'s largest column sum, rho_inf its largest row sum (and
+    # competitive_ratio_inf the largest per-edge l1 flow norm, unmaterialized)
+    rho_1, rho_inf = competitive_ratio(g, 1.0), competitive_ratio(g, np.inf)
+    assert abs(rho_1 - rho_inf) <= 2.0 * g.m * col
+    assert abs(competitive_ratio_inf(g) - rho_inf) <= 2.0 * g.m * col
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(weighted_multigraphs(), st.sampled_from([None, 0, 7, 50]))
+@example(LIGHT_CORNER, None)
+def test_derivative_check_matches_mirrored_reference(g, samples):
+    # the t <= 0 half against the negated voltages' profile, on both
+    # orientations of the first edges' demands; on LIGHT_CORNER edge 1
+    # reversed puts the light vertex 2 alone on the low side. The voltages
+    # come from dense pinv: some of these graphs have a rounding floor on
+    # the Laplacian residual above the solver's contract
+    phi = conductance_exact(g).phi
+    pinv = np.linalg.pinv(g.laplacian.toarray())
+    for e in range(min(g.m, 3)):
+        for sign in (1.0, -1.0):
+            prof = profile_from_voltages(g, pinv @ (sign * edge_demand(g, e)))
+            assert_low_column_matches_scan(prof)
+            for claimed in (phi, 10.0 * phi):
+                assert_matches_mirrored_reference(prof, claimed, samples)
+
+
 def _check_laplacian_factor(g):
     """The grounded factor pivots on the diagonal with positive pivots, so
     the grounded block was eliminated as SPD; the block solve of every edge
@@ -249,6 +297,28 @@ def test_elimination_matches_dense_pinv(case):
     # energy identity: x^T S x is the energy of the harmonic extension
     energy = extension_energy(g, part, x, y)
     assert abs(energy - x @ schur @ x) <= slack * g.weights.sum()
+
+
+@st.composite
+def boundary_cuts(draw):
+    """(graph, partition, 0/1 boundary values): a weighted multigraph and any
+    nonempty terminal set, so |F| <= 8."""
+    g, part, _ = draw(eliminations())
+    bits = st.sampled_from([0.0, 1.0])
+    x = draw(st.lists(bits, min_size=part.terminals.size, max_size=part.terminals.size))
+    return g, part, np.array(x)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(boundary_cuts())
+def test_min_l1_extension_matches_brute_force(case):
+    g, part, x = case
+    value, y = min_l1_extension(g, part, x)
+    brute = min(l1_objective(g, part, x, np.array(bits))
+                for bits in itertools.product((0.0, 1.0), repeat=part.eliminated.size))
+    assert value == pytest.approx(brute, rel=1e-12, abs=0.0)
+    assert np.all((y == 0.0) | (y == 1.0))
+    assert l1_objective(g, part, x, y) == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
 def _reference_schur(g, part):

@@ -14,7 +14,6 @@ from ohmlab import (
     diagnostic_rows,
     edge_demand,
     fractional_volume,
-    mirrored_profile,
     padded_volume,
     petersen_graph,
     profile_from_voltages,
@@ -24,7 +23,7 @@ from ohmlab import (
     threshold_profile,
     volume_decay_rate,
 )
-from ohmlab.thresholds import DIAGNOSTIC_COLUMNS, ThresholdProfile
+from ohmlab.thresholds import DIAGNOSTIC_COLUMNS, ThresholdProfile, _rows_at, _thin
 
 
 def scan(prof, t):
@@ -36,6 +35,72 @@ def scan(prof, t):
     wc, gap = w[cross], vb[cross] - va[cross]
     vol = 2.0 * w[t <= va].sum() + 2.0 * (wc * (vb[cross] - t) / gap).sum()
     return wc.sum(), 2.0 * (wc / gap).sum(), (wc * gap).sum(), vol
+
+
+def scan_leq(prof, t):
+    """Reference for the table's vol_leq column: the volume of {v <= t} from
+    one pass over every edge, crossing set {va <= t < vb}."""
+    va, vb, w = prof.va, prof.vb, prof.weights
+    cross = (va <= t) & (t < vb)
+    share = w[cross] * (t - va[cross]) / (vb[cross] - va[cross])
+    return 2.0 * w[vb <= t].sum() + 2.0 * share.sum()
+
+
+def assert_low_column_matches_scan(prof):
+    """vol_leq at each interval's left end, relative to itself: summed from
+    the low end, a light low side keeps its digits next to a heavy graph."""
+    bp = prof.breakpoints
+    for r in range(1, bp.size):
+        got, want = prof.table[r, 4], scan_leq(prof, bp[r - 1])
+        assert abs(got - want) <= 1e-12 * want, (r, got, want)
+
+
+def mirrored_profile(prof):
+    """The profile of the negated voltages, whose vol_geq(t) is the original's
+    vol_leq(-t): the construction check_derivative_bounds once ran its t <= 0
+    side through, kept as the reference for it."""
+    return ThresholdProfile(
+        weights=prof.weights, voltages=-prof.voltages, va=-prof.vb, vb=-prof.va,
+        center_shift=-prof.center_shift, center_residual=prof.center_residual,
+        breakpoints=np.sort(-prof.breakpoints), total_volume=prof.total_volume,
+        solver_residual=prof.solver_residual,
+    )
+
+
+def mirrored_derivative_check(prof, phi, samples):
+    """check_derivative_bounds with its t <= 0 side read off the mirrored
+    profile's own table at the mirrored midpoints >= 0."""
+    sides = []
+    for sign, side in ((1.0, prof), (-1.0, mirrored_profile(prof))):
+        bp = side.breakpoints
+        mids = 0.5 * (bp[:-1] + bp[1:])
+        t = _thin(mids[mids >= 0.0], samples)
+        sides.append((sign * t, *_rows_at(side, t)))
+    t, delta, decay, _, vol = map(np.concatenate, zip(*sides))
+    lhs = 2.0 * delta * delta
+    quad = (lhs - decay) / np.maximum(np.maximum(np.abs(lhs), np.abs(decay)), 1.0)
+    allowed = (3.0 / (2.0 * phi)) * decay / (vol + 1.0)
+    ratio = (delta - allowed) / np.maximum(np.maximum(np.abs(delta), np.abs(allowed)), 1.0)
+    t, quad, ratio = np.append(t, np.nan), np.append(quad, -np.inf), np.append(ratio, -np.inf)
+    return ohmlab.DerivativeCheckReport(
+        evaluated=t.size - 1,
+        quad_max_violation=float(quad.max()),
+        quad_worst_t=float(t[quad.argmax()]),
+        ratio_max_violation=float(ratio.max()),
+        ratio_worst_t=float(t[ratio.argmax()]),
+        violations=int((quad > 1e-8).sum() + (ratio > 1e-8).sum()),
+    )
+
+
+def assert_matches_mirrored_reference(prof, phi, samples):
+    got = check_derivative_bounds(prof, phi, samples)
+    want = mirrored_derivative_check(prof, phi, samples)
+    assert (got.evaluated, got.violations) == (want.evaluated, want.violations)
+    for name in ("quad_max_violation", "quad_worst_t", "ratio_max_violation", "ratio_worst_t"):
+        a, b = getattr(got, name), getattr(want, name)
+        # the violations are relative already; t is nan when nothing was sampled
+        assert a == b or abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0), (name, got, want)
+    return got
 
 
 def table_at(prof, t):
@@ -56,11 +121,10 @@ def uncentered_profile(n, edges, v):
     breakpoint gaps are exactly the given ones."""
     g = Multigraph.from_edges(n, edges)
     v = np.asarray(v, dtype=np.float64)
-    flip = v[g.tails] > v[g.heads]
-    tails, heads = np.where(flip, g.heads, g.tails), np.where(flip, g.tails, g.heads)
+    va, vb = v[g.tails], v[g.heads]
     return ThresholdProfile(
-        n=n, tails=tails, heads=heads, weights=g.weights, voltages=v,
-        va=v[tails], vb=v[heads], center_shift=0.0, center_residual=0.0,
+        weights=g.weights, voltages=v, va=np.minimum(va, vb), vb=np.maximum(va, vb),
+        center_shift=0.0, center_residual=0.0,
         breakpoints=np.unique(v), total_volume=float(g.weighted_degrees.sum()),
     )
 
@@ -218,7 +282,7 @@ class TestCutWeightAndFlow:
         for t in rng.uniform(prof.t_min, prof.t_max, 25):
             mask = threshold_cut(prof, t)
             direct = float(
-                prof.weights[mask[prof.tails] != mask[prof.heads]].sum()
+                prof.weights[mask[g.tails] != mask[g.heads]].sum()
             )
             assert threshold_cut_weight(prof, t) == pytest.approx(direct, abs=1e-12)
 
@@ -264,6 +328,8 @@ class TestDecayRate:
 
 
 class TestMirror:
+    """The mirrored reference itself: the negated voltages' profile."""
+
     def test_volume_identity(self):
         g = random_regular(10, 3, 7)
         prof = threshold_profile(g, edge_demand(g, 6))
@@ -296,6 +362,36 @@ class TestMirror:
                 assert threshold_cut_weight(mir, t) == pytest.approx(
                     threshold_cut_weight(prof, -t), abs=1e-9
                 )
+
+    @pytest.mark.parametrize("samples", [None, 0, 7, 50])
+    def test_derivative_check_matches_mirror(self, samples, random_multigraph):
+        # the t <= 0 side reads vol_leq from the one table; the mirror read
+        # it as vol_geq off a second table built on the negated voltages
+        c4 = cycle_graph(4)
+        cases = [(threshold_profile(c4, edge_demand(c4, 0)), 10.0),
+                 (zero_gap_profile(), 1.0), (zero_gap_profile(), 10.0), (k2_profile(), 1.0)]
+        rng = np.random.default_rng(18)
+        for i in range(12):
+            g = random_multigraph(rng, int(rng.integers(3, 40)), int(rng.integers(0, 60)))
+            v = rng.standard_normal(g.n) if i % 2 else rng.integers(0, 4, g.n).astype(float)
+            cases.append((profile_from_voltages(g, v), float(rng.uniform(0.01, 2.0))))
+        for prof, phi in cases:
+            assert_low_column_matches_scan(prof)
+            assert_matches_mirrored_reference(prof, phi, samples)
+
+    def test_low_side_of_an_ulp_wide_interval(self):
+        # two intervals one ulp wide, whose midpoints round onto a
+        # breakpoint: at t <= 0 a midpoint must read the interval above it
+        top = 4.1
+        v = np.array([0.1, np.nextafter(0.1, 1.0), 1.1, 2.1, 3.1, top, np.nextafter(top, 5.0)])
+        edges = [(0, 1, 1e6 + 0.1), (1, 2, 1.3), (2, 3, 1.0), (1, 3, 2.7),
+                 (3, 4, 1.0), (4, 5, 1.9), (5, 6, 1.0), (0, 6, 1.0)]
+        for sign in (1.0, -1.0):
+            prof = uncentered_profile(7, edges, sign * v)
+            mids = 0.5 * (prof.breakpoints[:-1] + prof.breakpoints[1:])
+            assert np.isin(mids, prof.breakpoints).sum() == 2
+            assert_low_column_matches_scan(prof)
+            assert_matches_mirrored_reference(prof, 0.5, None)
 
 
 class TestDerivativeBounds:
