@@ -105,22 +105,25 @@ _DIRECT_VERTEX_CAP = 3000
 #     3000      2.4 s            0.09 s
 #
 # Above the direct cap, unshifted ARPACK on N (which="SA") against Lanczos on
-# the degree-_FILTER_DEGREE filter (medians of five generator seeds, one BLAS
-# thread):
+# the degree-_FILTER_DEGREE filter, damping [c, 2] with c = n / (n - 1) or
+# [theta_2, 2] with theta_2 from _RITZ_STEPS Lanczos steps on N (medians of
+# five generator seeds, one BLAS thread, runs up to 30% apart; 221 filtered
+# products on [c, 2] and 121 on [theta_2, 2] at n = 20000, seed 1):
 #
-#        n   ARPACK on N   Lanczos on the filter
-#     5000      0.069 s          0.036 s
-#    10000      0.16 s           0.086 s
-#    20000      0.76 s           0.27 s
+#        n   ARPACK on N   filter on [c, 2]   filter on [theta_2, 2]
+#     5000      0.07-0.09 s      0.037 s             0.022 s
+#    10000      0.16-0.19 s      0.087 s             0.052 s
+#    20000      0.80-0.88 s      0.30-0.34 s         0.14 s
 #
-# and on long cycles and paths, where lambda_2 is tiny (single runs):
+# and on long cycles and paths, where lambda_2 is tiny (single runs; the
+# ARPACK column is from an earlier guest):
 #
-#    cycle_graph(3200)   21 s                    0.30 s
-#    cycle_graph(3500)   29 s                    0.36 s
-#    path_graph(3500)    no convergence, 41 s    1.2-1.4 s
+#    cycle_graph(3200)   21 s                    0.25-0.36 s   0.09-0.14 s
+#    cycle_graph(3500)   29 s                    0.31-0.47 s   0.13-0.16 s
+#    path_graph(3500)    no convergence, 41 s    1.1-1.6 s     0.33-0.42 s
 #
-# The filter's lambda_2 lands within 1.5e-12 (relative) of the closed form
-# on that path and 1e-13 on those cycles.
+# On [theta_2, 2] the filter's lambda_2 lands within 7e-14 (relative) of the
+# closed form on that path and 6e-15 on those cycles.
 # On path and cycle graphs of 1000 to 3000 vertices the factor path lands
 # within 1e-12 (relative) of the closed-form lambda_2, dense eigh 1e-11 to
 # 1e-10 away. The cap is not lower because the sweep's phi_upper on some of
@@ -131,9 +134,19 @@ _DIRECT_VERTEX_CAP = 3000
 # not depend on rounding.
 _DENSE_EIGEN_CAP = 400
 # degree of the Chebyshev filter above _DIRECT_VERTEX_CAP; even, so every
-# eigenvalue below the filter's interval maps above 1. Degrees 4, 6 and 8
-# took the same time at n = 20000 within the runs' spread
+# eigenvalue below the filter's interval maps above 1. On [theta_2, 2],
+# degrees 6 and 8 took the same time at n = 5000, 10000 and 20000 within the
+# runs' spread; 4 and 10 were up to 40% slower at n = 20000
 _FILTER_DEGREE = 6
+# Lanczos steps on N whose second-smallest Ritz value is the lower end of the
+# filter's interval. Medians of _lambda2 at n = 5000 / 10000 / 20000: 10
+# steps took 0.033 / 0.064 / 0.19 s, 15 steps 0.025 / 0.058 / 0.15 s, 20
+# steps 0.020 / 0.048 / 0.14 s, and 30 or 40 steps no less than 20: a later
+# Ritz value no longer narrows the interval enough to repay its step
+_RITZ_STEPS = 20
+# a residual norm below this ends that Lanczos run: its Krylov space is
+# invariant under N to rounding
+_RITZ_BREAKDOWN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -456,16 +469,26 @@ def _lambda2(g: Multigraph):
 
     Without a factor, Lanczos on x -> P T_m(l(N)) P x, with T_m the Chebyshev
     polynomial of degree m = _FILTER_DEGREE (m products with N by the
-    three-term recurrence) and l the affine map of [c, 2] onto [-1, 1],
-    c = n / (n - 1). The trace of N is n, so c is the mean of N's n - 1
-    eigenvalues off u and c >= lambda_2; 2 bounds them all. So [c, 2] maps
-    into |T_m| <= 1 and every eigenvalue below c above 1, the smallest
-    highest: the top eigenvector is the Fiedler vector, and no spectrum
-    estimate is needed. lambda_2 is returned as the Rayleigh quotient of the
-    projected Ritz vector x, summed over edges as
-    sum w (y_a - y_b)^2 / x^T x with y = D^-1/2 x, which has no cancellation
-    on long paths; being a Rayleigh quotient on u's complement, it is >=
-    lambda_2 (Courant-Fischer), the side every Ritz value falls on.
+    three-term recurrence) and l the affine map of [a, 2] onto [-1, 1]. 2
+    bounds N's spectrum, so the damped interval maps into |T_m| <= 1 and every
+    eigenvalue below a above 1, the smallest highest. The lower end is
+    a = min(c, theta_2):
+    - c = n / (n - 1) is the mean of N's n - 1 eigenvalues off u (its trace
+      is n), so c >= lambda_2;
+    - theta_2 is the second-smallest Ritz value of a short Lanczos run on N
+      restricted to u's complement (`_ritz_bound`). Cauchy interlacing gives
+      theta_2 >= lambda_3 >= lambda_2. A multiple lambda_2 has one copy in a
+      Krylov space, so theta_2 lands on the next distinct eigenvalue.
+    The closer a sits above lambda_2, the more the filter damps lambda_3 and
+    the rest, and the fewer Lanczos steps separate them.
+
+    In floating point a Ritz value can land on lambda_2 itself, and the
+    filter then amplifies some other eigenvector. So the returned value is
+    accepted only when it is below a: it is >= lambda_2, so lambda_2 < a was
+    the filter's unique top. Otherwise Lanczos runs once more on [c, 2].
+    The value returned is the Rayleigh quotient of the projected Ritz vector
+    (`_filtered_lambda2`); on u's complement it is >= lambda_2
+    (Courant-Fischer), the side every Ritz value falls on.
     """
     if g.n <= _DENSE_EIGEN_CAP:
         nl = _normalized_laplacian(g).toarray()
@@ -475,21 +498,13 @@ def _lambda2(g: Multigraph):
     u = sqrt_d / np.linalg.norm(sqrt_d)
     factor = g.laplacian_factor
     if factor is None:
+        nl = _normalized_laplacian(g)
         c = g.n / (g.n - 1)
-        mapped = _normalized_laplacian(g) * (2.0 / (2.0 - c))
-        mapped.setdiag(mapped.diagonal() - (c + 2.0) / (2.0 - c))
-
-        def filtered(x):
-            prev = x - u * (u @ x)
-            cur = mapped @ prev
-            for _ in range(_FILTER_DEGREE - 1):
-                prev, cur = cur, 2.0 * (mapped @ cur) - prev
-            return cur - u * (u @ cur)
-
-        x = _top_eigenpair(g, filtered)[1]
-        x -= u * (u @ x)
-        y = x / sqrt_d
-        return float(g.weights @ (y[g.tails] - y[g.heads]) ** 2) / float(x @ x), x
+        lo = min(c, _ritz_bound(nl, u))
+        lam, x = _filtered_lambda2(g, nl, u, lo)
+        if lo < c and lam >= lo:
+            lam, x = _filtered_lambda2(g, nl, u, c)
+        return lam, x
 
     def inverse(x):
         rhs = sqrt_d * (x - u * (u @ x))
@@ -502,12 +517,73 @@ def _lambda2(g: Multigraph):
     return 1.0 / theta, x
 
 
+def _ritz_bound(nl: sp.csr_array, u: np.ndarray) -> float:
+    """Second-smallest Ritz value of N on u's complement, or inf.
+
+    _RITZ_STEPS Lanczos steps on x -> P N P x from the fixed start vector,
+    every new vector orthogonalized twice against u and the basis, stopping
+    early when the Krylov space is invariant; inf when fewer than two steps
+    ran. By Cauchy interlacing the k-th smallest Ritz value is at least the
+    (k + 1)-th smallest eigenvalue of N, u's 0 counted first, so the second
+    is >= lambda_3 >= lambda_2 in exact arithmetic.
+    """
+    basis = np.empty((_RITZ_STEPS, nl.shape[0]))
+    q = _start_vector(nl.shape[0])
+    q -= u * (u @ q)
+    q /= np.linalg.norm(q)
+    alpha, beta = [], []
+    for k in range(_RITZ_STEPS):
+        basis[k] = q
+        w = nl @ q
+        alpha.append(float(q @ w))
+        for _ in range(2):
+            w -= u * (u @ w)
+            w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
+        norm = float(np.linalg.norm(w))
+        if k == _RITZ_STEPS - 1 or norm <= _RITZ_BREAKDOWN:
+            break
+        beta.append(norm)
+        q = w / norm
+    if len(alpha) < 2:
+        return np.inf
+    return float(scipy.linalg.eigvalsh_tridiagonal(alpha, beta, select="i", select_range=(1, 1))[0])
+
+
+def _filtered_lambda2(g: Multigraph, nl: sp.csr_array, u: np.ndarray, lo: float) -> tuple:
+    """Rayleigh quotient and vector of the top eigenpair of P T_m(l(N)) P.
+
+    T_m is the Chebyshev polynomial of degree m = _FILTER_DEGREE, applied by
+    the three-term recurrence, and l the affine map of [lo, 2] onto [-1, 1].
+    The quotient is summed over edges as sum w (y_a - y_b)^2 / x^T x with
+    y = D^-1/2 x, which has no cancellation on long paths.
+    """
+    mapped = nl * (2.0 / (2.0 - lo))
+    mapped.setdiag(mapped.diagonal() - (lo + 2.0) / (2.0 - lo))
+
+    def filtered(x):
+        prev = x - u * (u @ x)
+        cur = mapped @ prev
+        for _ in range(_FILTER_DEGREE - 1):
+            prev, cur = cur, 2.0 * (mapped @ cur) - prev
+        return cur - u * (u @ cur)
+
+    x = _top_eigenpair(g, filtered)[1]
+    x -= u * (u @ x)
+    y = x / np.sqrt(g.weighted_degrees)
+    return float(g.weights @ (y[g.tails] - y[g.heads]) ** 2) / float(x @ x), x
+
+
+def _start_vector(n: int) -> np.ndarray:
+    """The fixed start vector of every Lanczos run on an n-vertex graph."""
+    return np.random.default_rng(0).standard_normal(n)
+
+
 def _top_eigenpair(g: Multigraph, matvec) -> tuple:
     """ARPACK's largest eigenvalue and its eigenvector of the symmetric n x n
     operator x -> matvec(x), from a fixed start vector (its own random start
     differs per call); no convergence is a ConvergenceError."""
     cap = max(10 * g.n, _EIGSH_MAXITER)
-    v0 = np.random.default_rng(0).standard_normal(g.n)
+    v0 = _start_vector(g.n)
     op = sp.linalg.LinearOperator((g.n, g.n), matvec=matvec, dtype=np.float64)
     try:
         vals, vecs = sp.linalg.eigsh(op, k=1, which="LA", maxiter=cap, tol=1e-10, v0=v0)
@@ -561,9 +637,9 @@ def conductance_bounds(g: Multigraph) -> tuple:
     the pseudo-inverse, one solve per step against the graph's cached
     grounded factor; above, from Lanczos on a Chebyshev polynomial filter of
     the sparse matrix, `_FILTER_DEGREE` products per step, whose top
-    eigenvector is the Fiedler vector (`_lambda2`). Both Lanczos runs start
+    eigenvector is the Fiedler vector (`_lambda2`). Every Lanczos run starts
     from a fixed vector, so repeated calls return equal floats, and both
-    return a value >= lambda_2 up to rounding.
+    paths return a value >= lambda_2 up to rounding.
     """
     if not g.is_connected:
         raise DisconnectedError("conductance bounds need a connected graph")

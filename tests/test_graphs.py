@@ -32,6 +32,7 @@ from ohmlab import (
     weighted_to_multigraph,
     write_graph,
 )
+from ohmlab.experiments import format_value
 
 
 class TestMultigraph:
@@ -258,31 +259,80 @@ class TestConductanceBounds:
         # sin^2(pi / n) on a cycle. n = 2500 takes the factor path, 3200 and
         # 3500 the Chebyshev filter above the direct cap. Unshifted ARPACK on
         # N gave up on these paths (path_graph(3500) after 41 s) and missed
-        # the cycles' 11th digit
+        # the cycles' 11th digit; the filter on [c, 2] printed the 3500-vertex
+        # path's phi_lower as 2.01535631217e-07, one unit above the closed form
         if shape == "path":
             g, want = path_graph(n), np.sin(np.pi / (2 * (n - 1))) ** 2
         else:
             g, want = cycle_graph(n), np.sin(np.pi / n) ** 2
         lower, _ = conductance_bounds(g)
         assert lower.phi == pytest.approx(want, rel=1e-11, abs=0.0)
+        if n > ohmlab.graphs._DIRECT_VERTEX_CAP and shape == "path":
+            assert format_value(lower.phi) == format_value(float(want)) == "2.01535631216e-07"
 
-    @pytest.mark.parametrize("g", [cycle_graph(10), _grid(4, 5), complete_graph(8)],
-                             ids=["even-cycle", "grid", "complete"])
+    @pytest.mark.parametrize("g", [cycle_graph(10), _grid(4, 5), _grid(4, 4), complete_graph(8)],
+                             ids=["even-cycle", "grid", "square-grid", "complete"])
     def test_filter_path_edge_cases(self, g, monkeypatch):
-        # the filter maps [c, 2], c = n / (n - 1), onto [-1, 1]. Bipartite
-        # graphs put lambda_max = 2 on its upper end; on complete_graph(8)
-        # lambda_2 = c, every eigenvalue off sqrt(d) sits on the lower end,
-        # and the filtered operator is the projector P itself
+        # the filter maps [a, 2] onto [-1, 1], a = min(c, theta_2) with
+        # c = n / (n - 1). Bipartite graphs put lambda_max = 2 on its upper
+        # end; the square grid's lambda_2 is double, so the Krylov space sees
+        # one copy and theta_2 lands on the next eigenvalue; on
+        # complete_graph(8) lambda_2 = c, every eigenvalue off sqrt(d) sits on
+        # the lower end, and the filtered operator is the projector P itself
         lam, _ = _dense_lambda2(g)
         exact = conductance_exact(g).phi
         monkeypatch.setattr(ohmlab.graphs, "_DENSE_EIGEN_CAP", 4)
         monkeypatch.setattr(ohmlab.graphs, "_DIRECT_VERTEX_CAP", 4)
+        intervals = record_filter_intervals(monkeypatch)
         got, vec = ohmlab.graphs._lambda2(g)
+        assert_interval_above(g, intervals, lam)
         assert abs(got - lam) <= 2.0 * g.n * np.finfo(float).eps
         assert abs(vec @ np.sqrt(g.weighted_degrees)) <= 1e-12 * np.linalg.norm(vec)
         lower, upper = conductance_bounds(g)
         assert lower.phi <= exact + 1e-14
         assert exact <= upper.phi * (1.0 + 1e-13)
+
+    @pytest.mark.parametrize("scale", [0.5, 0.99])
+    def test_filter_reruns_on_full_interval_below_lambda_2(self, scale, monkeypatch):
+        # a lower end at or below lambda_2 (a Ritz value that rounding put
+        # there) lets the filter amplify another eigenvector; the Rayleigh
+        # quotient is then not below the lower end, and Lanczos reruns on [c, 2]
+        g = random_regular(60, 3, 1)
+        lam, _ = _dense_lambda2(g)
+        monkeypatch.setattr(ohmlab.graphs, "_DENSE_EIGEN_CAP", 4)
+        monkeypatch.setattr(ohmlab.graphs, "_DIRECT_VERTEX_CAP", 4)
+        monkeypatch.setattr(ohmlab.graphs, "_ritz_bound", lambda nl, u: scale * lam)
+        intervals = record_filter_intervals(monkeypatch)
+        got, _ = ohmlab.graphs._lambda2(g)
+        assert intervals == [scale * lam, g.n / (g.n - 1)]
+        assert got == pytest.approx(lam, rel=0.0, abs=1e-10)
+
+    def test_ritz_bound_saves_filtered_products(self, monkeypatch):
+        # the narrowed interval [theta_2, 2] damps the spectrum between
+        # lambda_3 and c that [c, 2] amplified along with lambda_2: 61
+        # filtered products against 121 on this graph
+        g = random_regular(5000, 3, 1)
+        assert g.n > ohmlab.graphs._DIRECT_VERTEX_CAP
+        top, counts = ohmlab.graphs._top_eigenpair, []
+
+        def counted(graph, matvec):
+            counts.append(0)
+
+            def step(x):
+                counts[-1] += 1
+                return matvec(x)
+
+            return top(graph, step)
+
+        monkeypatch.setattr(ohmlab.graphs, "_top_eigenpair", counted)
+        intervals = record_filter_intervals(monkeypatch)
+        narrowed = ohmlab.graphs._lambda2(g)[0]
+        assert len(counts) == 1 and intervals[0] < 1.0
+        monkeypatch.setattr(ohmlab.graphs, "_ritz_bound", lambda nl, u: np.inf)
+        full = ohmlab.graphs._lambda2(g)[0]
+        assert intervals[1:] == [g.n / (g.n - 1)]
+        assert counts[0] < 0.75 * counts[1]
+        assert narrowed == pytest.approx(full, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [402, 1000])
@@ -523,6 +573,25 @@ class TestCertificate:
         cert = ConductanceCertificate(0.5, "exact", None)
         assert cert.phi == 0.5
         assert cert.kind == "exact"
+
+
+def record_filter_intervals(mp):
+    """Lower ends of the Chebyshev filter intervals that _lambda2 runs
+    Lanczos on, in call order, recorded through the MonkeyPatch mp."""
+    run, lows = ohmlab.graphs._filtered_lambda2, []
+
+    def recorded(g, nl, u, lo):
+        lows.append(lo)
+        return run(g, nl, u, lo)
+
+    mp.setattr(ohmlab.graphs, "_filtered_lambda2", recorded)
+    return lows
+
+
+def assert_interval_above(g, lows, lam):
+    """The accepted filter interval starts above lambda_2 = lam, or the run
+    fell back to [c, 2]."""
+    assert lows and (lows[-1] > lam or lows[-1] == g.n / (g.n - 1))
 
 
 # -- reference implementations: the per-vertex loops the array code replaced --

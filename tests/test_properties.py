@@ -42,6 +42,7 @@ from ohmlab import (  # noqa: E402
     volume,
 )
 from ohmlab.linalg import solve_laplacian_block  # noqa: E402
+from test_graphs import assert_interval_above, record_filter_intervals  # noqa: E402
 from test_thresholds import (  # noqa: E402
     assert_low_column_matches_scan,
     assert_matches_mirrored_reference,
@@ -53,6 +54,15 @@ EPS = np.finfo(np.float64).eps
 # out 0.9999999999966147 instead of 1
 LIGHT_CORNER = Multigraph(3, np.array([1, 2, 1]), np.array([0, 0, 0]),
                           np.array([1.0, 1.00001, 16383.0]))
+
+# a star with one heavy leaf and a heavy edge hung off another leaf,
+# lambda_2 = 5.4958e-4. Its Lanczos run on N nearly breaks down after four
+# steps (residual 5e-13); run past that, or with one orthogonalization pass
+# a step, its Ritz values land on or below lambda_2, and a filter damping from
+# there returns about 2 unless the Rayleigh quotient is checked against the
+# interval's lower end
+HEAVY_STAR = Multigraph(7, np.array([2, 1, 3, 4, 5, 6]), np.array([0, 0, 0, 0, 0, 2]),
+                        np.array([1.0, 1.0, 1.0, 1.0, 1e4, 1e3]))
 
 
 @st.composite
@@ -126,6 +136,7 @@ def test_cheeger_bracket_contains_exact(g):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(weighted_multigraphs(min_n=5))
+@example(HEAVY_STAR)
 def test_filtered_lambda2_matches_dense(g):
     # with both caps at 4 every graph here takes the Chebyshev-filtered
     # Lanczos path; dense eigh is off by about n eps ||N|| with ||N|| <= 2
@@ -135,8 +146,10 @@ def test_filtered_lambda2_matches_dense(g):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ohmlab.graphs, "_DENSE_EIGEN_CAP", 4)
         mp.setattr(ohmlab.graphs, "_DIRECT_VERTEX_CAP", 4)
+        intervals = record_filter_intervals(mp)
         lam, vec = ohmlab.graphs._lambda2(g)
         lower, upper = conductance_bounds(g)
+    assert_interval_above(g, intervals, dense)
     assert abs(lam - dense) <= 4.0 * g.n * EPS
     assert lower.phi == lam / 2.0
     assert upper.phi == ohmlab.graphs._sweep_cut(g, vec)[0]
