@@ -8,10 +8,12 @@ Two solve methods, picked by the graph alone. Where the graph has a
 Laplacian factor (`Multigraph.laplacian_factor`: vertex 0 grounded,
 symmetric-mode LU with diagonal pivots, built once and only up to the
 vertex cap graphs.py sets), solve_laplacian_block solves blocks of demands
-against it. Without one, and for any column the factor misses,
-solve_laplacian's Jacobi-preconditioned conjugate gradient runs. Both meet
-the same contract, fixed at _SOLVE_TOL: the solution sums to zero and its
-true residual satisfies ||L x - b|| <= 1e-10 ||b|| for the centred demand b.
+against it and refines a column that misses the contract against the same
+factor (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12).
+Without one, solve_laplacian's Jacobi-preconditioned conjugate gradient
+runs; threshold_profile calls it directly. Both meet the same contract,
+fixed at _SOLVE_TOL: the solution sums to zero and its true residual
+satisfies ||L x - b|| <= 1e-10 ||b|| for the centred demand b.
 """
 
 from __future__ import annotations
@@ -76,6 +78,14 @@ _SOLVE_TOL = 1e-10
 # small. The all-pairs sweep and the Schur complement both solve in blocks of
 # this width.
 _BLOCK_COLUMNS = 128
+# Steps of iterative refinement x <- x - LU^-1 (L x - b) for a column whose
+# factored solve misses _SOLVE_TOL; L x - b is summed in long double (a
+# 64-bit mantissa on x86-64, plain double where numpy has none wider). Over
+# every edge demand of 16,000 generated multigraphs with weights in [1, 1e6]
+# the factor missed on 181 of 654,769 columns. Two steps met the contract on
+# 179, among them every column conjugate gradient met (160, in 842 s); with
+# L x - b in double they met 168.
+_REFINEMENTS = 2
 
 
 def _iteration_cap(g: Multigraph) -> int:
@@ -127,16 +137,14 @@ def solve_laplacian(g: Multigraph, b: np.ndarray) -> SolveReport:
     iterate.
 
     solve_laplacian_block runs this solver for every column of a graph
-    without a Laplacian factor and for any column the factor misses.
+    without a Laplacian factor, and threshold_profile for its one demand;
+    a graph with a factor never reaches it through solve_laplacian_block.
     """
     if not g.is_connected:
         raise DisconnectedError("Laplacian solve needs a connected graph")
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (g.n,):
         raise ValueError(f"demand must have length n={g.n}")
-    nb = float(np.linalg.norm(b))
-    if nb == 0.0:
-        return SolveReport(np.zeros(g.n), 0.0, 0)
     b = _centred(b)
     nb = float(np.linalg.norm(b))
     if nb == 0.0:
@@ -199,13 +207,14 @@ def solve_laplacian_block(g: Multigraph, b: np.ndarray) -> Tuple[np.ndarray, np.
     """Solve L X = B for an n x k block of demands, one column per demand.
 
     Returns the n x k solutions and the k true residual norms ||L x - b||.
-    Every column meets solve_laplacian's contract, whichever method made it:
-    b is centred (a non-finite entry or sum drift beyond
-    10 * _SOLVE_TOL * ||b|| is an error), the solution sums to zero, and
-    ||L x - b|| <= _SOLVE_TOL * ||b||. When the graph has a Laplacian factor
-    (Multigraph.laplacian_factor) each column is a grounded solve against
-    it, centred, whose true residual is checked; a column that misses the
-    bound is solved again with solve_laplacian. Without a factor (above the
+    Every column meets solve_laplacian's contract: b is centred (a
+    non-finite entry or sum drift beyond 10 * _SOLVE_TOL * ||b|| is an
+    error), the solution sums to zero, and ||L x - b|| <= _SOLVE_TOL * ||b||.
+    When the graph has a Laplacian factor (Multigraph.laplacian_factor) each
+    column is a grounded solve against it, centred, whose true residual is
+    checked; a column that misses the bound gets up to _REFINEMENTS steps of
+    iterative refinement against the same factor, and one that still misses
+    raises ConvergenceError with its iterate. Without a factor (above the
     vertex cap, or on a disconnected graph) every column is a
     solve_laplacian call.
     """
@@ -214,17 +223,37 @@ def solve_laplacian_block(g: Multigraph, b: np.ndarray) -> Tuple[np.ndarray, np.
         raise ValueError(f"demand block must have n={g.n} rows")
     lu = g.laplacian_factor
     x = np.zeros_like(b)
-    # NaN until a column is solved: a NaN residual counts as a miss
-    residuals = np.full(b.shape[1], np.nan)
-    if lu is not None:
-        b = _centred(b)
-        x[1:] = lu.solve(b[1:])
-        x -= x.mean(axis=0)
-        residuals = np.linalg.norm(g.laplacian @ x - b, axis=0)
-    for j in np.flatnonzero(~(residuals <= _SOLVE_TOL * np.linalg.norm(b, axis=0))):
-        rep = solve_laplacian(g, b[:, j])
-        x[:, j] = rep.solution
-        residuals[j] = rep.residual_norm
+    if lu is None:
+        residuals = np.zeros(b.shape[1])
+        for j in range(b.shape[1]):
+            rep = solve_laplacian(g, b[:, j])
+            x[:, j] = rep.solution
+            residuals[j] = rep.residual_norm
+        return x, residuals
+    b = _centred(b)
+    x[1:] = lu.solve(b[1:])
+    x -= x.mean(axis=0)
+    residuals = np.linalg.norm(g.laplacian @ x - b, axis=0)
+    target = _SOLVE_TOL * np.linalg.norm(b, axis=0)
+    # a NaN residual counts as a miss
+    miss = np.flatnonzero(~(residuals <= target))
+    for _ in range(_REFINEMENTS):
+        if not miss.size:
+            break
+        r = g.laplacian.astype(np.longdouble) @ x[:, miss] - b[:, miss]
+        x[1:, miss] -= lu.solve(r[1:].astype(np.float64))
+        x[:, miss] -= x[:, miss].mean(axis=0)
+        residuals[miss] = np.linalg.norm(g.laplacian @ x[:, miss] - b[:, miss], axis=0)
+        miss = miss[~(residuals[miss] <= target[miss])]
+    if miss.size:
+        j = miss[0]
+        raise ConvergenceError(
+            f"factored solve missed tolerance {_SOLVE_TOL:g} after {_REFINEMENTS} "
+            f"refinement steps (residual {residuals[j]:.3e})",
+            best=x[:, j],
+            residual=float(residuals[j]),
+            iterations=_REFINEMENTS,
+        )
     return x, residuals
 
 

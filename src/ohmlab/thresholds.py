@@ -37,7 +37,6 @@ import numpy as np
 
 from .graphs import Multigraph, _interval_sums
 from .linalg import solve_laplacian
-from .routing import validate_demand
 
 __all__ = [
     "ThresholdProfile",
@@ -217,8 +216,8 @@ def threshold_profile(g: Multigraph, chi: np.ndarray) -> ThresholdProfile:
     that range: a voltage within eps of exact stays within eps, and one that
     rounding pushed past the sink no longer opens an interval whose threshold
     set is not a source-sink cut."""
-    chi = validate_demand(g, chi)
     rep = solve_laplacian(g, chi)
+    chi = np.asarray(chi, dtype=np.float64)
     voltages = rep.solution
     if chi.any():
         support = voltages[chi != 0]

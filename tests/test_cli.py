@@ -8,6 +8,7 @@ from click.testing import CliRunner
 import ohmlab
 import ohmlab.experiments
 from ohmlab import (
+    Multigraph,
     Partition,
     competitive_ratio_operator,
     cycle_graph,
@@ -32,6 +33,20 @@ def small_graph(tmp_path):
     p = tmp_path / "g.txt"
     write_graph(random_regular(10, 3, 1), p)
     return str(p)
+
+
+# A tree of parallel edges with weights from 1 to 6.5e5: the grounded
+# factor leaves the edge-0 demand a true residual of 2.89e-10 against the
+# target 1.41e-10, and one refinement step against it meets the target.
+# Re-solved by conjugate gradient instead, that column stalled at 2.845e-10
+# after 149,831 iterations and `report` exited 1.
+HEAVY_SEVEN = Multigraph(
+    7, np.array([0, 3, 6, 5, 2, 1, 1, 2, 1, 1, 1, 3, 1, 6]),
+    np.array([4, 0, 4, 6, 4, 2, 2, 4, 2, 2, 2, 0, 2, 4]),
+    np.array([1.0, 1.0, 1.4086720826383612, 252.2846644908154, 1.0000000002302585,
+              7547.07626263519, 654496.7026531898, 7547.07626263519, 6489.966314842168,
+              485565.9370517034, 654496.7026531898, 485565.9370517034, 485565.9370517034,
+              1.0]))
 
 
 def invoke(runner, args, **kw):
@@ -114,6 +129,15 @@ class TestReport:
         reference = competitive_ratio_operator(g, lambda chi: route_electrical(g, chi), 2.0)
         assert rho["2"] == pytest.approx(reference, rel=1e-9)
         assert rho["2"] == pytest.approx(1.55209, abs=1e-5)
+
+    def test_factored_miss_is_refined(self, runner, tmp_path):
+        gpath = tmp_path / "heavy7.txt"
+        write_graph(HEAVY_SEVEN, gpath)
+        res = invoke(runner, ["--no-timestamp", "report", str(gpath), "--p", "1,2,inf"])
+        assert res.exit_code == 0
+        rows = [l.split(",") for l in res.output.strip().split("\n")
+                if not l.startswith("#")][1:]
+        assert [row[0] for row in rows] == ["1", "2", "inf"]
 
 
 class TestDiagnose:
@@ -232,8 +256,10 @@ class TestSolveCounts:
     """Each distinct endpoint pair is solved exactly once per graph.
 
     A solve is a column through the block entry point or a conjugate-gradient
-    call; a column the factor misses and PCG solves again counts twice, so a
-    fallback would show up as a repeat."""
+    call. These graphs are factored: a column the factor misses is refined
+    against the same factor inside the block call and counts once, and a
+    conjugate-gradient call made from a block call would show up as a
+    repeat."""
 
     @pytest.fixture
     def solves(self, monkeypatch):

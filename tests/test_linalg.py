@@ -209,15 +209,20 @@ class TestNonFiniteDemand:
 
 
 class TestDirectFallback:
-    class _Perturbed:
-        """Stands in for the cached factor and spoils one solution column."""
+    class _Spoiled:
+        """Stands in for the cached factor: adds 1e-3 to column 2 of the
+        first solve and, when `always`, to every column of later solves."""
 
-        def __init__(self, lu, column):
-            self.lu, self.column = lu, column
+        def __init__(self, lu, always):
+            self.lu, self.always, self.solves = lu, always, 0
 
         def solve(self, rhs):
             x = self.lu.solve(rhs)
-            x[:, self.column] += 1e-3
+            if self.solves == 0:
+                x[:, 2] += 1e-3
+            elif self.always:
+                x += 1e-3
+            self.solves += 1
             return x
 
     @pytest.fixture
@@ -232,23 +237,41 @@ class TestDirectFallback:
         monkeypatch.setattr(ohmlab.linalg, "solve_laplacian", counted)
         return calls
 
-    def test_missed_column_is_resolved_by_pcg(self, pcg_calls):
+    @staticmethod
+    def four_pairs():
         g = random_regular(30, 3, 1)
         b = np.zeros((g.n, 4))
         b[[0, 1, 2, 3], range(4)] = 1.0
         b[[10, 11, 12, 13], range(4)] = -1.0
+        return g, b
+
+    def test_missed_column_is_refined_against_the_factor(self, pcg_calls):
+        g, b = self.four_pairs()
         clean, _ = solve_laplacian_block(g, b)
-        assert pcg_calls == []
-        g.__dict__["laplacian_factor"] = self._Perturbed(g.laplacian_factor, 2)
+        spoiled = self._Spoiled(g.laplacian_factor, always=False)
+        g.__dict__["laplacian_factor"] = spoiled
         x, residuals = solve_laplacian_block(g, b)
-        assert len(pcg_calls) == 1
-        assert np.array_equal(pcg_calls[0], b[:, 2])
-        assert np.array_equal(x[:, 2], solve_laplacian(g, b[:, 2]).solution)
+        assert pcg_calls == []
+        assert spoiled.solves == 2  # the block, then one refinement step
         assert np.array_equal(np.delete(x, 2, axis=1), np.delete(clean, 2, axis=1))
         for j in range(4):
             true_res = np.linalg.norm(laplacian(g) @ x[:, j] - b[:, j])
             assert true_res <= 1e-10 * np.linalg.norm(b[:, j])
-            assert residuals[j] <= 1e-10 * np.linalg.norm(b[:, j])
+            assert residuals[j] == pytest.approx(true_res, rel=1e-12)
+            assert abs(x[:, j].sum()) <= 1e-12
+
+    def test_column_the_refinement_misses_raises(self, pcg_calls):
+        g, b = self.four_pairs()
+        spoiled = self._Spoiled(g.laplacian_factor, always=True)
+        g.__dict__["laplacian_factor"] = spoiled
+        with pytest.raises(ConvergenceError, match="refinement") as err:
+            solve_laplacian_block(g, b)
+        assert pcg_calls == []
+        assert spoiled.solves == 1 + ohmlab.linalg._REFINEMENTS
+        assert err.value.iterations == ohmlab.linalg._REFINEMENTS
+        true_res = np.linalg.norm(laplacian(g) @ err.value.best - b[:, 2])
+        assert err.value.residual == pytest.approx(true_res, rel=1e-12)
+        assert true_res > 1e-10 * np.linalg.norm(b[:, 2])
 
     def test_no_factor_above_cap(self, monkeypatch, pcg_calls):
         monkeypatch.setattr(ohmlab.graphs, "_DIRECT_VERTEX_CAP", 9)

@@ -42,6 +42,7 @@ from ohmlab import (  # noqa: E402
     volume,
 )
 from ohmlab.linalg import solve_laplacian_block  # noqa: E402
+from test_cli import HEAVY_SEVEN  # noqa: E402
 from test_graphs import assert_interval_above, record_filter_intervals  # noqa: E402
 from test_thresholds import (  # noqa: E402
     assert_low_column_matches_scan,
@@ -63,7 +64,6 @@ LIGHT_CORNER = Multigraph(3, np.array([1, 2, 1]), np.array([0, 0, 0]),
 # interval's lower end
 HEAVY_STAR = Multigraph(7, np.array([2, 1, 3, 4, 5, 6]), np.array([0, 0, 0, 0, 0, 2]),
                         np.array([1.0, 1.0, 1.0, 1.0, 1e4, 1e3]))
-
 
 @st.composite
 def weighted_multigraphs(draw, max_n=9, min_n=2):
@@ -181,6 +181,28 @@ def test_conjugate_gradient_and_factor_solves_agree(g):
         f = route_electrical(g, b[:, j])
         miss = np.linalg.norm(inc @ f - b[:, j])
         assert miss <= tol[j] + 10.0 * EPS * np.linalg.norm(abs(inc) @ np.abs(f))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(weighted_multigraphs())
+@example(HEAVY_SEVEN)
+def test_factored_block_never_reaches_conjugate_gradient(g):
+    # a factored column that misses the contract is refined against the same
+    # factor; it meets ||L x - b|| <= _SOLVE_TOL ||b|| or the call raises
+    calls = []
+    b = incidence(g).toarray()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ohmlab.linalg, "solve_laplacian", lambda *args: calls.append(args))
+        try:
+            x, residuals = solve_laplacian_block(g, b)
+        except ConvergenceError:
+            x = None
+    assert g.laplacian_factor is not None
+    assert calls == []
+    if x is not None:
+        tol = ohmlab.linalg._SOLVE_TOL * np.linalg.norm(b, axis=0)
+        assert np.all(residuals <= tol)
+        assert np.all(np.linalg.norm(g.laplacian @ x - b, axis=0) <= tol)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)

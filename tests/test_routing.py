@@ -522,10 +522,12 @@ class TestCompetitiveReport:
 
     def test_one_factor_serves_lambda2_and_the_sweep(self, monkeypatch):
         # above the dense eigensolver's cap, lambda_2 is read from the
-        # grounded factor that the sweep then reuses
+        # grounded factor that the sweep then reuses; no column reaches
+        # conjugate gradient
         g = random_regular(1000, 3, 1)
-        factors, dense = [], []
+        factors, dense, pcg = [], [], []
         splu, eigh = scipy.sparse.linalg.splu, scipy.linalg.eigh
+        solve = ohmlab.linalg.solve_laplacian
 
         def counted_splu(*args, **kwargs):
             factors.append(args[0].shape)
@@ -535,12 +537,18 @@ class TestCompetitiveReport:
             dense.append(args[0].shape)
             return eigh(*args, **kwargs)
 
+        def counted_pcg(*args, **kwargs):
+            pcg.append(args[1])
+            return solve(*args, **kwargs)
+
         monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
         monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(ohmlab.linalg, "solve_laplacian", counted_pcg)
         rep = competitive_report(g)
         assert rep.phi_kind == "bracket"
         assert factors == [(g.n - 1, g.n - 1)]
         assert dense == []
+        assert pcg == []
 
     @pytest.mark.parametrize("k", [4, 5])
     def test_p2_token_is_the_svd_rounding(self, k):
