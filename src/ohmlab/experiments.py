@@ -82,12 +82,6 @@ def render_csv(result: ExperimentResult, timestamp: Optional[str] = None) -> str
     return "\n".join(lines) + "\n"
 
 
-def _p_label(p: float) -> str:
-    if math.isinf(p):
-        return "inf"
-    return format_value(float(p))
-
-
 def run_report(g: Multigraph, p_grid: Sequence[float]) -> ExperimentResult:
     """Competitive ratios against the routing bound, one row per p."""
     rep = competitive_report(g, p_grid)
@@ -97,10 +91,10 @@ def run_report(g: Multigraph, p_grid: Sequence[float]) -> ExperimentResult:
         p = float(p)
         rho = rep.rho[p]
         slack = rep.bound - rho
-        rows.append((_p_label(p), rho, rep.bound, slack))
+        rows.append((format_value(p), rho, rep.bound, slack))
         if slack < -SLACK_TOL:
             violations.append(
-                f"p={_p_label(p)}: rho {format_value(rho)} exceeds bound "
+                f"p={format_value(p)}: rho {format_value(rho)} exceeds bound "
                 f"{format_value(rep.bound)}"
             )
     # the bound uses phi_lower, which a bracket certifies by the Cheeger inequality
@@ -231,15 +225,15 @@ def run_interpolation(g: Multigraph, p_grid: Sequence[float]) -> ExperimentResul
         pp = max(p, _dual(p))
         two_over = 0.0 if math.isinf(pp) else 2.0 / pp
         loc_bound = rho_2**two_over * rho_inf ** (1.0 - two_over)
-        rows.append((_p_label(p), rho, rt_bound, loc_bound))
+        rows.append((format_value(p), rho, rt_bound, loc_bound))
         if rho > rt_bound + SLACK_TOL:
             violations.append(
-                f"p={_p_label(p)}: rho {format_value(rho)} exceeds interpolation "
+                f"p={format_value(p)}: rho {format_value(rho)} exceeds interpolation "
                 f"bound {format_value(rt_bound)}"
             )
         if rho > loc_bound + SLACK_TOL:
             violations.append(
-                f"p={_p_label(p)}: rho {format_value(rho)} exceeds spectral "
+                f"p={format_value(p)}: rho {format_value(rho)} exceeds spectral "
                 f"bound {format_value(loc_bound)}"
             )
     comments = [f"graph: n={g.n} m={g.m}"]
@@ -253,17 +247,17 @@ def run_lowerbound(
 ) -> ExperimentResult:
     """Ratios of the base graph united with its k-gadget, one row per k."""
     header = ["k", "n", "m", "phi_lower", "phi_upper", "rho_inf"]
-    finite_p = [p for p in p_grid if not math.isinf(float(p))]
-    header.extend(f"rho_p_{_p_label(float(p))}" for p in finite_p)
+    finite_p = [p for p in map(float, p_grid) if not math.isinf(p)]
+    header.extend(f"rho_p_{format_value(p)}" for p in finite_p)
     rows = []
     violations = []
     for k in k_list:
         u = graph_union(base, gadget_subdivide(base, k))
         # the table reports the spectral bracket, so cuts are never enumerated
-        rep = competitive_report(u, p_grid, exact_n_cap=0)
+        rep = competitive_report(u, p_grid, bracket=True)
         rho, bound = rep.rho[math.inf], rep.bound
         row = [k, u.n, u.m, rep.phi_lower, rep.phi_upper, rho]
-        row.extend(rep.rho[float(p)] for p in finite_p)
+        row.extend(rep.rho[p] for p in finite_p)
         rows.append(tuple(row))
         if rho > bound + SLACK_TOL * max(bound, 1.0):
             violations.append(

@@ -296,14 +296,13 @@ def cut_weight(g: Multigraph, s) -> float:
     return float(g.weights[crossing].sum())
 
 
-def conductance_exact(
-    g: Multigraph, max_n: int = EXACT_CONDUCTANCE_CAP
-) -> ConductanceCertificate:
+def conductance_exact(g: Multigraph) -> ConductanceCertificate:
     """Exact conductance by enumerating every cut with vertex 0 fixed on one side.
 
     Conductance is min over nonempty proper S of cut(S) / min(vol(S), vol(V-S)).
-    n above max_n is refused (use conductance_bounds instead). Disconnected
-    graphs have conductance 0, certified by one component.
+    n above EXACT_CONDUCTANCE_CAP is refused, connected or not (use
+    conductance_bounds instead). Disconnected graphs have conductance 0,
+    certified by one component.
 
     The 2^(n-1) cuts are enumerated meet-in-the-middle: the free vertices
     1..a form half A and a+1..n-1 half B, a = ceil((n-1)/2), and cut number
@@ -325,10 +324,10 @@ def conductance_exact(
     in cut-number order among equal values); on a volume tie, the side
     containing vertex 0.
     """
-    if g.n > max_n:
+    if g.n > EXACT_CONDUCTANCE_CAP:
         raise SizeLimitError(
             f"exact conductance enumerates 2^(n-1) cuts; n={g.n} exceeds the "
-            f"limit {max_n}, use conductance_bounds"
+            f"limit {EXACT_CONDUCTANCE_CAP}, use conductance_bounds"
         )
     if g.n < 2:
         raise ValueError("conductance needs at least two vertices")

@@ -19,7 +19,7 @@ satisfies ||L x - b|| <= 1e-10 ||b|| for the centred demand b.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,9 +37,6 @@ __all__ = [
     "induced_norm_inf",
     "induced_pnorm_nonneg",
 ]
-
-Matrix = Union[np.ndarray, sp.sparray]
-
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -257,22 +254,17 @@ def solve_laplacian_block(g: Multigraph, b: np.ndarray) -> Tuple[np.ndarray, np.
     return x, residuals
 
 
-def _abs_axis_sums(mat: Matrix, axis: int) -> np.ndarray:
-    if sp.issparse(mat):
-        sums = np.abs(mat).sum(axis=axis)
-        return np.asarray(sums).ravel()
-    return np.abs(np.asarray(mat)).sum(axis=axis)
-
-
-def induced_norm_1(mat: Matrix) -> float:
-    """Exact 1 -> 1 induced norm: maximum absolute column sum."""
-    sums = _abs_axis_sums(mat, axis=0)
+def induced_norm_1(mat: np.ndarray) -> float:
+    """Exact 1 -> 1 induced norm: maximum absolute column sum. Dense arrays
+    only; a scipy.sparse matrix raises ValueError."""
+    sums = np.abs(np.asarray(mat, dtype=np.float64)).sum(axis=0)
     return float(sums.max()) if sums.size else 0.0
 
 
-def induced_norm_inf(mat: Matrix) -> float:
-    """Exact inf -> inf induced norm: maximum absolute row sum."""
-    sums = _abs_axis_sums(mat, axis=1)
+def induced_norm_inf(mat: np.ndarray) -> float:
+    """Exact inf -> inf induced norm: maximum absolute row sum. Dense arrays
+    only; a scipy.sparse matrix raises ValueError."""
+    sums = np.abs(np.asarray(mat, dtype=np.float64)).sum(axis=1)
     return float(sums.max()) if sums.size else 0.0
 
 
@@ -283,8 +275,9 @@ _PNORM_TOL = 1e-12
 _PNORM_MAX_ITER = 100_000
 
 
-def induced_pnorm_nonneg(mat: Matrix, p: float) -> float:
-    """p -> p induced norm of an entrywise nonnegative matrix.
+def induced_pnorm_nonneg(mat: np.ndarray, p: float) -> float:
+    """p -> p induced norm of an entrywise nonnegative dense array (a
+    scipy.sparse matrix raises ValueError).
 
     Nonlinear power iteration x <- normalize(psi_q(M^T psi_p(M x))) with
     psi_p(v) = v^(p-1) and q the dual exponent, started from the uniform
@@ -299,9 +292,8 @@ def induced_pnorm_nonneg(mat: Matrix, p: float) -> float:
     path; p = 1 and p = inf are the exact column/row-sum formulas.
     """
     p = _check_p(p)
-    mat = mat if sp.issparse(mat) else np.asarray(mat, dtype=np.float64)
-    entries = mat.data if sp.issparse(mat) else mat
-    if entries.size and not float(entries.min()) >= 0.0:
+    mat = np.asarray(mat, dtype=np.float64)
+    if mat.size and not float(mat.min()) >= 0.0:
         raise ValueError("matrix must be entrywise nonnegative")
     if np.isinf(p):
         return induced_norm_inf(mat)

@@ -202,8 +202,9 @@ def _sweep(
         lows, highs = zip(*(pair for pair, _ in block))
         volts, residuals = solve_laplacian_block(g, _pair_demands(g, lows, highs))
         max_residual = max(max_residual, float(residuals.max()))
-        # one row per pair, so each norm below sums a contiguous row the way
-        # a single flow vector is summed
+        # one row per pair; `flows` is F-ordered, so on a wide block each row
+        # is summed left to right, on a 1-column block pairwise, and the last
+        # bits of a norm depend on the block width (fixed by the graph)
         rows = volts.T
         flows = rows[:, g.heads] - rows[:, g.tails]
         norms = (g.weights * np.abs(flows)).sum(axis=1)
@@ -368,26 +369,25 @@ class CompetitiveReport:
 
 
 def _conductance(
-    g: Multigraph, exact_n_cap: int = EXACT_CONDUCTANCE_CAP
+    g: Multigraph, bracket: bool = False
 ) -> Tuple[ConductanceCertificate, ConductanceCertificate]:
-    """Lower and upper conductance certificates: the exact value as both when
-    cut enumeration is allowed (n <= exact_n_cap), else the eigenvalue/sweep
-    bracket."""
-    if g.n <= exact_n_cap:
-        cert = conductance_exact(g, max_n=exact_n_cap)
+    """Lower and upper conductance certificates: the exact value as both up
+    to EXACT_CONDUCTANCE_CAP vertices unless `bracket` is set, else the
+    eigenvalue/sweep bracket."""
+    if not bracket and g.n <= EXACT_CONDUCTANCE_CAP:
+        cert = conductance_exact(g)
         return cert, cert
     return conductance_bounds(g)
 
 
 def competitive_report(
-    g: Multigraph,
-    p_list: Sequence[float] = (np.inf,),
-    exact_n_cap: int = EXACT_CONDUCTANCE_CAP,
+    g: Multigraph, p_list: Sequence[float] = (np.inf,), bracket: bool = False
 ) -> CompetitiveReport:
     """Assemble conductance, competitive ratios, and the routing bound.
 
-    Conductance is exact (cut enumeration) up to exact_n_cap vertices, else
-    the eigenvalue/sweep bracket. The reported bound is 3 ln(vol(V)) / phi
+    Conductance is exact (cut enumeration) up to EXACT_CONDUCTANCE_CAP
+    vertices, else, or whenever `bracket` is set, the eigenvalue/sweep
+    bracket. The reported bound is 3 ln(vol(V)) / phi
     using the exact value when available and the certified lower bound
     otherwise (a smaller phi only loosens the bound, so it stays valid). On
     unit graphs vol(V) = 2m, so ln(vol(V)) matches the 2m reading of the
@@ -401,7 +401,7 @@ def competitive_report(
     factor, and the sweep runs conjugate gradient.
     """
     _require_edges(g)
-    lower, upper = _conductance(g, exact_n_cap)
+    lower, upper = _conductance(g, bracket)
     rho, loc, max_residual = _ratios(g, p_list)
     floor = 1.0 - 1e-6
     for p, value in rho.items():

@@ -380,6 +380,24 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "No such option" in err and "--tol" in err
 
+    def test_p_is_read_by_float_alone(self, tmp_path, capsys):
+        gpath = tmp_path / "g.txt"
+        write_graph(random_regular(10, 3, 1), gpath)
+        outputs = []
+        for grid in ("2,inf", "2, INF "):
+            with pytest.raises(SystemExit) as exc:
+                ohmlab.cli.main(["--no-timestamp", "report", str(gpath), "--p", grid])
+            assert exc.value.code == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out.splitlines()[-1].startswith("inf,")
+        with pytest.raises(SystemExit) as exc:
+            ohmlab.cli.main(["--no-timestamp", "report", str(gpath), "--p", "oo"])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: could not convert string to float: 'oo'\n"
+
     def test_operational_error_message(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a graph\n")

@@ -1,0 +1,203 @@
+"""Exact rational oracle for the solve-based quantities.
+
+On a unit-weight graph the Laplacian is an integer matrix, so grounding
+vertex 0 and eliminating the rest with fractions.Fraction gives
+effective_resistance, competitive_ratio_inf and localization exactly. Each
+float the library returns must lie within an error bound of the exact value
+that follows from the solve contract alone:
+
+- a solution x of L x = b (b a centred unit pair demand, ||b|| = sqrt(2))
+  with true residual r = L x - b differs from the exact voltages by L^+ r,
+  up to a constant;
+- so an effective resistance moves by |b^T L^+ r| <= sqrt(R) ||r|| /
+  sqrt(lambda_2) and an l1 flow norm sum_f |v(head) - v(tail)| by at most
+  sum_f |(B^T L^+ r)_f| <= sqrt(m) ||r|| / sqrt(lambda_2), and so do their
+  maximum (rho_inf) and average (localization);
+- ||r|| is evaluated exactly, in rationals, from the x the solver returned,
+  and must meet the contract, ||r|| <= 1e-10 ||b||;
+- forming the quantity from x rounds once more, by under 4 (m + n) eps
+  relative.
+
+lambda_2 comes from dense eigvalsh. The printed format_value token (12
+significant digits) must equal the exact value rounded to 12 digits, unless
+the exact value lies within the bound of a rounding boundary. With
+||r|| at the contract's 1e-10 ||b|| every value would be that close, so the
+token is checked against the bound from the residual the solve reached.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import ohmlab.routing
+from ohmlab import (
+    competitive_ratio_inf,
+    complete_graph,
+    cycle_graph,
+    effective_resistance,
+    localization,
+    path_graph,
+    petersen_graph,
+    random_regular,
+)
+from ohmlab.experiments import format_value
+from ohmlab.linalg import _SOLVE_TOL
+
+from conftest import _random_multigraph
+
+EPS = np.finfo(np.float64).eps
+
+
+def _multigraph(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 11))
+    return _random_multigraph(rng, n, int(rng.integers(0, 2 * n)), weighted=False)
+
+
+GRAPHS = {
+    "path6": lambda: path_graph(6),
+    "cycle7": lambda: cycle_graph(7),
+    "k5": lambda: complete_graph(5),
+    "petersen": petersen_graph,
+    **{f"regular10-3-{s}": (lambda s=s: random_regular(10, 3, s)) for s in range(1, 6)},
+    **{f"multigraph-{s}": (lambda s=s: _multigraph(s)) for s in range(5)},
+}
+
+
+def _grounded_inverse(g):
+    """Exact inverse of L with vertex 0 grounded, padded with a zero row and
+    column for vertex 0: G[s, s] + G[t, t] - 2 G[s, t] is R(s, t), and
+    G[:, s] - G[:, t] is a voltage vector of the unit s -> t demand."""
+    assert g.is_unit_weight
+    n = g.n
+    lap = [[Fraction(0)] * n for _ in range(n)]
+    for a, b in zip(g.tails.tolist(), g.heads.tolist()):
+        lap[a][a] += 1
+        lap[b][b] += 1
+        lap[a][b] -= 1
+        lap[b][a] -= 1
+    k = n - 1
+    aug = [lap[i + 1][1:] + [Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    for col in range(k):
+        piv = next(r for r in range(col, k) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(k):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    zero = [Fraction(0)] * n
+    return [zero] + [[Fraction(0)] + row[k:] for row in aug]
+
+
+def _exact(g):
+    """Exact R(s, t) for every pair s < t, the l1 flow norm of every edge's
+    unit demand, rho_inf and localization."""
+    grounded = _grounded_inverse(g)
+    pairs = [(s, t) for s in range(g.n) for t in range(s + 1, g.n)]
+    resistance = {
+        (s, t): grounded[s][s] + grounded[t][t] - 2 * grounded[s][t] for s, t in pairs
+    }
+    ends = list(zip(g.tails.tolist(), g.heads.tolist()))
+    l1 = []
+    for a, b in ends:
+        v = [grounded[i][a] - grounded[i][b] for i in range(g.n)]
+        l1.append(sum(abs(v[h] - v[t]) for t, h in ends))
+    return resistance, max(l1), sum(l1) / len(l1)
+
+
+def _round12(q):
+    """q rounded to 12 significant digits, exactly."""
+    if q == 0:
+        return q
+    e = math.floor(math.log10(abs(q)))
+    while Fraction(10) ** e > abs(q):
+        e -= 1
+    while Fraction(10) ** (e + 1) <= abs(q):
+        e += 1
+    unit = Fraction(10) ** (e - 11)
+    return round(q / unit) * unit
+
+
+class _Residuals:
+    """Wraps routing's block solve and keeps the largest true relative
+    residual ||L x - b|| / ||b|| of the solutions it returns since the last
+    reset, evaluated exactly in rationals (rounded up to a float)."""
+
+    def __init__(self, monkeypatch):
+        self.worst = 0.0
+        real = ohmlab.routing.solve_laplacian_block
+
+        def spy(g, b):
+            x, residuals = real(g, b)
+            lap = g.laplacian.toarray().astype(int).tolist()
+            for col, demand in zip(x.T.tolist(), b.T.tolist()):
+                # every float is an integer over a power of two: scale the
+                # column and the demand to integers over one denominator
+                ratios = [v.as_integer_ratio() for v in col + demand]
+                den = max(d for _, d in ratios)
+                ints = [num * (den // d) for num, d in ratios]
+                xs, bs = ints[:g.n], ints[g.n:]
+                sq = sum((sum(a * v for a, v in zip(row, xs) if a) - bi) ** 2
+                         for row, bi in zip(lap, bs))
+                rel = math.sqrt(Fraction(sq, sum(bi * bi for bi in bs)))
+                self.worst = max(self.worst, rel * (1.0 + 4 * EPS))
+            return x, residuals
+
+        monkeypatch.setattr(ohmlab.routing, "solve_laplacian_block", spy)
+
+
+def _check(g, lam2, value, exact, scale, residual):
+    """`value` within the bound of `exact` that the residual gives, and its
+    token the exact 12-digit rounding where that bound clears every rounding
+    boundary. `scale` is sqrt(R) for a resistance, sqrt(m) for an l1 norm:
+    the factor on ||r|| / sqrt(lambda_2). Returns whether the token was
+    checked."""
+    assert residual <= _SOLVE_TOL
+
+    def bound(rel_residual):
+        solve = scale * math.sqrt(2.0) * rel_residual / math.sqrt(lam2)
+        return Fraction(solve + 4 * (g.m + g.n) * EPS * float(exact))
+
+    error = abs(Fraction(value) - exact)
+    assert error <= bound(_SOLVE_TOL)
+    tight = bound(residual)
+    assert error <= tight, (value, float(exact), float(error), float(tight))
+    if _round12(exact - tight) != _round12(exact + tight):
+        return False
+    assert Fraction(format_value(value)) == _round12(exact), (format_value(value), exact)
+    return True
+
+
+@pytest.mark.parametrize("name", list(GRAPHS))
+def test_solve_quantities_match_exact_rationals(name, monkeypatch):
+    g = GRAPHS[name]()
+    resistance, rho_exact, loc_exact = _exact(g)
+    # shrunk by far more than eigvalsh's rounding, so it stays below lambda_2
+    lam2 = np.linalg.eigvalsh(g.laplacian.toarray())[1] * (1.0 - 1e-9)
+    spy = _Residuals(monkeypatch)
+    checked = []
+
+    for (s, t), exact in resistance.items():
+        spy.worst = 0.0
+        value = effective_resistance(g, s, t)
+        checked.append(_check(g, lam2, value, exact, math.sqrt(exact), spy.worst))
+
+    for fn, exact in ((competitive_ratio_inf, rho_exact), (localization, loc_exact)):
+        spy.worst = 0.0
+        value = fn(g)
+        checked.append(_check(g, lam2, value, exact, math.sqrt(g.m), spy.worst))
+
+    # the token half is not vacuous: most values sit well clear of a boundary
+    assert sum(checked) >= 0.75 * len(checked)
+
+
+def test_multigraphs_have_parallel_edges():
+    for s in range(5):
+        g = _multigraph(s)
+        assert g.n <= 10 and g.is_unit_weight
+        pairs = {tuple(sorted(p)) for p in zip(g.tails.tolist(), g.heads.tolist())}
+        assert len(pairs) < g.m

@@ -138,7 +138,7 @@ class TestConductanceExact:
     def test_size_cap(self):
         g = random_regular(26, 3, 1)
         with pytest.raises(SizeLimitError):
-            conductance_exact(g, max_n=24)
+            conductance_exact(g)
 
 
 def _grid(a, b):
@@ -919,10 +919,18 @@ class TestSplitEnumerationMatchesReference:
             conductance_exact(Multigraph.from_edges(30, [(0, 1)]))
 
     def test_one_cap_constant(self):
+        # the cap is read in conductance_exact alone: no signature takes one,
+        # and competitive_report chooses only between it and the bracket
         cap = ohmlab.graphs.EXACT_CONDUCTANCE_CAP
-        for fn, name in ((conductance_exact, "max_n"),
-                         (ohmlab.routing._conductance, "exact_n_cap"),
-                         (ohmlab.routing.competitive_report, "exact_n_cap")):
-            assert inspect.signature(fn).parameters[name].default == cap
+        for fn in (conductance_exact, ohmlab.routing._conductance,
+                   ohmlab.routing.competitive_report):
+            for param in inspect.signature(fn).parameters.values():
+                assert param.annotation not in (int, "int")
+                assert type(param.default) is not int
         with pytest.raises(SizeLimitError):
             conductance_exact(random_regular(cap + 1, 4, 1))
+        g = random_regular(10, 3, 1)
+        exact = ohmlab.routing.competitive_report(g)
+        bracketed = ohmlab.routing.competitive_report(g, bracket=True)
+        assert (exact.phi_kind, bracketed.phi_kind) == ("exact", "bracket")
+        assert bracketed.rho == exact.rho

@@ -346,7 +346,7 @@ class TestEdgelessGraph:
         g = Multigraph(3, np.array([], dtype=np.int64), np.array([], dtype=np.int64),
                        np.array([]))
         for call in (competitive_ratio_inf, localization, competitive_report,
-                     lambda g: competitive_report(g, (2.0, np.inf), exact_n_cap=0)):
+                     lambda g: competitive_report(g, (2.0, np.inf), bracket=True)):
             with pytest.raises(ValueError, match="^graph has no edges$"):
                 call(g)
 
@@ -474,7 +474,7 @@ class TestCompetitiveReport:
 
     def test_large_graph_uses_bracket(self):
         g = random_regular(30, 3, 1)
-        rep = competitive_report(g, exact_n_cap=24)
+        rep = competitive_report(g)
         assert rep.phi_kind == "bracket"
         assert rep.phi_lower <= rep.phi_upper
         assert rep.rho[np.inf] <= rep.bound
