@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .graphs import Multigraph, gadget_subdivide, graph_union, random_regular
-from .routing import _conductance, _ratios, competitive_report, edge_demand
+from .routing import _conductance_lower, _ratios, competitive_report, edge_demand
 from .sparsify import (
     Partition,
     _full_vector,
@@ -64,21 +64,31 @@ class ExperimentResult:
 
 
 def format_value(v) -> str:
+    """%.12g for a float (numpy float64 included; inf, -inf and nan print as
+    such), str() for anything else."""
     if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
         return f"{v:.12g}"
     return str(v)
 
 
 def render_csv(result: ExperimentResult, timestamp: Optional[str] = None) -> str:
+    """Comment lines, the header, then one line per row, each value formatted
+    by `format_value`'s rule. Rows (tuples or lists) are rendered by one `%`
+    format string per sequence of value types, built once per call."""
     lines = []
     if timestamp:
         lines.append(f"# generated {timestamp}")
     lines.extend(f"# {c}" for c in result.comments)
     lines.append(",".join(result.header))
+    formats = {}
     for row in result.rows:
-        lines.append(",".join(format_value(v) for v in row))
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join(
+                "%.12g" if issubclass(t, float) else "%s" for t in types
+            )
+        lines.append(fmt % tuple(row))
     return "\n".join(lines) + "\n"
 
 
@@ -107,9 +117,13 @@ def run_report(g: Multigraph, p_grid: Sequence[float]) -> ExperimentResult:
 
 
 def run_diagnose(g: Multigraph, edge: int, samples: int = 50) -> ExperimentResult:
-    """Threshold diagnostics for one unit edge demand, plus identity checks."""
+    """Threshold diagnostics for one unit edge demand, plus identity checks.
+
+    The derivative checks and the printed phi read only the lower conductance
+    certificate (`_conductance_lower`): exact up to EXACT_CONDUCTANCE_CAP
+    vertices, else lambda_2 / 2, so no sweep cut is computed."""
     profile = threshold_profile(g, edge_demand(g, edge))
-    lower, _ = _conductance(g)
+    lower = _conductance_lower(g)
     integral = check_integral_identity(profile)
     flow_dev = check_unit_flow(profile)
     deriv = check_derivative_bounds(profile, lower.phi, samples)

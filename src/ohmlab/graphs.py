@@ -22,6 +22,8 @@ accept index iterables as well and normalize them.
 
 from __future__ import annotations
 
+import io
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -624,6 +626,19 @@ def _sweep_cut(g: Multigraph, vec: np.ndarray) -> tuple:
     return float(ratio[best_k]), witness
 
 
+def _cheeger_lower(g: Multigraph) -> tuple:
+    """(lambda_2 / 2 certificate, Fiedler vector): the lower end of
+    `conductance_bounds` and the ordering its sweep reads, after the
+    connectivity and size checks. Callers that print phi_lower alone take
+    the certificate and skip the sweep."""
+    if not g.is_connected:
+        raise DisconnectedError("conductance bounds need a connected graph")
+    if g.n < 2:
+        raise ValueError("conductance needs at least two vertices")
+    lam2, vec = _lambda2(g)
+    return ConductanceCertificate(phi=lam2 / 2.0, kind="cheeger-lower-bound", witness=None), vec
+
+
 def conductance_bounds(g: Multigraph) -> tuple:
     """Certified conductance bracket from the normalized Laplacian.
 
@@ -638,15 +653,11 @@ def conductance_bounds(g: Multigraph) -> tuple:
     the sparse matrix, `_FILTER_DEGREE` products per step, whose top
     eigenvector is the Fiedler vector (`_lambda2`). Every Lanczos run starts
     from a fixed vector, so repeated calls return equal floats, and both
-    paths return a value >= lambda_2 up to rounding.
+    paths return a value >= lambda_2 up to rounding. `_cheeger_lower`
+    returns the same lower certificate without the sweep.
     """
-    if not g.is_connected:
-        raise DisconnectedError("conductance bounds need a connected graph")
-    if g.n < 2:
-        raise ValueError("conductance needs at least two vertices")
-    lam2, vec = _lambda2(g)
+    lower, vec = _cheeger_lower(g)
     best_ratio, witness = _sweep_cut(g, vec)
-    lower = ConductanceCertificate(phi=lam2 / 2.0, kind="cheeger-lower-bound", witness=None)
     upper = ConductanceCertificate(phi=best_ratio, kind="sweep-upper-bound", witness=witness)
     return lower, upper
 
@@ -812,35 +823,84 @@ def write_graph(g: Multigraph, path) -> None:
         fh.write(graph_text(g))
 
 
+# a blank or comment line after a newline, up to the next newline
+_SKIPPED_LINE = re.compile(r"\n[^\S\n]*(?:#.*)?(?=\n)")
+# the code points str.split() separates tokens on, the highest being U+3000;
+# every code point above maps to the last, non-space entry
+_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
+_EDGE_FIELDS = np.dtype([("tail", np.int64), ("head", np.int64), ("weight", np.float64)])
+
+
 def read_graph(path) -> Multigraph:
     """Read the text format written by write_graph: a header "n m", then one
-    "tail head [weight]" line per edge, weight 1 when omitted; '#' lines are
-    comments."""
-    rows = []
+    "tail head [weight]" line per edge, weight 1 when omitted; blank lines and
+    lines whose first non-blank character is '#' are skipped.
+
+    No Python code runs per line: a regex drops the skipped lines, numpy
+    counts each edge line's tokens as `str.split` separates them
+    (`_tokens_per_line`) and one `np.loadtxt` call reads every edge line
+    (`_edge_table`). Tails and heads are ASCII decimal integers, weights what
+    `float` reads without '_' separators. Errors name the first bad edge
+    line, counting edge lines from 0.
+    """
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append(line.split())
-    if not rows:
+        text = _SKIPPED_LINE.sub("", "\n" + fh.read() + "\n")[1:]
+    header, _, edges = text.partition("\n")
+    if not header:
         raise ValueError(f"{path}: empty graph file")
+    fields = header.split()
     try:
-        n, m = int(rows[0][0]), int(rows[0][1])
+        n, m = int(fields[0]), int(fields[1])
     except (IndexError, ValueError) as exc:
         raise ValueError(f"{path}: bad header line, expected 'n m'") from exc
-    if len(rows) - 1 != m:
-        raise ValueError(f"{path}: header says {m} edges, found {len(rows) - 1}")
-    tails = np.empty(m, dtype=np.int64)
-    heads = np.empty(m, dtype=np.int64)
-    weights = np.empty(m, dtype=np.float64)
-    for i, row in enumerate(rows[1:]):
-        if len(row) not in (2, 3):
-            raise ValueError(f"{path}: edge line {i} needs 'tail head [weight]'")
-        tails[i] = int(row[0])
-        heads[i] = int(row[1])
-        weights[i] = float(row[2]) if len(row) == 3 else 1.0
-    return Multigraph(n, tails, heads, weights)
+    found = edges.count("\n")
+    if found != m:
+        raise ValueError(f"{path}: header says {m} edges, found {found}")
+    tokens = _tokens_per_line(edges)
+    bad = np.flatnonzero((tokens < 2) | (tokens > 3))
+    if bad.size:
+        # a token error on an earlier line is reported first
+        _edge_table(path, "\n".join(edges.split("\n")[: bad[0]] + [""]))
+        raise ValueError(f"{path}: edge line {bad[0]} needs 'tail head [weight]'")
+    table = _edge_table(path, edges)
+    return Multigraph(n, table["tail"].copy(), table["head"].copy(), table["weight"].copy())
+
+
+def _tokens_per_line(text: str) -> np.ndarray:
+    """Whitespace-separated token count of each newline-terminated line."""
+    code = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    space = _SPACE[np.minimum(code, _SPACE.size - 1)]
+    starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))
+    return np.diff(np.searchsorted(starts, np.flatnonzero(code == 10)), prepend=0)
+
+
+def _edge_table(path, edges: str) -> np.ndarray:
+    """Structured (tail, head, weight) rows of edge lines holding 2 or 3
+    tokens each; a 1 appended to every line is the third column of a
+    two-token line. A token numpy cannot read is reported with the message
+    `int` or `float` gives for it, or numpy's own when both read it."""
+    if not edges:
+        return np.empty(0, dtype=_EDGE_FIELDS)
+    try:
+        return np.loadtxt(
+            io.StringIO(edges.replace("\n", " 1\n")),
+            dtype=_EDGE_FIELDS,
+            usecols=(0, 1, 2),
+            comments=None,
+            ndmin=1,
+        )
+    except ValueError as exc:
+        row = re.search(r"at row (\d+)", str(exc))
+        if row is None:
+            raise
+        line = int(row.group(1))
+        tail, head, *weight = edges.split("\n")[line].split()
+        # raise int's or float's message for the first token they refuse
+        int(tail)
+        int(head)
+        if weight:
+            float(weight[0])
+        raise ValueError(f"{path}: edge line {line}: {exc}") from exc
 
 
 def cycle_graph(k: int) -> Multigraph:

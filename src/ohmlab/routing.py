@@ -27,6 +27,7 @@ from .graphs import (
     EXACT_CONDUCTANCE_CAP,
     ConductanceCertificate,
     Multigraph,
+    _cheeger_lower,
     conductance_bounds,
     conductance_exact,
 )
@@ -368,16 +369,30 @@ class CompetitiveReport:
     max_residual: float
 
 
+def _is_exact(g: Multigraph, bracket: bool) -> bool:
+    """The one rule choosing exact conductance over the spectral bracket: cut
+    enumeration up to EXACT_CONDUCTANCE_CAP vertices unless `bracket` is set."""
+    return not bracket and g.n <= EXACT_CONDUCTANCE_CAP
+
+
 def _conductance(
     g: Multigraph, bracket: bool = False
 ) -> Tuple[ConductanceCertificate, ConductanceCertificate]:
-    """Lower and upper conductance certificates: the exact value as both up
-    to EXACT_CONDUCTANCE_CAP vertices unless `bracket` is set, else the
-    eigenvalue/sweep bracket."""
-    if not bracket and g.n <= EXACT_CONDUCTANCE_CAP:
+    """Lower and upper conductance certificates: the exact value as both where
+    `_is_exact`, else the eigenvalue/sweep bracket."""
+    if _is_exact(g, bracket):
         cert = conductance_exact(g)
         return cert, cert
     return conductance_bounds(g)
+
+
+def _conductance_lower(g: Multigraph) -> ConductanceCertificate:
+    """The lower certificate of `_conductance(g)` alone: the exact value where
+    `_is_exact`, else lambda_2 / 2 without the sweep cut that bounds phi from
+    above (`_cheeger_lower`)."""
+    if _is_exact(g, False):
+        return conductance_exact(g)
+    return _cheeger_lower(g)[0]
 
 
 def competitive_report(

@@ -1,10 +1,20 @@
 import functools
+import math
 
 import numpy as np
 import pytest
 
 import ohmlab
-from ohmlab import Partition, complete_graph, cycle_graph, path_graph, random_regular
+from ohmlab import (
+    Partition,
+    complete_graph,
+    conductance_bounds,
+    conductance_exact,
+    cycle_graph,
+    path_graph,
+    random_regular,
+)
+from ohmlab.graphs import EXACT_CONDUCTANCE_CAP
 from ohmlab.experiments import (
     ExperimentResult,
     format_value,
@@ -38,6 +48,62 @@ class TestRenderCsv:
         assert format_value(1.0) == "1"
         assert format_value(1.0 / 3.0) == "0.333333333333"
         assert format_value("x") == "x"
+
+
+def _reference_format_value(v) -> str:
+    """The per-value formatter render_csv and format_value must agree with."""
+    if isinstance(v, float):
+        if math.isinf(v):
+            return "inf" if v > 0 else "-inf"
+        return f"{v:.12g}"
+    return str(v)
+
+
+def _reference_render_csv(result, timestamp=None) -> str:
+    lines = [f"# generated {timestamp}"] if timestamp else []
+    lines.extend(f"# {c}" for c in result.comments)
+    lines.append(",".join(result.header))
+    for row in result.rows:
+        lines.append(",".join(_reference_format_value(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+_VALUES = [
+    np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0 / 3.0,
+    123456789012.5, 1e-7, 2.0**53 + 2.0, np.float64(np.inf), np.float64(-np.inf),
+    np.float64(np.nan), np.float64(-0.0), np.float64(0.1), np.float64(5e-324),
+    np.float32(0.1), np.float32(np.inf), np.float32(-0.0), np.int64(-7), np.int64(2**62),
+    7, True, False, np.bool_(True), "x", "", "1.0", "inf",
+]
+
+
+class TestRowFormatsMatchTheValueFormatter:
+    def test_format_value(self):
+        for v in _VALUES:
+            assert format_value(v) == _reference_format_value(v), repr(v)
+
+    def test_tuple_and_list_rows(self):
+        rng = np.random.default_rng(0)
+        rows = [tuple(_VALUES)] + [
+            list(rng.permutation(np.array(_VALUES, dtype=object))[:4]) for _ in range(200)
+        ]
+        rows += [tuple(row) for row in rows[1:50]]
+        # one type signature, then values of other types in the same positions
+        rows += [(1.0, "a", 2), ("a", 1.0, 2), (1, 2.0, "b"), (1.0, "a", 2)]
+        res = ExperimentResult(("a", "b"), rows, ["note 0.1"], [])
+        assert render_csv(res) == _reference_render_csv(res)
+        stamp = "2026-01-01T00:00:00+00:00"
+        assert render_csv(res, stamp) == _reference_render_csv(res, stamp)
+
+    def test_experiment_tables(self):
+        g = random_regular(40, 3, 2)
+        for res in (
+            run_report(g, (1.0, 2.0, np.inf)),
+            run_diagnose(g, 5, samples=7),
+            run_lowerbound(cycle_graph(6), [1, 2], (np.inf, 2.0)),
+            run_upperbound([10], [3], [1]),
+        ):
+            assert render_csv(res) == _reference_render_csv(res)
 
 
 class TestRunReport:
@@ -82,6 +148,41 @@ class TestRunDiagnose:
     def test_edge_out_of_range(self):
         with pytest.raises(ValueError):
             run_diagnose(cycle_graph(4), 99)
+
+    def test_no_sweep_cut(self, monkeypatch):
+        # diagnose prints and checks phi_lower only, so the sweep never runs
+        above = random_regular(EXACT_CONDUCTANCE_CAP + 6, 3, 1)
+        cheeger = conductance_bounds(above)[0]
+        at_cap = random_regular(EXACT_CONDUCTANCE_CAP, 3, 1)
+        exact = {g.n: conductance_exact(g) for g in (at_cap, cycle_graph(9))}
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep cut computed")
+
+        monkeypatch.setattr(ohmlab.graphs, "_sweep_cut", no_sweep)
+        res = run_diagnose(above, 0)
+        assert f"phi (cheeger-lower-bound): {format_value(cheeger.phi)}" in res.comments
+        for g in (at_cap, cycle_graph(9)):
+            res = run_diagnose(g, 0)
+            assert f"phi (exact): {format_value(exact[g.n].phi)}" in res.comments
+
+    def test_lower_certificate_is_the_brackets(self):
+        for seed in range(1, 4):
+            g = random_regular(60, 4, seed)
+            assert ohmlab.routing._conductance_lower(g) == conductance_bounds(g)[0]
+        g = random_regular(EXACT_CONDUCTANCE_CAP, 3, 2)
+        lower, (exact, _) = ohmlab.routing._conductance_lower(g), ohmlab.routing._conductance(g)
+        assert (lower.phi, lower.kind) == (exact.phi, "exact")
+        assert np.array_equal(lower.witness, exact.witness)
+
+    def test_disconnected_refused_as_by_the_bracket(self):
+        ring = [(i, (i + 1) % 15) for i in range(15)]
+        g = ohmlab.Multigraph.from_edges(30, ring + [(15 + a, 15 + b) for a, b in ring])
+        with pytest.raises(ohmlab.DisconnectedError) as bracket:
+            conductance_bounds(g)
+        with pytest.raises(ohmlab.DisconnectedError) as lower:
+            ohmlab.routing._conductance_lower(g)
+        assert str(lower.value) == str(bracket.value)
 
     def test_one_profile_one_table(self, monkeypatch):
         # both half-axes of the derivative check read the profile's one table

@@ -568,6 +568,144 @@ class TestGraphText:
             read_graph(p)
 
 
+def _reference_read_graph(path) -> Multigraph:
+    """Line-by-line reader that read_graph's C passes must agree with."""
+    rows = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            rows.append(line.split())
+    if not rows:
+        raise ValueError(f"{path}: empty graph file")
+    try:
+        n, m = int(rows[0][0]), int(rows[0][1])
+    except (IndexError, ValueError) as exc:
+        raise ValueError(f"{path}: bad header line, expected 'n m'") from exc
+    if len(rows) - 1 != m:
+        raise ValueError(f"{path}: header says {m} edges, found {len(rows) - 1}")
+    tails = np.empty(m, dtype=np.int64)
+    heads = np.empty(m, dtype=np.int64)
+    weights = np.empty(m, dtype=np.float64)
+    for i, row in enumerate(rows[1:]):
+        if len(row) not in (2, 3):
+            raise ValueError(f"{path}: edge line {i} needs 'tail head [weight]'")
+        tails[i] = int(row[0])
+        heads[i] = int(row[1])
+        weights[i] = float(row[2]) if len(row) == 3 else 1.0
+    return Multigraph(n, tails, heads, weights)
+
+
+def _same_graph(g: Multigraph, h: Multigraph) -> bool:
+    return g.n == h.n and all(
+        a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for a, b in ((g.tails, h.tails), (g.heads, h.heads), (g.weights, h.weights))
+    )
+
+
+class TestReadGraphMatchesLineLoop:
+    def _both(self, tmp_path, text, newline=None):
+        p = tmp_path / "g.txt"
+        with open(p, "w", newline=newline) as fh:
+            fh.write(text)
+        return read_graph(p), _reference_read_graph(p)
+
+    def _same_error(self, tmp_path, text):
+        p = tmp_path / "g.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError) as ref:
+            _reference_read_graph(p)
+        with pytest.raises(ValueError) as got:
+            read_graph(p)
+        assert str(got.value) == str(ref.value)
+        return str(got.value)
+
+    def test_written_multigraphs_bitwise(self, tmp_path, random_multigraph):
+        rng = np.random.default_rng(21)
+        for k in range(36):
+            n = int(rng.integers(2, 60))
+            g = random_multigraph(rng, n, int(rng.integers(0, 2 * n)), weighted=k % 4 != 0)
+            p = tmp_path / f"g{k}.txt"
+            write_graph(g, p)
+            h = read_graph(p)
+            assert _same_graph(h, g) and _same_graph(h, _reference_read_graph(p))
+            assert h.tails.flags.c_contiguous and h.weights.flags.c_contiguous
+
+    def test_long_decimal_weights(self, tmp_path):
+        # correctly rounded like float(): halfway cases and 40-digit mantissas
+        rng = np.random.default_rng(5)
+        words = ["1.00000000000000011102230246251565404236316680908203125",
+                 "9007199254740993", "1e308", "1.7976931348623157e308", "2.5E+3", ".5e1",
+                 "7.", "+3", "1" * 40 + ".5"]
+        words += [f"{w:.40g}" for w in 10.0 ** rng.uniform(0.0, 12.0, 40)]
+        text = f"2 {len(words)}\n" + "".join(f"0 1 {w}\n" for w in words)
+        got, ref = self._both(tmp_path, text)
+        assert _same_graph(got, ref)
+
+    def test_comments_blanks_crlf_tabs(self, tmp_path):
+        text = ("# leading comment\n\n  \t \n5 6 extra header tokens\n"
+                "\t0\t1\t2.5\n  # indented comment\n1 2\n\x0c\n2  3   1e3  \n"
+                "#\n3\x0b4\xa01\n4\u30000\n0 2 7")
+        for newline in (None, "\r\n", "\r"):
+            got, ref = self._both(tmp_path, text, newline)
+            assert _same_graph(got, ref) and got.m == 6
+
+    def test_two_three_and_mixed_forms(self, tmp_path, random_multigraph):
+        rng = np.random.default_rng(8)
+        for k in range(12):
+            g = random_multigraph(rng, int(rng.integers(2, 30)), 5)
+            weighted = rng.random(g.m) < [0.0, 1.0, 0.5][k % 3]
+            lines = [f"{t} {h} {w!r}" if keep else f"{t} {h}"
+                     for t, h, w, keep in zip(g.tails.tolist(), g.heads.tolist(),
+                                              g.weights.tolist(), weighted)]
+            got, ref = self._both(tmp_path, f"{g.n} {g.m}\n" + "\n".join(lines) + "\n")
+            assert _same_graph(got, ref)
+
+    def test_no_edges(self, tmp_path):
+        got, ref = self._both(tmp_path, "# none\n3 0\n")
+        assert _same_graph(got, ref) and got.m == 0
+
+    def test_malformed_same_message(self, tmp_path):
+        cases = {
+            "": "empty graph file",
+            "# only\n\n": "empty graph file",
+            "2\n0 1\n": "bad header line",
+            "x 1\n0 1\n": "bad header line",
+            "2 2\n0 1\n": "header says 2 edges, found 1",
+            "3 2\n0 1\n1 2\n2 0\n": "header says 2 edges, found 3",
+            "3 2\n0 1\n1\n": "edge line 1 needs",
+            "3 2\n0 1 1.0 7\n1 2\n": "edge line 0 needs",
+            "3 2\n0 1\n1 2 3 # note\n": "edge line 1 needs",
+            "3 2\n0 1.0\n1 2\n": "invalid literal for int() with base 10: '1.0'",
+            "3 2\n0 1\n1.0 2\n": "invalid literal for int() with base 10: '1.0'",
+            "3 2\n0 1\n1 2 x\n": "could not convert string to float: 'x'",
+            "3 2\n0 1 #c\n1 2\n": "could not convert string to float: '#c'",
+            # the first bad line wins, whatever is wrong with it
+            "3 3\n0 1\n1 y\n0 1 2 3\n": "invalid literal for int() with base 10: 'y'",
+            "3 3\n0 1\n0 1 2 3\n1 y\n": "edge line 1 needs",
+            "3 3\n0 1\n1 2 w\n2\n": "could not convert string to float: 'w'",
+            # Multigraph's own checks
+            "3 1\n0 3\n": "edge endpoint out of range",
+            "3 1\n0 1 nan\n": "edge weights must be finite",
+            "3 1\n0 1 0.5\n": "edge weights must be finite",
+        }
+        for text, message in cases.items():
+            assert message in self._same_error(tmp_path, text), text
+
+    def test_tokens_numpy_refuses(self, tmp_path):
+        # ids and weights with '_' separators or non-ASCII digits, and ids
+        # beyond int64, are refused; the line loop read the first two and
+        # raised OverflowError on the third
+        p = tmp_path / "g.txt"
+        for line, bad in [("1_000 0", "1_000"), ("0 1 1_000.5", "1_000.5"),
+                          ("0 \u0663", "\u0663"), ("0 1 \u0663.5", "\u0663.5"),
+                          ("0 " + "9" * 20, "9" * 20)]:
+            p.write_text(f"1001 2\n0 1\n{line}\n", encoding="utf-8")
+            with pytest.raises(ValueError, match=f"g.txt: edge line 1: could not convert string '{bad}'"):
+                read_graph(p)
+
+
 class TestCertificate:
     def test_fields(self):
         cert = ConductanceCertificate(0.5, "exact", None)
