@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import io
 import re
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -825,9 +826,9 @@ def write_graph(g: Multigraph, path) -> None:
 
 # a blank or comment line after a newline, up to the next newline
 _SKIPPED_LINE = re.compile(r"\n[^\S\n]*(?:#.*)?(?=\n)")
-# the code points str.split() separates tokens on, the highest being U+3000;
-# every code point above maps to the last, non-space entry
-_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
+# a newline and then a line of one token, or of four or more; \s is what
+# str.split splits on
+_BAD_EDGE_LINE = re.compile(r"\n[^\S\n]*(?:\S+[^\S\n]*\n|(?:\S+[^\S\n]+){3}\S)")
 _EDGE_FIELDS = np.dtype([("tail", np.int64), ("head", np.int64), ("weight", np.float64)])
 
 
@@ -836,12 +837,11 @@ def read_graph(path) -> Multigraph:
     "tail head [weight]" line per edge, weight 1 when omitted; blank lines and
     lines whose first non-blank character is '#' are skipped.
 
-    No Python code runs per line: a regex drops the skipped lines, numpy
-    counts each edge line's tokens as `str.split` separates them
-    (`_tokens_per_line`) and one `np.loadtxt` call reads every edge line
-    (`_edge_table`). Tails and heads are ASCII decimal integers, weights what
-    `float` reads without '_' separators. Errors name the first bad edge
-    line, counting edge lines from 0.
+    No Python code runs per line: one regex drops the skipped lines, another
+    finds the first edge line without 2 or 3 tokens, and one `np.loadtxt`
+    call reads every edge line (`_edge_table`). Tails and heads are ASCII
+    decimal integers, weights what `float` reads without '_' separators.
+    Errors name the first bad edge line, counting edge lines from 0.
     """
     with open(path) as fh:
         text = _SKIPPED_LINE.sub("", "\n" + fh.read() + "\n")[1:]
@@ -856,43 +856,42 @@ def read_graph(path) -> Multigraph:
     found = edges.count("\n")
     if found != m:
         raise ValueError(f"{path}: header says {m} edges, found {found}")
-    tokens = _tokens_per_line(edges)
-    bad = np.flatnonzero((tokens < 2) | (tokens > 3))
-    if bad.size:
+    bad = _BAD_EDGE_LINE.search(text, len(header))
+    if bad:
         # a token error on an earlier line is reported first
-        _edge_table(path, "\n".join(edges.split("\n")[: bad[0]] + [""]))
-        raise ValueError(f"{path}: edge line {bad[0]} needs 'tail head [weight]'")
+        _edge_table(path, edges[: bad.start() - len(header)])
+        line = text.count("\n", 0, bad.start())
+        raise ValueError(f"{path}: edge line {line} needs 'tail head [weight]'")
     table = _edge_table(path, edges)
     return Multigraph(n, table["tail"].copy(), table["head"].copy(), table["weight"].copy())
-
-
-def _tokens_per_line(text: str) -> np.ndarray:
-    """Whitespace-separated token count of each newline-terminated line."""
-    code = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-    space = _SPACE[np.minimum(code, _SPACE.size - 1)]
-    starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))
-    return np.diff(np.searchsorted(starts, np.flatnonzero(code == 10)), prepend=0)
 
 
 def _edge_table(path, edges: str) -> np.ndarray:
     """Structured (tail, head, weight) rows of edge lines holding 2 or 3
     tokens each; a 1 appended to every line is the third column of a
     two-token line. A token numpy cannot read is reported with the message
-    `int` or `float` gives for it, or numpy's own when both read it."""
+    `int` or `float` gives for it, or numpy's own when both read it.
+
+    From numpy 1.23, until its removal, loadtxt read a non-integer id such as
+    2.7 or 1e3 through float and truncated it with only a DeprecationWarning;
+    that warning is made an error here, which loadtxt reports as a token it
+    could not convert "at row N" (0-based), like any other."""
     if not edges:
         return np.empty(0, dtype=_EDGE_FIELDS)
     try:
-        return np.loadtxt(
-            io.StringIO(edges.replace("\n", " 1\n")),
-            dtype=_EDGE_FIELDS,
-            usecols=(0, 1, 2),
-            comments=None,
-            ndmin=1,
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(
+                io.StringIO(edges.replace("\n", " 1\n")),
+                dtype=_EDGE_FIELDS,
+                usecols=(0, 1, 2),
+                comments=None,
+                ndmin=1,
+            )
     except ValueError as exc:
         row = re.search(r"at row (\d+)", str(exc))
         if row is None:
-            raise
+            raise ValueError(f"{path}: {exc}") from exc
         line = int(row.group(1))
         tail, head, *weight = edges.split("\n")[line].split()
         # raise int's or float's message for the first token they refuse

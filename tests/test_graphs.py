@@ -1,4 +1,5 @@
 import inspect
+import io
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -704,6 +705,37 @@ class TestReadGraphMatchesLineLoop:
             p.write_text(f"1001 2\n0 1\n{line}\n", encoding="utf-8")
             with pytest.raises(ValueError, match=f"g.txt: edge line 1: could not convert string '{bad}'"):
                 read_graph(p)
+
+
+    def test_integer_via_float_fallback_refused(self, tmp_path, monkeypatch):
+        # numpy releases from 1.23 until the fallback's removal read the id
+        # 2.7 as 2 with only a DeprecationWarning, and report the row as a
+        # token they could not convert when that warning raises; this fake
+        # loadtxt does the same, whatever numpy is installed
+        real = np.loadtxt
+
+        def loadtxt_with_fallback(fh, **kwargs):
+            try:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning)
+            except DeprecationWarning as exc:
+                raise ValueError("could not convert string '2.7' to int64 at row 1, "
+                                 "column 2.") from exc
+            return real(io.StringIO(fh.getvalue().replace("2.7", "2")), **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt_with_fallback)
+        message = self._same_error(tmp_path, "3 2\n0 1\n0 2.7\n")
+        assert message == "invalid literal for int() with base 10: '2.7'"
+
+    def test_unrecognised_numpy_message_keeps_path(self, tmp_path, monkeypatch):
+        def loadtxt_other_wording(fh, **kwargs):
+            raise ValueError("bad token in line 2")
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt_other_wording)
+        p = tmp_path / "g.txt"
+        p.write_text("3 2\n0 1\n0 2\n")
+        with pytest.raises(ValueError, match=r"^\S*g\.txt: bad token in line 2$"):
+            read_graph(p)
 
 
 class TestCertificate:
