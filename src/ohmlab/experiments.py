@@ -163,7 +163,7 @@ def run_sparsify(g: Multigraph, part: Partition, x: np.ndarray) -> ExperimentRes
     per-row records (section, key fields, value)."""
     x = np.asarray(x, dtype=np.float64)
     rows: List[tuple] = []
-    for (u, v), w in sorted(schur_edge_weights(g, part).items()):
+    for (u, v), w in schur_edge_weights(g, part).items():
         rows.append(("schur-weight", str(u), str(v), w))
     y_h = harmonic_extension(g, part, x)
     for v, val in zip(part.eliminated, y_h):

@@ -63,6 +63,9 @@ __all__ = [
 DEFAULT_EDGE_CAP = 2_000_000
 # random_regular's pairing attempts before it gives up
 _PAIRING_TRIES = 10_000
+# most stubs (pairing tries times n * d) random_regular draws in one batch:
+# 256 KB of int64, so above n * d = 16384 it draws one try at a time
+_PAIRING_BATCH_ENTRIES = 1 << 15
 # conductance is enumerated exactly up to this many vertices, and bracketed
 # by conductance_bounds above it
 EXACT_CONDUCTANCE_CAP = 24
@@ -699,6 +702,12 @@ def random_regular(n: int, d: int, seed: int) -> Multigraph:
     Stubs are paired uniformly; any self-loop or parallel edge rejects the
     whole pairing, as does a disconnected result, and the generator gives up
     after _PAIRING_TRIES pairings. Deterministic per seed.
+
+    Tries are drawn in batches, each row of one `Generator.permuted` call
+    being the pairing that one `Generator.permutation` call per try would
+    draw, so the graph is the one that sequential loop returns. A batch
+    starts at one try and doubles up to _PAIRING_BATCH_ENTRIES stubs, and
+    the budget counts tries, not batches.
     """
     if d < 3:
         raise ValueError("degree must be at least 3")
@@ -708,21 +717,23 @@ def random_regular(n: int, d: int, seed: int) -> Multigraph:
         raise ValueError("n * d must be even")
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-    for _ in range(_PAIRING_TRIES):
-        perm = rng.permutation(stubs)
-        a = perm[0::2]
-        b = perm[1::2]
-        if np.any(a == b):
-            continue
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        keys = lo * n + hi
-        if np.unique(keys).size != keys.size:
-            continue
-        order = np.argsort(keys, kind="stable")
-        g = Multigraph(n, lo[order], hi[order], np.ones(keys.size))
-        if g.is_connected:
-            return g
+    cap = max(1, _PAIRING_BATCH_ENTRIES // stubs.size)
+    tries = 0
+    batch = 1
+    while tries < _PAIRING_TRIES:
+        batch = min(batch, cap, _PAIRING_TRIES - tries)
+        tries += batch
+        perm = rng.permuted(np.broadcast_to(stubs, (batch, stubs.size)), axis=1)
+        # a self-loop or a repeated key rejects the row's whole pairing
+        loopless = perm[~np.any(perm[:, 0::2] == perm[:, 1::2], axis=1)]
+        a = loopless[:, 0::2]
+        b = loopless[:, 1::2]
+        keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b), axis=1)
+        for row in keys[~np.any(keys[:, 1:] == keys[:, :-1], axis=1)]:
+            g = Multigraph(n, row // n, row % n, np.ones(row.size))
+            if g.is_connected:
+                return g
+        batch *= 2
     raise ConvergenceError(
         f"no simple connected {d}-regular pairing found in {_PAIRING_TRIES} tries",
         iterations=_PAIRING_TRIES,

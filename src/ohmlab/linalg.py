@@ -107,7 +107,8 @@ def _centred(b: np.ndarray) -> np.ndarray:
     solvers and routing.validate_demand all apply it."""
     if not np.all(np.isfinite(b)):
         raise ValueError("demand entries must be finite")
-    drift = np.ravel(np.abs(b.sum(axis=0)))
+    sums = b.sum(axis=0)
+    drift = np.ravel(np.abs(sums))
     allowance = np.ravel(10.0 * _SOLVE_TOL * np.linalg.norm(b, axis=0))
     bad = np.flatnonzero(drift > allowance)
     if bad.size:
@@ -116,7 +117,8 @@ def _centred(b: np.ndarray) -> np.ndarray:
             f"demand must sum to zero (|sum| = {drift[j]:.3e} vs allowance "
             f"{allowance[j]:.3e})"
         )
-    return b - b.mean(axis=0)
+    # b.mean(axis=0), bit for bit, without a second sum
+    return b - sums / b.shape[0]
 
 
 def solve_laplacian(g: Multigraph, b: np.ndarray) -> SolveReport:

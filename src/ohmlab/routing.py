@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -170,13 +170,31 @@ def voltage_energy(g: Multigraph, v: np.ndarray) -> float:
     return float(v @ (laplacian(g) @ v))
 
 
-def _endpoint_pairs(g: Multigraph) -> Dict[Tuple[int, int], List[int]]:
-    """Edge ids grouped by endpoint pair (low, high), pairs in first-occurrence
-    edge order."""
-    groups: Dict[Tuple[int, int], List[int]] = {}
-    for e, (t, h) in enumerate(zip(g.tails.tolist(), g.heads.tolist())):
-        groups.setdefault((min(t, h), max(t, h)), []).append(e)
-    return groups
+def _endpoint_pairs(g: Multigraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct endpoint pairs in first-occurrence edge order: their low and
+    high ends as two arrays, and for every edge the index of its pair."""
+    low = np.minimum(g.tails, g.heads)
+    high = np.maximum(g.tails, g.heads)
+    _, first, inverse = np.unique(low * g.n + high, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    first = first[order]
+    return low[first], high[first], rank[inverse]
+
+
+def _l1_norms(flows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_f w(f) |flow(f)| of each row of an F-ordered block of flows, the
+    terms added left to right over the edges.
+
+    numpy reduces a block of two rows or more one column at a time, which is
+    that order, but sums a single row pairwise; cumsum adds it left to right.
+    """
+    weighted = np.abs(flows)
+    weighted *= weights
+    if weighted.shape[0] == 1:
+        return np.cumsum(weighted, axis=1)[:, -1]
+    return weighted.sum(axis=1)
 
 
 def _sweep(
@@ -190,33 +208,38 @@ def _sweep(
     Returns the l1 flow norm sum_f w(f) |v(head) - v(tail)| of every edge's
     unit demand (parallel edges share their pair's value), the dense signed
     projection Pi when `signed` is set (else None), and the worst solver
-    residual. Only one block of voltages is held at a time; the blocks, and
-    so every value, depend on the graph alone.
+    residual. Only one block of voltages is held at a time. Every norm is
+    summed left to right over the edges, whatever the block width, and the
+    blocks depend on the graph alone.
     """
-    l1 = np.empty(g.m)
+    lows, highs, pair_of_edge = _endpoint_pairs(g)
+    norms = np.empty(lows.size)
     pi = np.empty((g.m, g.m)) if signed else None
     max_residual = 0.0
-    groups = list(_endpoint_pairs(g).items())
     width = _BLOCK_COLUMNS if g.laplacian_factor is not None else 1
-    for start in range(0, len(groups), width):
-        block = groups[start:start + width]
-        lows, highs = zip(*(pair for pair, _ in block))
-        volts, residuals = solve_laplacian_block(g, _pair_demands(g, lows, highs))
+    if signed:
+        # block i's edges are by_pair[bounds[i]:bounds[i + 1]]
+        by_pair = np.argsort(pair_of_edge, kind="stable")
+        bounds = np.searchsorted(pair_of_edge[by_pair], np.arange(0, lows.size + width, width))
+        # the solve runs low -> high; column e of B is -chi_e for the stored
+        # orientation, so flip once more when tail is the low end
+        sign = np.where(g.tails < g.heads, -1.0, 1.0)
+    for block, start in enumerate(range(0, lows.size, width)):
+        stop = start + width
+        volts, residuals = solve_laplacian_block(
+            g, _pair_demands(g, lows[start:stop], highs[start:stop])
+        )
         max_residual = max(max_residual, float(residuals.max()))
-        # one row per pair; `flows` is F-ordered, so on a wide block each row
-        # is summed left to right, on a 1-column block pairwise, and the last
-        # bits of a norm depend on the block width (fixed by the graph)
+        # one row per pair, F-ordered, as _l1_norms needs; subtracted in place,
+        # since each block-sized temporary adds to the sweep's peak memory
         rows = volts.T
-        flows = rows[:, g.heads] - rows[:, g.tails]
-        norms = (g.weights * np.abs(flows)).sum(axis=1)
-        for ((a, _), edges), flow, norm in zip(block, flows, norms):
-            l1[edges] = norm
-            if signed:
-                for e in edges:
-                    # the solve runs low -> high; column e of B is -chi_e for the
-                    # stored orientation, so flip once more when tail is the low end
-                    pi[:, e] = -flow if g.tails[e] == a else flow
-    return l1, pi, max_residual
+        flows = rows[:, g.heads]
+        flows -= rows[:, g.tails]
+        norms[start:stop] = _l1_norms(flows, g.weights)
+        if signed:
+            edges = by_pair[bounds[block]:bounds[block + 1]]
+            pi[:, edges] = flows[pair_of_edge[edges] - start].T * sign[edges]
+    return norms[pair_of_edge], pi, max_residual
 
 
 def _edge_average(l1: np.ndarray) -> float:

@@ -423,6 +423,122 @@ class TestRandomRegular:
             random_regular(3, 3, 1)  # n <= d
 
 
+def _reference_random_regular(n, d, seed, tries):
+    """The sequential pairing loop random_regular batches: one
+    Generator.permutation per try. Returns the graph (None when the budget
+    runs out), the try that gave it, the tries whose pairing was simple but
+    disconnected, and the generator."""
+    rng = np.random.default_rng(seed)
+    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+    disconnected = []
+    for attempt in range(1, tries + 1):
+        perm = rng.permutation(stubs)
+        a = perm[0::2]
+        b = perm[1::2]
+        if np.any(a == b):
+            continue
+        lo = np.minimum(a, b)
+        hi = np.maximum(a, b)
+        keys = lo * n + hi
+        if np.unique(keys).size != keys.size:
+            continue
+        order = np.argsort(keys, kind="stable")
+        g = Multigraph(n, lo[order], hi[order], np.ones(keys.size))
+        if g.is_connected:
+            return g, attempt, disconnected, rng
+        disconnected.append(attempt)
+    return None, tries, disconnected, rng
+
+
+def _identical_arrays(g: Multigraph, h: Multigraph) -> bool:
+    return g.n == h.n and all(
+        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in ((g.tails, h.tails), (g.heads, h.heads), (g.weights, h.weights))
+    )
+
+
+class TestRandomRegularMatchesSequentialTries:
+    """Batched pairing tries against the one-permutation-per-try loop."""
+
+    @pytest.mark.parametrize("seed,shape", [(1, (1, 30)), (7, (5, 24)), (3, (64, 80)),
+                                            (11, (20, 1600)), (2, (3, 7))])
+    def test_permuted_rows_are_sequential_permutations(self, seed, shape):
+        # the batching rests on this numpy property; a numpy release that
+        # broke it would fail here before any graph differs
+        stubs = np.arange(shape[1], dtype=np.int64) // 2
+        batched = np.random.default_rng(seed)
+        sequential = np.random.default_rng(seed)
+        rows = batched.permuted(np.broadcast_to(stubs, shape), axis=1)
+        for row in rows:
+            assert np.array_equal(row, sequential.permutation(stubs))
+        assert batched.bit_generator.state == sequential.bit_generator.state
+
+    def test_certify_grid_graphs(self):
+        for n in (10, 12, 16, 20):
+            for d in (3, 4):
+                for seed in range(1, 21):
+                    ref = _reference_random_regular(n, d, seed, ohmlab.graphs._PAIRING_TRIES)[0]
+                    assert _identical_arrays(random_regular(n, d, seed), ref), (n, d, seed)
+
+    def test_large_graph(self):
+        ref = _reference_random_regular(20000, 3, 1, ohmlab.graphs._PAIRING_TRIES)[0]
+        assert _identical_arrays(random_regular(20000, 3, 1), ref)
+
+    @pytest.mark.parametrize("seed", [118, 2853])
+    def test_disconnected_simple_pairing_is_skipped(self, seed):
+        # at n = 12, d = 3 these seeds draw a simple but disconnected pairing
+        # before the connected one (at the first try for seed 2853)
+        ref, attempt, disconnected, _ = _reference_random_regular(
+            12, 3, seed, ohmlab.graphs._PAIRING_TRIES
+        )
+        assert disconnected and disconnected[0] < attempt
+        assert _identical_arrays(random_regular(12, 3, seed), ref)
+
+    @pytest.mark.parametrize("n,d,seed", [(12, 3, 118), (20, 4, 5), (16, 4, 3)])
+    def test_budget_counts_tries(self, monkeypatch, n, d, seed):
+        # one try short of the reference's success gives up; exactly enough
+        # tries returns its graph, whatever the batch boundaries
+        ref, attempt, _, _ = _reference_random_regular(n, d, seed, 10_000)
+        assert attempt > 2
+        monkeypatch.setattr(ohmlab.graphs, "_PAIRING_TRIES", attempt - 1)
+        with pytest.raises(ohmlab.ConvergenceError) as info:
+            random_regular(n, d, seed)
+        assert info.value.iterations == attempt - 1
+        monkeypatch.setattr(ohmlab.graphs, "_PAIRING_TRIES", attempt)
+        assert _identical_arrays(random_regular(n, d, seed), ref)
+
+    def test_gives_up_after_the_same_draws(self, monkeypatch):
+        # d = 8 at n = 200 finds no simple pairing in the budget: the message,
+        # the iteration count and the draws taken match the sequential loop
+        real_rng = np.random.default_rng
+        draws = []
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self.rng = real_rng(seed)
+
+            def permuted(self, x, axis):
+                draws.append(x.shape[0])
+                return self.rng.permuted(x, axis=axis)
+
+        generators = []
+
+        def counting_rng(seed):
+            generators.append(CountingGenerator(seed))
+            return generators[-1]
+
+        monkeypatch.setattr(ohmlab.graphs.np.random, "default_rng", counting_rng)
+        with pytest.raises(ohmlab.ConvergenceError) as info:
+            random_regular(200, 8, 1)
+        monkeypatch.undo()
+        tries = ohmlab.graphs._PAIRING_TRIES
+        assert info.value.iterations == tries == sum(draws)
+        assert str(info.value) == f"no simple connected 8-regular pairing found in {tries} tries"
+        ref, _, _, ref_rng = _reference_random_regular(200, 8, 1, tries)
+        assert ref is None
+        assert generators[0].rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestGadget:
     def test_counts(self):
         g = complete_graph(2)

@@ -208,6 +208,17 @@ class TestNonFiniteDemand:
                 solve(g, b)
 
 
+class TestCentred:
+    @pytest.mark.parametrize("shape", [(1,), (7,), (1000,), (9, 1), (40, 128), (1000, 3)])
+    def test_equals_subtracting_the_mean(self, shape):
+        # one column sum serves the drift check and the mean, bit for bit
+        rng = np.random.default_rng(len(shape) * 1000 + shape[0])
+        b = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        b -= b.mean(axis=0)
+        centred = ohmlab.linalg._centred(b)
+        assert centred.tobytes() == (b - b.mean(axis=0)).tobytes()
+
+
 class TestDirectFallback:
     class _Spoiled:
         """Stands in for the cached factor: adds 1e-3 to column 2 of the

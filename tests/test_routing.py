@@ -514,7 +514,7 @@ class TestCompetitiveReport:
         monkeypatch.setattr(ohmlab.linalg, "solve_laplacian", counted_solve)
         monkeypatch.setattr(ohmlab.routing, "solve_laplacian_block", recorded_block)
         competitive_report(g, (1.0, 2.0, np.inf))
-        pairs, width = len(ohmlab.routing._endpoint_pairs(g)), ohmlab.linalg._BLOCK_COLUMNS
+        pairs, width = ohmlab.routing._endpoint_pairs(g)[0].size, ohmlab.linalg._BLOCK_COLUMNS
         assert factors == [(g.n - 1, g.n - 1)]
         assert pcg == []
         assert sum(widths) == pairs
@@ -598,5 +598,108 @@ class TestSweepMatchesDense:
 
     def test_spans_several_blocks(self, random_multigraph):
         g = random_multigraph(np.random.default_rng(32), 200, extra=150, weighted=False)
-        assert len(ohmlab.routing._endpoint_pairs(g)) > 2 * ohmlab.linalg._BLOCK_COLUMNS
+        assert ohmlab.routing._endpoint_pairs(g)[0].size > 2 * ohmlab.linalg._BLOCK_COLUMNS
         self.check(g)
+
+
+def _reference_sweep(g):
+    """The per-pair loop that routing._sweep replaced, over a dict of edge
+    lists per endpoint pair; each l1 norm is summed by a Python loop, left to
+    right, the order in which numpy summed every block wider than one pair."""
+    groups = {}
+    for e, (t, h) in enumerate(zip(g.tails.tolist(), g.heads.tolist())):
+        groups.setdefault((min(t, h), max(t, h)), []).append(e)
+    groups = list(groups.items())
+    l1 = np.empty(g.m)
+    pi = np.empty((g.m, g.m))
+    max_residual = 0.0
+    width = ohmlab.linalg._BLOCK_COLUMNS if g.laplacian_factor is not None else 1
+    for start in range(0, len(groups), width):
+        block = groups[start:start + width]
+        lows, highs = zip(*(pair for pair, _ in block))
+        volts, residuals = ohmlab.routing.solve_laplacian_block(
+            g, ohmlab.routing._pair_demands(g, lows, highs)
+        )
+        max_residual = max(max_residual, float(residuals.max()))
+        rows = volts.T
+        flows = rows[:, g.heads] - rows[:, g.tails]
+        for ((a, _), edges), flow in zip(block, flows):
+            norm = 0.0
+            for value in (g.weights * np.abs(flow)).tolist():
+                norm += value
+            l1[edges] = norm
+            for e in edges:
+                pi[:, e] = -flow if g.tails[e] == a else flow
+    return l1, pi, max_residual
+
+
+def _both_orientations(random_multigraph, rng, n, extra, weighted):
+    """A generated multigraph plus reversed parallel copies of a quarter of
+    its edges, so that pairs hold edges stored both ways."""
+    g = random_multigraph(rng, n, extra=extra, weighted=weighted)
+    flip = rng.choice(g.m, g.m // 4, replace=False)
+    return Multigraph(
+        n,
+        np.concatenate([g.tails, g.heads[flip]]),
+        np.concatenate([g.heads, g.tails[flip]]),
+        np.concatenate([g.weights, g.weights[flip]]),
+    )
+
+
+class TestSweepMatchesPairLoop:
+    """The numpy sweep gives the per-pair loop's l1, Pi and worst residual,
+    bit for bit."""
+
+    @staticmethod
+    def assert_same(g):
+        l1, pi, max_residual = ohmlab.routing._sweep(g, signed=True)
+        ref_l1, ref_pi, ref_residual = _reference_sweep(g)
+        assert l1.tobytes() == ref_l1.tobytes()
+        assert pi.tobytes() == ref_pi.tobytes()  # signbit of zeros included
+        assert max_residual == ref_residual
+        unsigned = ohmlab.routing._sweep(g)
+        assert unsigned[0].tobytes() == l1.tobytes() and unsigned[1] is None
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_multigraphs_over_several_blocks(self, random_multigraph, weighted):
+        rng = np.random.default_rng(40 + weighted)
+        for n, extra in ((2, 1), (9, 6), (40, 30), (200, 150)):
+            g = _both_orientations(random_multigraph, rng, n, extra, weighted)
+            assert np.any(g.tails < g.heads) and np.any(g.tails > g.heads)
+            self.assert_same(g)
+        pairs = ohmlab.routing._endpoint_pairs(g)[0].size
+        assert pairs > 2 * ohmlab.linalg._BLOCK_COLUMNS
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_without_a_factor(self, monkeypatch, random_multigraph, weighted):
+        # one conjugate-gradient column per block
+        monkeypatch.setattr(ohmlab.graphs, "_DIRECT_VERTEX_CAP", 1)
+        g = _both_orientations(random_multigraph, np.random.default_rng(42), 24, 20, weighted)
+        assert g.laplacian_factor is None
+        self.assert_same(g)
+
+    def test_endpoint_pairs_in_first_occurrence_order(self):
+        g = Multigraph(5, [3, 1, 0, 4, 1, 2, 3], [1, 3, 2, 0, 3, 4, 1], np.ones(7))
+        lows, highs, pair_of_edge = ohmlab.routing._endpoint_pairs(g)
+        assert lows.tolist() == [1, 0, 0, 2]
+        assert highs.tolist() == [3, 2, 4, 4]
+        assert pair_of_edge.tolist() == [0, 0, 1, 2, 0, 3, 0]
+
+    def test_l1_does_not_depend_on_block_width(self, monkeypatch, random_multigraph):
+        # every column solved alone against a dense pseudoinverse, so both
+        # widths see the same voltages; a 1-pair block then sums its norm in
+        # the same order as a 128-pair block
+        g = _both_orientations(random_multigraph, np.random.default_rng(43), 60, 40, True)
+        lap_pinv = np.linalg.pinv(ohmlab.laplacian(g).toarray())
+
+        def column_solves(g, b):
+            volts = np.column_stack([lap_pinv @ col for col in b.T])
+            return volts, np.zeros(b.shape[1])
+
+        monkeypatch.setattr(ohmlab.routing, "solve_laplacian_block", column_solves)
+        wide = ohmlab.routing._sweep(g, signed=True)
+        monkeypatch.setattr(ohmlab.routing, "_BLOCK_COLUMNS", 1)
+        narrow = ohmlab.routing._sweep(g, signed=True)
+        assert g.m >= 8
+        assert narrow[0].tobytes() == wide[0].tobytes()
+        assert narrow[1].tobytes() == wide[1].tobytes()

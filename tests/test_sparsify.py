@@ -175,6 +175,18 @@ class TestSchurComplement:
             tracemalloc.stop()
         assert peak < 20_000_000
 
+    @pytest.mark.parametrize("n,seed", [(60, 1), (300, 2), (3000, 3)])
+    def test_keys_come_out_sorted(self, n, seed):
+        # run_sparsify prints the dict in its own order, which must be the
+        # sorted (row-major) one; 3000 vertices span several column blocks
+        g = random_regular(n, 3, seed)
+        part = Partition.from_eliminated(
+            n, np.random.default_rng(seed).choice(n, n // 2, replace=False))
+        keys = list(schur_edge_weights(g, part))
+        assert len(keys) > n // 2
+        assert keys == sorted(keys)
+        assert all(u < v for u, v in keys)
+
     def test_quadratic_form_is_minimized_energy(self):
         # x^T S x equals the energy of the harmonic extension, for any x
         rng = np.random.default_rng(2)
