@@ -10,11 +10,11 @@ labels, the exact conductance's cut tables, the conductance bracket's
 normalized Laplacian and girth all read it, never per-vertex lists. Its one
 factorization, the cached `Multigraph.laplacian_factor` with vertex 0
 grounded, decides by itself whether to exist: only up to _DIRECT_VERTEX_CAP
-vertices. Where it exists it serves the solves of linalg, the all-pairs
-sweep's block width and, above _DENSE_EIGEN_CAP vertices, the conductance
-bracket's lambda_2. Where it does not, lambda_2 comes from Lanczos on a
-Chebyshev filter of the normalized Laplacian, which needs only its sparse
-products.
+vertices. Where it exists it serves the solves of linalg and the all-pairs
+sweep's block width, nothing else. The conductance bracket's lambda_2 never
+reads it: dense eigh up to _DENSE_EIGEN_CAP vertices, Lanczos on a
+Chebyshev filter of the normalized Laplacian above, which needs only its
+sparse products.
 
 Vertex sets are numpy boolean masks of length n (bitset semantics). Helpers
 accept index iterables as well and normalize them.
@@ -78,9 +78,10 @@ _EIGSH_MAXITER = 10_000
 # (source, edge) entries each
 _BFS_CHUNK_ENTRIES = 1 << 20
 # Largest vertex count whose Laplacian is factored, for linalg's solves and
-# for lambda_2 alike. Expander fill-in makes the factor cost grow faster than
-# n^2. On random 3-regular graphs (one thread of a 2-vCPU x86-64 guest,
-# symmetric-mode LU with diagonal pivots):
+# the all-pairs sweep's block width; lambda_2 never reads it. Expander
+# fill-in makes the factor cost grow faster than n^2. On random 3-regular
+# graphs (one thread of a 2-vCPU x86-64 guest, symmetric-mode LU with
+# diagonal pivots):
 #
 #        n   factor entries   factor   solve per column, blocks of 128
 #     1000           64,914   0.006 s   0.07 ms
@@ -95,23 +96,21 @@ _BFS_CHUNK_ENTRIES = 1 << 20
 # called once pays at most the 0.056 s. No benchmark workload has
 # 3000 < n <= 7000, so the cap stays where it was measured to pay.
 _DIRECT_VERTEX_CAP = 3000
-# lambda_2 comes from dense eigh up to this many vertices, from Lanczos on
-# N^+ through the grounded factor up to _DIRECT_VERTEX_CAP, and from Lanczos
-# on a Chebyshev filter of N above. Medians of five runs or more on random
-# 3-regular graphs (same guest, runs about 20% apart; the factor path's time
-# includes building the factor, which the sweep's solves then reuse):
+# lambda_2 comes from dense eigh up to this many vertices and from Lanczos
+# on a Chebyshev filter of N above (`_lambda2`). Medians of five runs on
+# random 3-regular graphs, seed 1 (one BLAS thread of a 2-vCPU x86-64 guest):
 #
-#        n   dense eigh   Lanczos on N^+
-#      200      0.002 s          0.0025 s
-#      300      0.005 s          0.004 s
-#      400      0.009 s          0.004 s
-#      600      0.023 s          0.006 s
-#     1000      0.10 s           0.011 s
-#     2000      0.85 s           0.045 s
-#     3000      2.4 s            0.09 s
+#        n   dense eigh   filter
+#      200      0.002 s   0.003 s
+#      300      0.004 s   0.004 s
+#      400      0.011 s   0.003 s
+#      600      0.018 s   0.005 s
+#     1000      0.085 s   0.005 s
+#     2000      0.76 s    0.014 s
+#     3000      2.5 s     0.018 s
 #
-# Above the direct cap, unshifted ARPACK on N (which="SA") against Lanczos on
-# the degree-_FILTER_DEGREE filter, damping [c, 2] with c = n / (n - 1) or
+# For the filter, unshifted ARPACK on N (which="SA") against Lanczos on the
+# degree-_FILTER_DEGREE filter, damping [c, 2] with c = n / (n - 1) or
 # [theta_2, 2] with theta_2 from _RITZ_STEPS Lanczos steps on N (medians of
 # five generator seeds, one BLAS thread, runs up to 30% apart; 221 filtered
 # products on [c, 2] and 121 on [theta_2, 2] at n = 20000, seed 1):
@@ -121,25 +120,26 @@ _DIRECT_VERTEX_CAP = 3000
 #    10000      0.16-0.19 s      0.087 s             0.052 s
 #    20000      0.80-0.88 s      0.30-0.34 s         0.14 s
 #
-# and on long cycles and paths, where lambda_2 is tiny (single runs; the
-# ARPACK column is from an earlier guest):
+# Long cycles and paths, where lambda_2 is tiny, are the filter's slow case:
+# path_graph(1000) takes 0.03 s, cycle_graph(2500) 0.06-0.09 s and
+# path_graph(3000) 0.27-0.36 s on [theta_2, 2]. Longer ones (single runs;
+# the ARPACK column is from an earlier guest):
 #
+#                        ARPACK on N             [c, 2]        [theta_2, 2]
 #    cycle_graph(3200)   21 s                    0.25-0.36 s   0.09-0.14 s
 #    cycle_graph(3500)   29 s                    0.31-0.47 s   0.13-0.16 s
 #    path_graph(3500)    no convergence, 41 s    1.1-1.6 s     0.33-0.42 s
 #
-# On [theta_2, 2] the filter's lambda_2 lands within 7e-14 (relative) of the
-# closed form on that path and 6e-15 on those cycles.
-# On path and cycle graphs of 1000 to 3000 vertices the factor path lands
-# within 1e-12 (relative) of the closed-form lambda_2, dense eigh 1e-11 to
-# 1e-10 away. The cap is not lower because the sweep's phi_upper on some of
-# the benchmark's lowerbound gadget unions (n <= 310) is set by eigensolver
-# rounding: lambda_2 is double, or Fiedler entries tie exactly. With the cap
-# at 4, five of the 112 full-size ratio-sweep CSVs print another phi_upper
-# (generator seeds 5, 6 and 8), so lowering it waits for a sweep that does
-# not depend on rounding.
+# On [theta_2, 2] the filter's lambda_2 lands within 5e-14 (relative) of the
+# closed form on these paths and 2e-15 on these cycles; dense eigh lands
+# 1e-11 to 1e-10 away. The cap is not lower because the sweep's phi_upper on
+# some of the benchmark's lowerbound gadget unions (n <= 310) is set by
+# eigensolver rounding: lambda_2 is double, or Fiedler entries tie exactly.
+# With the cap at 4, five of the 112 full-size ratio-sweep CSVs print another
+# phi_upper (generator seeds 5, 6 and 8), so lowering it waits for a sweep
+# that does not depend on rounding.
 _DENSE_EIGEN_CAP = 400
-# degree of the Chebyshev filter above _DIRECT_VERTEX_CAP; even, so every
+# degree of the Chebyshev filter above _DENSE_EIGEN_CAP; even, so every
 # eigenvalue below the filter's interval maps above 1. On [theta_2, 2],
 # degrees 6 and 8 took the same time at n = 5000, 10000 and 20000 within the
 # runs' spread; 4 and 10 were up to 40% slower at n = 20000
@@ -224,9 +224,9 @@ class Multigraph:
         vertex 0 grounded (its row and column removed), factored once on
         first use; None, with nothing factored, above _DIRECT_VERTEX_CAP
         vertices, on a disconnected graph or on one vertex. This is the one
-        place the cap is checked: linalg's solves, the all-pairs sweep's
-        block width and the conductance bracket's lambda_2 each take their
-        factored path exactly when this is not None.
+        place the cap is checked: linalg's solves and the all-pairs sweep's
+        block width each take their factored path exactly when this is not
+        None. No eigensolver reads it, so the cap never moves lambda_2.
 
         The grounded block of a connected graph is symmetric positive
         definite, so every pivot is on the diagonal (perm_r == perm_c).
@@ -465,16 +465,10 @@ def _normalized_laplacian(g: Multigraph) -> sp.csr_array:
 def _lambda2(g: Multigraph):
     """Second-smallest normalized-Laplacian eigenvalue and its eigenvector.
 
-    Dense eigh up to _DENSE_EIGEN_CAP vertices. Above, when the graph has a
-    Laplacian factor (Multigraph.laplacian_factor, which is None above
-    _DIRECT_VERTEX_CAP), Lanczos on N^+ restricted to the complement of
-    u = sqrt(d) / ||sqrt(d)||, the operator x -> P D^1/2 L^+ D^1/2 P x with
-    P = I - u u^T: its largest eigenvalue is 1 / lambda_2, and L^+ is one
-    solve against the grounded factor, whose constant P removes.
-
-    Without a factor, Lanczos on x -> P T_m(l(N)) P x, with T_m the Chebyshev
-    polynomial of degree m = _FILTER_DEGREE (m products with N by the
-    three-term recurrence) and l the affine map of [a, 2] onto [-1, 1]. 2
+    Dense eigh up to _DENSE_EIGEN_CAP vertices. Above, Lanczos on
+    x -> P T_m(l(N)) P x with u = sqrt(d) / ||sqrt(d)||, P = I - u u^T, T_m
+    the Chebyshev polynomial of degree m = _FILTER_DEGREE (m products with N
+    by the three-term recurrence) and l the affine map of [a, 2] onto [-1, 1]. 2
     bounds N's spectrum, so the damped interval maps into |T_m| <= 1 and every
     eigenvalue below a above 1, the smallest highest. The lower end is
     a = min(c, theta_2):
@@ -501,25 +495,13 @@ def _lambda2(g: Multigraph):
         return max(float(vals[1]), 0.0), vecs[:, 1]
     sqrt_d = np.sqrt(g.weighted_degrees)
     u = sqrt_d / np.linalg.norm(sqrt_d)
-    factor = g.laplacian_factor
-    if factor is None:
-        nl = _normalized_laplacian(g)
-        c = g.n / (g.n - 1)
-        lo = min(c, _ritz_bound(nl, u))
-        lam, x = _filtered_lambda2(g, nl, u, lo)
-        if lo < c and lam >= lo:
-            lam, x = _filtered_lambda2(g, nl, u, c)
-        return lam, x
-
-    def inverse(x):
-        rhs = sqrt_d * (x - u * (u @ x))
-        y = np.zeros(g.n)
-        y[1:] = factor.solve(rhs[1:])
-        y *= sqrt_d
-        return y - u * (u @ y)
-
-    theta, x = _top_eigenpair(g, inverse)
-    return 1.0 / theta, x
+    nl = _normalized_laplacian(g)
+    c = g.n / (g.n - 1)
+    lo = min(c, _ritz_bound(nl, u))
+    lam, x = _filtered_lambda2(g, nl, u, lo)
+    if lo < c and lam >= lo:
+        lam, x = _filtered_lambda2(g, nl, u, c)
+    return lam, x
 
 
 def _ritz_bound(nl: sp.csr_array, u: np.ndarray) -> float:
@@ -651,14 +633,13 @@ def conductance_bounds(g: Multigraph) -> tuple:
     every prefix's cut read from the shared interval sums (`_interval_sums`).
     The bracket lambda_2/2 <= phi <= sweep value holds with the sweep value
     itself at most sqrt(2 lambda_2). lambda_2 comes from dense eigh up to
-    `_DENSE_EIGEN_CAP` vertices; up to `_DIRECT_VERTEX_CAP`, from Lanczos on
-    the pseudo-inverse, one solve per step against the graph's cached
-    grounded factor; above, from Lanczos on a Chebyshev polynomial filter of
-    the sparse matrix, `_FILTER_DEGREE` products per step, whose top
-    eigenvector is the Fiedler vector (`_lambda2`). Every Lanczos run starts
-    from a fixed vector, so repeated calls return equal floats, and both
-    paths return a value >= lambda_2 up to rounding. `_cheeger_lower`
-    returns the same lower certificate without the sweep.
+    `_DENSE_EIGEN_CAP` vertices and above from Lanczos on a Chebyshev
+    polynomial filter of the sparse matrix, `_FILTER_DEGREE` products per
+    step, whose top eigenvector is the Fiedler vector (`_lambda2`); no
+    Laplacian factor is built or read. Every Lanczos run starts from a fixed
+    vector, so repeated calls return equal floats, and the filter returns a
+    value >= lambda_2 up to rounding. `_cheeger_lower` returns the same
+    lower certificate without the sweep.
     """
     lower, vec = _cheeger_lower(g)
     best_ratio, witness = _sweep_cut(g, vec)

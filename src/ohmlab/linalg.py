@@ -100,6 +100,20 @@ def _check_p(p: float) -> float:
     return p
 
 
+def _column_sums(x: np.ndarray) -> np.ndarray:
+    """Sum of each column of a C-ordered n x k block, the terms added top to
+    bottom whatever k is.
+
+    numpy reduces a block of two columns or more one row at a time, which is
+    that order, but sums a single column pairwise; cumsum adds it top to
+    bottom. So a column's sum, and the solve or norm built on it, does not
+    depend on its block's width.
+    """
+    if x.shape[1] == 1:
+        return np.cumsum(x, axis=0)[-1]
+    return x.sum(axis=0)
+
+
 def _centred(b: np.ndarray) -> np.ndarray:
     """Project a demand (or each column of a block) onto the sum-zero
     subspace; a non-finite entry, or a sum that drifts beyond
@@ -107,7 +121,7 @@ def _centred(b: np.ndarray) -> np.ndarray:
     solvers and routing.validate_demand all apply it."""
     if not np.all(np.isfinite(b)):
         raise ValueError("demand entries must be finite")
-    sums = b.sum(axis=0)
+    sums = _column_sums(b) if b.ndim == 2 else b.sum()
     drift = np.ravel(np.abs(sums))
     allowance = np.ravel(10.0 * _SOLVE_TOL * np.linalg.norm(b, axis=0))
     bad = np.flatnonzero(drift > allowance)
@@ -117,7 +131,6 @@ def _centred(b: np.ndarray) -> np.ndarray:
             f"demand must sum to zero (|sum| = {drift[j]:.3e} vs allowance "
             f"{allowance[j]:.3e})"
         )
-    # b.mean(axis=0), bit for bit, without a second sum
     return b - sums / b.shape[0]
 
 
@@ -213,11 +226,13 @@ def solve_laplacian_block(g: Multigraph, b: np.ndarray) -> Tuple[np.ndarray, np.
     column is a grounded solve against it, centred, whose true residual is
     checked; a column that misses the bound gets up to _REFINEMENTS steps of
     iterative refinement against the same factor, and one that still misses
-    raises ConvergenceError with its iterate. Without a factor (above the
+    raises ConvergenceError with its iterate. Every sum that centres a
+    column adds it top to bottom (`_column_sums`), so a column's solution
+    is the same bits in a block of any width. Without a factor (above the
     vertex cap, or on a disconnected graph) every column is a
     solve_laplacian call.
     """
-    b = np.asarray(b, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
     if b.ndim != 2 or b.shape[0] != g.n:
         raise ValueError(f"demand block must have n={g.n} rows")
     lu = g.laplacian_factor
@@ -231,7 +246,7 @@ def solve_laplacian_block(g: Multigraph, b: np.ndarray) -> Tuple[np.ndarray, np.
         return x, residuals
     b = _centred(b)
     x[1:] = lu.solve(b[1:])
-    x -= x.mean(axis=0)
+    x -= _column_sums(x) / g.n
     residuals = np.linalg.norm(g.laplacian @ x - b, axis=0)
     target = _SOLVE_TOL * np.linalg.norm(b, axis=0)
     # a NaN residual counts as a miss
@@ -241,7 +256,7 @@ def solve_laplacian_block(g: Multigraph, b: np.ndarray) -> Tuple[np.ndarray, np.
             break
         r = g.laplacian.astype(np.longdouble) @ x[:, miss] - b[:, miss]
         x[1:, miss] -= lu.solve(r[1:].astype(np.float64))
-        x[:, miss] -= x[:, miss].mean(axis=0)
+        x[:, miss] -= _column_sums(x[:, miss]) / g.n
         residuals[miss] = np.linalg.norm(g.laplacian @ x[:, miss] - b[:, miss], axis=0)
         miss = miss[~(residuals[miss] <= target[miss])]
     if miss.size:

@@ -35,6 +35,7 @@ from .linalg import (
     _BLOCK_COLUMNS,
     _centred,
     _check_p,
+    _column_sums,
     incidence,
     induced_pnorm_nonneg,
     laplacian,
@@ -185,16 +186,12 @@ def _endpoint_pairs(g: Multigraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _l1_norms(flows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_f w(f) |flow(f)| of each row of an F-ordered block of flows, the
-    terms added left to right over the edges.
-
-    numpy reduces a block of two rows or more one column at a time, which is
-    that order, but sums a single row pairwise; cumsum adds it left to right.
-    """
+    terms added left to right over the edges at every block width: the
+    transpose is a C-ordered block whose columns `_column_sums` adds top to
+    bottom."""
     weighted = np.abs(flows)
     weighted *= weights
-    if weighted.shape[0] == 1:
-        return np.cumsum(weighted, axis=1)[:, -1]
-    return weighted.sum(axis=1)
+    return _column_sums(weighted.T)
 
 
 def _sweep(
@@ -243,11 +240,9 @@ def _sweep(
 
 
 def _edge_average(l1: np.ndarray) -> float:
-    # a left-to-right sum keeps the digits of the per-edge definition
-    total = 0.0
-    for value in l1.tolist():
-        total += value
-    return total / l1.size
+    # a left-to-right sum keeps the digits of the per-edge definition; cumsum
+    # adds in that order, where sum would add pairwise
+    return float(np.cumsum(l1)[-1]) / l1.size
 
 
 def _require_edges(g: Multigraph) -> None:
@@ -432,11 +427,11 @@ def competitive_report(
     bound. Every ratio and the localization come from one sweep that solves
     each endpoint pair once; max_residual is the worst true residual of
     those solves. An edgeless graph is refused before any conductance work.
-    Up to the direct vertex cap the graph's Laplacian is factored once: above
-    the dense eigensolver's cap the bracket's lambda_2 reads that factor, and
-    the sweep's solves reuse it. Above the direct cap lambda_2 comes from
-    Lanczos on a Chebyshev filter of the normalized Laplacian, with no
-    factor, and the sweep runs conjugate gradient.
+    Up to the direct vertex cap the sweep solves against the graph's
+    Laplacian factor, built once, and above it runs conjugate gradient. The
+    bracket's lambda_2 never reads the factor: it comes from dense eigh up
+    to the dense eigensolver's cap and from Lanczos on a Chebyshev filter of
+    the normalized Laplacian above.
     """
     _require_edges(g)
     lower, upper = _conductance(g, bracket)

@@ -188,31 +188,9 @@ class TestConductanceBounds:
         s = upper.witness
         assert cut_weight(g, s) / volume(g, s) == 1.0
 
-    def test_sparse_eigensolver_is_reproducible(self, monkeypatch):
-        g = random_regular(60, 3, 1)
-        dense = scipy.linalg.eigh(ohmlab.graphs._normalized_laplacian(g).toarray(),
-                                  eigvals_only=True, subset_by_index=[1, 1])[0]
-        monkeypatch.setattr(ohmlab.graphs, "_DENSE_EIGEN_CAP", 4)
-        first, second = conductance_bounds(g)[0].phi, conductance_bounds(g)[0].phi
-        assert first == second
-        assert first == pytest.approx(dense / 2.0, rel=0.0, abs=1e-10)
-
-    def test_arpack_failure_is_convergence_error(self, monkeypatch):
-        import scipy.sparse.linalg
-
-        def no_convergence(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("stalled", np.zeros(1), np.zeros((18, 1)))
-
-        monkeypatch.setattr(ohmlab.graphs, "_DENSE_EIGEN_CAP", 4)
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-        with pytest.raises(ohmlab.ConvergenceError) as info:
-            conductance_bounds(random_regular(18, 3, 7))
-        assert info.value.iterations == 10_000
-        assert info.value.best.shape == (18,)
-
     def test_arpack_path_is_reproducible(self, monkeypatch):
-        # above the direct cap no factor is built, so ARPACK finds the top
-        # eigenvalue of the Chebyshev filter of N
+        # above the dense cap ARPACK finds the top eigenvalue of the
+        # Chebyshev filter of N
         import scipy.sparse.linalg
 
         g = random_regular(60, 3, 1)
@@ -223,7 +201,6 @@ class TestConductanceBounds:
             return eigsh(*args, **kwargs)
 
         monkeypatch.setattr(ohmlab.graphs, "_DENSE_EIGEN_CAP", 4)
-        monkeypatch.setattr(ohmlab.graphs, "_DIRECT_VERTEX_CAP", 4)
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorded)
         first, second = conductance_bounds(g)[0].phi, conductance_bounds(g)[0].phi
         assert calls == [(1, "LA"), (1, "LA")]
@@ -241,7 +218,6 @@ class TestConductanceBounds:
                                                           np.zeros((18, 1)))
 
         monkeypatch.setattr(ohmlab.graphs, "_DENSE_EIGEN_CAP", 4)
-        monkeypatch.setattr(ohmlab.graphs, "_DIRECT_VERTEX_CAP", 4)
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
         with pytest.raises(ohmlab.ConvergenceError) as info:
             conductance_bounds(random_regular(18, 3, 7))
@@ -249,27 +225,30 @@ class TestConductanceBounds:
         assert info.value.iterations == 10_000
         assert info.value.best.shape == (18,)
 
-    @pytest.mark.parametrize("shape, n", [
-        pytest.param("path", 2500, id="path"),
-        pytest.param("cycle", 2500, id="cycle"),
-        pytest.param("path", 3500, id="path-above-cap"),
-        pytest.param("cycle", 3200, id="cycle-above-cap"),
+    @pytest.mark.parametrize("shape, n, token", [
+        pytest.param("path", 1000, "2.47234127706e-06", id="path-1000"),
+        pytest.param("cycle", 1000, "9.86957193144e-06", id="cycle-1000"),
+        pytest.param("path", 2500, None, id="path"),
+        pytest.param("cycle", 2500, None, id="cycle"),
+        pytest.param("path", 3500, "2.01535631216e-07", id="path-above-cap"),
+        pytest.param("cycle", 3200, None, id="cycle-above-cap"),
     ])
-    def test_long_path_and_cycle_match_closed_forms(self, shape, n):
+    def test_long_path_and_cycle_match_closed_forms(self, shape, n, token):
         # lambda_2 / 2 of N is sin^2(pi / (2 (n - 1))) on a path and
-        # sin^2(pi / n) on a cycle. n = 2500 takes the factor path, 3200 and
-        # 3500 the Chebyshev filter above the direct cap. Unshifted ARPACK on
-        # N gave up on these paths (path_graph(3500) after 41 s) and missed
-        # the cycles' 11th digit; the filter on [c, 2] printed the 3500-vertex
-        # path's phi_lower as 2.01535631217e-07, one unit above the closed form
+        # sin^2(pi / n) on a cycle; every n here takes the Chebyshev filter.
+        # Unshifted ARPACK on N gave up on these paths (path_graph(3500) after
+        # 41 s) and missed the cycles' 11th digit; the filter on [c, 2]
+        # printed the 3500-vertex path's phi_lower one unit above the closed
+        # form, and Lanczos on N^+ through the factor printed both 1000-vertex
+        # tokens one unit off (2.47234127707e-06 and 9.86957193143e-06)
         if shape == "path":
             g, want = path_graph(n), np.sin(np.pi / (2 * (n - 1))) ** 2
         else:
             g, want = cycle_graph(n), np.sin(np.pi / n) ** 2
         lower, _ = conductance_bounds(g)
         assert lower.phi == pytest.approx(want, rel=1e-11, abs=0.0)
-        if n > ohmlab.graphs._DIRECT_VERTEX_CAP and shape == "path":
-            assert format_value(lower.phi) == format_value(float(want)) == "2.01535631216e-07"
+        if token is not None:
+            assert format_value(lower.phi) == format_value(float(want)) == token
 
     @pytest.mark.parametrize("g", [cycle_graph(10), _grid(4, 5), _grid(4, 4), complete_graph(8)],
                              ids=["even-cycle", "grid", "square-grid", "complete"])
@@ -283,7 +262,6 @@ class TestConductanceBounds:
         lam, _ = _dense_lambda2(g)
         exact = conductance_exact(g).phi
         monkeypatch.setattr(ohmlab.graphs, "_DENSE_EIGEN_CAP", 4)
-        monkeypatch.setattr(ohmlab.graphs, "_DIRECT_VERTEX_CAP", 4)
         intervals = record_filter_intervals(monkeypatch)
         got, vec = ohmlab.graphs._lambda2(g)
         assert_interval_above(g, intervals, lam)
@@ -301,7 +279,6 @@ class TestConductanceBounds:
         g = random_regular(60, 3, 1)
         lam, _ = _dense_lambda2(g)
         monkeypatch.setattr(ohmlab.graphs, "_DENSE_EIGEN_CAP", 4)
-        monkeypatch.setattr(ohmlab.graphs, "_DIRECT_VERTEX_CAP", 4)
         monkeypatch.setattr(ohmlab.graphs, "_ritz_bound", lambda nl, u: scale * lam)
         intervals = record_filter_intervals(monkeypatch)
         got, _ = ohmlab.graphs._lambda2(g)
@@ -313,7 +290,7 @@ class TestConductanceBounds:
         # lambda_3 and c that [c, 2] amplified along with lambda_2: 61
         # filtered products against 121 on this graph
         g = random_regular(5000, 3, 1)
-        assert g.n > ohmlab.graphs._DIRECT_VERTEX_CAP
+        assert g.n > ohmlab.graphs._DENSE_EIGEN_CAP
         top, counts = ohmlab.graphs._top_eigenpair, []
 
         def counted(graph, matvec):
@@ -337,10 +314,11 @@ class TestConductanceBounds:
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [402, 1000])
-    def test_factor_path_matches_dense_on_regular_graphs(self, n, seed):
-        # between the two caps lambda_2 comes from Lanczos on N^+ through the
-        # grounded factor; dense eigh is the independent check, and the
-        # sweep over either Fiedler vector finds the same cut
+    def test_filter_between_caps_matches_dense_on_regular_graphs(self, n, seed):
+        # between the dense cap and the factor cap lambda_2 comes from the
+        # Chebyshev filter, as above the factor cap; dense eigh is the
+        # independent check, and the sweep over either Fiedler vector finds
+        # the same cut
         assert ohmlab.graphs._DENSE_EIGEN_CAP < n <= ohmlab.graphs._DIRECT_VERTEX_CAP
         g = random_regular(n, 3, seed)
         lam, vec = _dense_lambda2(g)
@@ -348,13 +326,25 @@ class TestConductanceBounds:
         assert abs(2.0 * lower.phi - lam) <= n * np.finfo(float).eps * 2.0
         assert upper.phi == ohmlab.graphs._sweep_cut(g, vec)[0]
 
-    def test_factor_path_matches_dense_on_weighted_multigraphs(self, random_multigraph):
+    def test_filter_between_caps_matches_dense_on_weighted_multigraphs(self, random_multigraph):
         rng = np.random.default_rng(15)
         for _ in range(4):
             n = int(rng.integers(500, 1001))
             g = random_multigraph(rng, n, int(rng.integers(0, n)))
             lam = ohmlab.graphs._lambda2(g)[0]
             assert abs(lam - _dense_lambda2(g)[0]) <= n * np.finfo(float).eps * 2.0
+
+    @pytest.mark.parametrize("n", [402, 1000, 3000])
+    def test_lambda_2_builds_no_factor(self, n):
+        # the Laplacian factor serves solves only: the bracket, its lower end
+        # alone and diagnose (whose one solve is conjugate gradient) leave it
+        # unbuilt
+        g = random_regular(n, 3, 1)
+        for run in (conductance_bounds, ohmlab.routing._conductance_lower,
+                    lambda h: ohmlab.experiments.run_diagnose(h, 0)):
+            fresh = Multigraph(g.n, g.tails, g.heads, g.weights)
+            run(fresh)
+            assert "laplacian_factor" not in fresh.__dict__
 
 
 class TestGirth:

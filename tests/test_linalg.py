@@ -171,6 +171,32 @@ class TestSolveLaplacianBlock:
         with pytest.raises(ValueError, match="sum"):
             solve_laplacian_block(g, b)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_column_does_not_depend_on_block_width(self, seed):
+        # numpy sums a single column pairwise and a wider block row by row;
+        # centring a 1-column block by its pairwise mean left 66 of 80
+        # sampled edge-demand columns of these graphs a few units in the last
+        # place off the same column solved in a 128-wide block
+        g = random_regular(200, 3, seed)
+        lows, highs, _ = ohmlab.routing._endpoint_pairs(g)
+        pairs = ohmlab.routing._pair_demands(g, lows[:128], highs[:128])
+        general = np.random.default_rng(seed).standard_normal((g.n, 128))
+        general -= general.mean(axis=0)
+        for b in (pairs, general):
+            wide = solve_laplacian_block(g, b)[0]
+            for width in (1, 2, 3, 64):
+                for start in range(0, 128, width):
+                    narrow = solve_laplacian_block(g, b[:, start:start + width])[0]
+                    assert narrow.tobytes() == wide[:, start:start + width].tobytes()
+
+    def test_effective_resistance_equals_the_sweep_column(self):
+        g = random_regular(200, 3, 1)
+        lows, highs, _ = ohmlab.routing._endpoint_pairs(g)
+        lows, highs = lows[:128].tolist(), highs[:128].tolist()
+        volts = solve_laplacian_block(g, ohmlab.routing._pair_demands(g, lows, highs))[0]
+        for j, (s, t) in enumerate(zip(lows, highs)):
+            assert ohmlab.effective_resistance(g, s, t) == volts[s, j] - volts[t, j]
+
     def test_block_shape_checked(self):
         with pytest.raises(ValueError, match="rows"):
             solve_laplacian_block(cycle_graph(4), np.zeros(4))
@@ -211,12 +237,15 @@ class TestNonFiniteDemand:
 class TestCentred:
     @pytest.mark.parametrize("shape", [(1,), (7,), (1000,), (9, 1), (40, 128), (1000, 3)])
     def test_equals_subtracting_the_mean(self, shape):
-        # one column sum serves the drift check and the mean, bit for bit
+        # one column sum serves the drift check and the mean, bit for bit; a
+        # block's columns are summed top to bottom at every width, the order
+        # cumsum adds in
         rng = np.random.default_rng(len(shape) * 1000 + shape[0])
         b = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
         b -= b.mean(axis=0)
         centred = ohmlab.linalg._centred(b)
-        assert centred.tobytes() == (b - b.mean(axis=0)).tobytes()
+        sums = np.cumsum(b, axis=0)[-1] if b.ndim == 2 else b.sum()
+        assert centred.tobytes() == (b - sums / shape[0]).tobytes()
 
 
 class TestDirectFallback:

@@ -138,14 +138,13 @@ def test_cheeger_bracket_contains_exact(g):
 @given(weighted_multigraphs(min_n=5))
 @example(HEAVY_STAR)
 def test_filtered_lambda2_matches_dense(g):
-    # with both caps at 4 every graph here takes the Chebyshev-filtered
+    # with the dense cap at 4 every graph here takes the Chebyshev-filtered
     # Lanczos path; dense eigh is off by about n eps ||N|| with ||N|| <= 2
     nl = ohmlab.graphs._normalized_laplacian(g).toarray()
     dense = scipy.linalg.eigh(nl, eigvals_only=True, subset_by_index=[1, 1])[0]
     exact = conductance_exact(g).phi
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ohmlab.graphs, "_DENSE_EIGEN_CAP", 4)
-        mp.setattr(ohmlab.graphs, "_DIRECT_VERTEX_CAP", 4)
         intervals = record_filter_intervals(mp)
         lam, vec = ohmlab.graphs._lambda2(g)
         lower, upper = conductance_bounds(g)

@@ -685,18 +685,24 @@ class TestSweepMatchesPairLoop:
         assert highs.tolist() == [3, 2, 4, 4]
         assert pair_of_edge.tolist() == [0, 0, 1, 2, 0, 3, 0]
 
+    def test_edge_average_matches_a_left_to_right_loop(self):
+        # the reference is the per-edge Python loop that cumsum replaced;
+        # numpy's mean, summed pairwise, differs from it in the last place
+        rng = np.random.default_rng(44)
+        pairwise_differs = False
+        for m in (1, 2, 7, 8, 9, 100, 1000, 30_000):
+            l1 = rng.uniform(1.0, 10.0, m) * 10.0 ** rng.uniform(-3, 3, m)
+            total = 0.0
+            for value in l1.tolist():
+                total += value
+            assert ohmlab.routing._edge_average(l1) == total / m
+            pairwise_differs |= float(l1.mean()) != total / m
+        assert pairwise_differs
+
     def test_l1_does_not_depend_on_block_width(self, monkeypatch, random_multigraph):
-        # every column solved alone against a dense pseudoinverse, so both
-        # widths see the same voltages; a 1-pair block then sums its norm in
-        # the same order as a 128-pair block
+        # a column's factored solve does not depend on its block's width, and
+        # a 1-pair block sums its norm in the same order as a 128-pair block
         g = _both_orientations(random_multigraph, np.random.default_rng(43), 60, 40, True)
-        lap_pinv = np.linalg.pinv(ohmlab.laplacian(g).toarray())
-
-        def column_solves(g, b):
-            volts = np.column_stack([lap_pinv @ col for col in b.T])
-            return volts, np.zeros(b.shape[1])
-
-        monkeypatch.setattr(ohmlab.routing, "solve_laplacian_block", column_solves)
         wide = ohmlab.routing._sweep(g, signed=True)
         monkeypatch.setattr(ohmlab.routing, "_BLOCK_COLUMNS", 1)
         narrow = ohmlab.routing._sweep(g, signed=True)
