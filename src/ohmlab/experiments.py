@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .graphs import Multigraph, gadget_subdivide, graph_union, random_regular
-from .routing import _conductance_lower, _ratios, competitive_report, edge_demand
+from .routing import _conductance, _ratios, competitive_report, edge_demand
 from .sparsify import (
     Partition,
     _full_vector,
@@ -107,11 +107,9 @@ def run_report(g: Multigraph, p_grid: Sequence[float]) -> ExperimentResult:
                 f"p={format_value(p)}: rho {format_value(rho)} exceeds bound "
                 f"{format_value(rep.bound)}"
             )
-    # the bound uses phi_lower, which a bracket certifies by the Cheeger inequality
-    kind = "exact" if rep.phi_kind == "exact" else "cheeger-lower-bound"
     comments = [
         f"graph: n={rep.n} m={rep.m} vol={format_value(rep.vol)}",
-        f"phi ({kind}): {format_value(rep.phi_lower)}",
+        f"phi ({rep.phi_kind}): {format_value(rep.phi_lower)}",
     ]
     return ExperimentResult(("p", "rho", "bound", "slack"), rows, comments, violations)
 
@@ -120,10 +118,10 @@ def run_diagnose(g: Multigraph, edge: int, samples: int = 50) -> ExperimentResul
     """Threshold diagnostics for one unit edge demand, plus identity checks.
 
     The derivative checks and the printed phi read only the lower conductance
-    certificate (`_conductance_lower`): exact up to EXACT_CONDUCTANCE_CAP
-    vertices, else lambda_2 / 2, so no sweep cut is computed."""
+    certificate, `_conductance` without the sweep: exact up to
+    EXACT_CONDUCTANCE_CAP vertices, else lambda_2 / 2, no sweep cut."""
     profile = threshold_profile(g, edge_demand(g, edge))
-    lower = _conductance_lower(g)
+    lower, _ = _conductance(g, sweep=False)
     integral = check_integral_identity(profile)
     flow_dev = check_unit_flow(profile)
     deriv = check_derivative_bounds(profile, lower.phi, samples)

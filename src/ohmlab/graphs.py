@@ -10,11 +10,11 @@ labels, the exact conductance's cut tables, the conductance bracket's
 normalized Laplacian and girth all read it, never per-vertex lists. Its one
 factorization, the cached `Multigraph.laplacian_factor` with vertex 0
 grounded, decides by itself whether to exist: only up to _DIRECT_VERTEX_CAP
-vertices. Where it exists it serves the solves of linalg and the all-pairs
-sweep's block width, nothing else. The conductance bracket's lambda_2 never
-reads it: dense eigh up to _DENSE_EIGEN_CAP vertices, Lanczos on a
-Chebyshev filter of the normalized Laplacian above, which needs only its
-sparse products.
+vertices. Where it exists it serves linalg's solves, nothing else; the
+all-pairs sweep solves in the same blocks either way. The conductance
+bracket's lambda_2 never reads it: dense eigh up to _DENSE_EIGEN_CAP
+vertices, Lanczos on a Chebyshev filter of the normalized Laplacian above,
+which needs only its sparse products.
 
 Vertex sets are numpy boolean masks of length n (bitset semantics). Helpers
 accept index iterables as well and normalize them.
@@ -77,11 +77,10 @@ _EIGSH_MAXITER = 10_000
 # girth's BFS runs over chunks of sources with this many (source, vertex) and
 # (source, edge) entries each
 _BFS_CHUNK_ENTRIES = 1 << 20
-# Largest vertex count whose Laplacian is factored, for linalg's solves and
-# the all-pairs sweep's block width; lambda_2 never reads it. Expander
-# fill-in makes the factor cost grow faster than n^2. On random 3-regular
-# graphs (one thread of a 2-vCPU x86-64 guest, symmetric-mode LU with
-# diagonal pivots):
+# Largest vertex count whose Laplacian is factored, for linalg's solves
+# only; lambda_2 never reads it. Expander fill-in makes the factor cost grow
+# faster than n^2. On random 3-regular graphs (one thread of a 2-vCPU x86-64
+# guest, symmetric-mode LU with diagonal pivots):
 #
 #        n   factor entries   factor   solve per column, blocks of 128
 #     1000           64,914   0.006 s   0.07 ms
@@ -224,9 +223,9 @@ class Multigraph:
         vertex 0 grounded (its row and column removed), factored once on
         first use; None, with nothing factored, above _DIRECT_VERTEX_CAP
         vertices, on a disconnected graph or on one vertex. This is the one
-        place the cap is checked: linalg's solves and the all-pairs sweep's
-        block width each take their factored path exactly when this is not
-        None. No eigensolver reads it, so the cap never moves lambda_2.
+        place the cap is checked, and linalg.solve_laplacian_block the one
+        reader: it solves against the factor exactly when this is not None.
+        No eigensolver reads it, so the cap never moves lambda_2.
 
         The grounded block of a connected graph is symmetric positive
         definite, so every pivot is on the diagonal (perm_r == perm_c).
@@ -275,13 +274,18 @@ class ConductanceCertificate:
 
 
 def as_vertex_mask(n: int, s) -> np.ndarray:
-    """Normalize a vertex-set argument to a boolean mask of length n."""
+    """Normalize a vertex-set argument to a boolean mask of length n: a bool
+    mask as given, else integer vertex ids (a float id is refused, not
+    truncated)."""
     arr = np.asarray(s)
     if arr.dtype == bool:
         if arr.shape != (n,):
             raise ValueError(f"mask length {arr.shape} does not match n={n}")
         return arr
-    ids = arr.astype(np.int64).ravel()
+    ids = arr.ravel()
+    if ids.size and not np.issubdtype(ids.dtype, np.integer):
+        raise ValueError("vertex ids must be integers")
+    ids = ids.astype(np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         raise ValueError("vertex id out of range")
     mask = np.zeros(n, dtype=bool)
@@ -840,10 +844,9 @@ def read_graph(path) -> Multigraph:
     header, _, edges = text.partition("\n")
     if not header:
         raise ValueError(f"{path}: empty graph file")
-    fields = header.split()
     try:
-        n, m = int(fields[0]), int(fields[1])
-    except (IndexError, ValueError) as exc:
+        n, m = map(int, header.split())
+    except ValueError as exc:
         raise ValueError(f"{path}: bad header line, expected 'n m'") from exc
     found = edges.count("\n")
     if found != m:

@@ -1,15 +1,17 @@
-"""Incidence and Laplacian assembly, singular solves, and induced norms.
+"""Incidence assembly, singular Laplacian solves, and induced norms.
 
 The signed incidence matrix B is n x m with B[tail, e] = -1 and
 B[head, e] = +1 for edge e = (tail, head). The Laplacian L = B W B^T is
+assembled once on the graph (`Multigraph.laplacian`), not here, and is
 solved only on the sum-zero subspace; the pseudo-inverse is never formed.
 
 Two solve methods, picked by the graph alone. Where the graph has a
 Laplacian factor (`Multigraph.laplacian_factor`: vertex 0 grounded,
 symmetric-mode LU with diagonal pivots, built once and only up to the
-vertex cap graphs.py sets), solve_laplacian_block solves blocks of demands
-against it and refines a column that misses the contract against the same
-factor (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12).
+vertex cap graphs.py sets), solve_laplacian_block, its one reader, solves
+blocks of demands against it and refines a column that misses the contract
+against the same factor (Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 12).
 Without one, solve_laplacian's Jacobi-preconditioned conjugate gradient
 runs; threshold_profile calls it directly. Both meet the same contract,
 fixed at _SOLVE_TOL: the solution sums to zero and its true residual

@@ -4,7 +4,8 @@ Built for the l1 boundary-extension problem: a few thousand nodes, real
 capacities. Undirected edges become arc pairs that share residual capacity
 in both directions. The min-cut side returned is the set of nodes reachable
 from the source in the final residual network, which is the smallest source
-side among minimum cuts.
+side among minimum cuts: the last level search, the one that no longer
+reaches the sink, has already found it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ class _Dinic:
         self.to.append(u)
         self.cap.append(c)
 
-    def _levels(self, s: int, t: int, eps: float):
+    def _levels(self, s: int, eps: float) -> List[int]:
+        """Breadth-first distance from s over arcs with residual > eps; -1
+        where s does not reach."""
         level = [-1] * self.n
         level[s] = 0
         dq = deque([s])
@@ -44,7 +47,7 @@ class _Dinic:
                 if level[v] < 0 and self.cap[aid] > eps:
                     level[v] = level[u] + 1
                     dq.append(v)
-        return level if level[t] >= 0 else None
+        return level
 
     def _augment(self, s: int, t: int, level, it, eps: float) -> float:
         """Push flow along one s-t path of the level graph; 0.0 when none is
@@ -71,31 +74,16 @@ class _Dinic:
             self.cap[aid ^ 1] += pushed
         return pushed
 
-    def max_flow(self, s: int, t: int, eps: float) -> float:
-        total = 0.0
+    def max_flow(self, s: int, t: int, eps: float) -> np.ndarray:
+        """Augment until no s-t path is left; returns the mask of the nodes
+        the last level search reached, the source side of a minimum cut."""
         while True:
-            level = self._levels(s, t, eps)
-            if level is None:
-                return total
+            level = self._levels(s, eps)
+            if level[t] < 0:
+                return np.array(level) >= 0
             it = [0] * self.n
-            while True:
-                pushed = self._augment(s, t, level, it, eps)
-                if pushed <= 0.0:
-                    break
-                total += pushed
-
-    def source_side(self, s: int, eps: float) -> np.ndarray:
-        seen = np.zeros(self.n, dtype=bool)
-        seen[s] = True
-        dq = deque([s])
-        while dq:
-            u = dq.popleft()
-            for aid in self.head[u]:
-                v = self.to[aid]
-                if not seen[v] and self.cap[aid] > eps:
-                    seen[v] = True
-                    dq.append(v)
-        return seen
+            while self._augment(s, t, level, it, eps) > 0.0:
+                pass
 
 
 def min_cut(
@@ -103,10 +91,11 @@ def min_cut(
 ) -> Tuple[float, np.ndarray]:
     """Minimum s-t cut of an undirected capacitated graph.
 
-    Returns (value, source_side_mask). The value is recomputed as the exact
-    sum of capacities crossing the returned cut, so integer capacities give
-    an integer result regardless of augmentation arithmetic. The mask is the
-    residual-reachable set: the unique smallest source side among min cuts.
+    Returns (value, side). The value is recomputed as the exact sum of
+    capacities crossing the returned cut, so integer capacities give an
+    integer result regardless of augmentation arithmetic. The side is the
+    boolean mask of the residual-reachable set: the unique smallest source
+    side among min cuts.
     """
     if s == t:
         raise ValueError("source and sink must differ")
@@ -120,8 +109,7 @@ def min_cut(
         net.add_undirected(u, v, float(c))
         cmax = max(cmax, float(c))
     eps = 1e-11 * max(cmax, 1.0)
-    net.max_flow(s, t, eps)
-    side = net.source_side(s, eps)
+    side = net.max_flow(s, t, eps)
     value = 0.0
     for u, v, c in arcs:
         if u != v and side[u] != side[v]:

@@ -6,12 +6,13 @@ norm of the entrywise absolute value of W^-1 A B W applied to edge demands;
 on unit-weight graphs this is the flow projection matrix Pi = B^T L^+ B.
 
 Every ratio comes from one sweep per graph that solves each distinct endpoint
-pair once through linalg.solve_laplacian_block: in blocks of _BLOCK_COLUMNS
-pairs against the graph's cached symmetric-mode LU factor (diagonal pivots)
-up to the direct vertex cap, one pair at a time by conjugate gradient above
-it, every column under the same residual contract. rho_inf and localization
-read the l1 flow norm of each solve, and |Pi| for finite p is filled from
-the same solves; Pi is materialized only when a finite p asks for it.
+pair once, in blocks of _BLOCK_COLUMNS pairs, through
+linalg.solve_laplacian_block. Which solver that runs (the graph's Laplacian
+factor or conjugate gradient) is linalg's choice alone; this module never
+reads the factor, and every column meets the same residual contract.
+rho_inf and localization read the l1 flow norm of each solve, and |Pi| for
+finite p is filled from the same solves; Pi is materialized only when a
+finite p asks for it.
 """
 
 from __future__ import annotations
@@ -198,22 +199,21 @@ def _sweep(
     g: Multigraph, signed: bool = False
 ) -> Tuple[np.ndarray, Optional[np.ndarray], float]:
     """One solve per distinct endpoint pair, in blocks of _BLOCK_COLUMNS pairs
-    when the graph has a Laplacian factor and of one pair when it has none:
-    conjugate gradient solves one column per call anyway, so there the sweep
-    holds one voltage vector, as a single solve does.
+    whichever solver linalg.solve_laplacian_block runs.
 
     Returns the l1 flow norm sum_f w(f) |v(head) - v(tail)| of every edge's
     unit demand (parallel edges share their pair's value), the dense signed
     projection Pi when `signed` is set (else None), and the worst solver
-    residual. Only one block of voltages is held at a time. Every norm is
-    summed left to right over the edges, whatever the block width, and the
-    blocks depend on the graph alone.
+    residual. Only one block of voltages and flows, (n + m) _BLOCK_COLUMNS
+    floats, is held at a time. Every norm is summed left to right over the
+    edges, so it does not depend on its block's width, and the blocks
+    depend on the graph alone.
     """
     lows, highs, pair_of_edge = _endpoint_pairs(g)
     norms = np.empty(lows.size)
     pi = np.empty((g.m, g.m)) if signed else None
     max_residual = 0.0
-    width = _BLOCK_COLUMNS if g.laplacian_factor is not None else 1
+    width = _BLOCK_COLUMNS
     if signed:
         # block i's edges are by_pair[bounds[i]:bounds[i + 1]]
         by_pair = np.argsort(pair_of_edge, kind="stable")
@@ -373,7 +373,11 @@ def competitive_ratio_operator(
 
 @dataclass(frozen=True)
 class CompetitiveReport:
-    """Summary of a graph's routing quality against the expander bound."""
+    """Summary of a graph's routing quality against the expander bound.
+
+    phi_kind is the kind of the certificate behind phi_lower and the bound:
+    "exact" or "cheeger-lower-bound".
+    """
 
     n: int
     m: int
@@ -387,30 +391,20 @@ class CompetitiveReport:
     max_residual: float
 
 
-def _is_exact(g: Multigraph, bracket: bool) -> bool:
-    """The one rule choosing exact conductance over the spectral bracket: cut
-    enumeration up to EXACT_CONDUCTANCE_CAP vertices unless `bracket` is set."""
-    return not bracket and g.n <= EXACT_CONDUCTANCE_CAP
-
-
 def _conductance(
-    g: Multigraph, bracket: bool = False
-) -> Tuple[ConductanceCertificate, ConductanceCertificate]:
-    """Lower and upper conductance certificates: the exact value as both where
-    `_is_exact`, else the eigenvalue/sweep bracket."""
-    if _is_exact(g, bracket):
+    g: Multigraph, bracket: bool = False, sweep: bool = True
+) -> Tuple[ConductanceCertificate, Optional[ConductanceCertificate]]:
+    """Lower and upper conductance certificates. The one rule choosing exact
+    conductance over the spectral bracket: cut enumeration, its value as
+    both, up to EXACT_CONDUCTANCE_CAP vertices unless `bracket` is set; else
+    the eigenvalue/sweep bracket, or with `sweep` unset lambda_2 / 2 and
+    None, without the sweep cut that bounds phi from above."""
+    if not bracket and g.n <= EXACT_CONDUCTANCE_CAP:
         cert = conductance_exact(g)
         return cert, cert
+    if not sweep:
+        return _cheeger_lower(g)[0], None
     return conductance_bounds(g)
-
-
-def _conductance_lower(g: Multigraph) -> ConductanceCertificate:
-    """The lower certificate of `_conductance(g)` alone: the exact value where
-    `_is_exact`, else lambda_2 / 2 without the sweep cut that bounds phi from
-    above (`_cheeger_lower`)."""
-    if _is_exact(g, False):
-        return conductance_exact(g)
-    return _cheeger_lower(g)[0]
 
 
 def competitive_report(
@@ -427,11 +421,9 @@ def competitive_report(
     bound. Every ratio and the localization come from one sweep that solves
     each endpoint pair once; max_residual is the worst true residual of
     those solves. An edgeless graph is refused before any conductance work.
-    Up to the direct vertex cap the sweep solves against the graph's
-    Laplacian factor, built once, and above it runs conjugate gradient. The
-    bracket's lambda_2 never reads the factor: it comes from dense eigh up
-    to the dense eigensolver's cap and from Lanczos on a Chebyshev filter of
-    the normalized Laplacian above.
+    phi_kind is the lower certificate's kind, "exact" or
+    "cheeger-lower-bound". The sweep's solver is linalg's choice; the
+    bracket's lambda_2 never reads the Laplacian factor.
     """
     _require_edges(g)
     lower, upper = _conductance(g, bracket)
@@ -451,7 +443,7 @@ def competitive_report(
         vol=vol,
         phi_lower=lower.phi,
         phi_upper=upper.phi,
-        phi_kind="exact" if lower is upper else "bracket",
+        phi_kind=lower.kind,
         rho=rho,
         bound=bound,
         localization=loc,

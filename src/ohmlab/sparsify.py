@@ -105,7 +105,10 @@ def read_partition(path, n: int) -> Partition:
                 raise ValueError(f"{path}: expected 'C:' or 'F:' lines, got {key!r}")
             if key in sets:
                 raise ValueError(f"{path}: repeated '{key}:' line")
-            sets[key] = [int(tok) for tok in rest.split()]
+            try:
+                sets[key] = [int(tok) for tok in rest.split()]
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
     if "C" not in sets:
         raise ValueError(f"{path}: missing 'C:' line")
     return Partition(n, np.array(sets.get("C", []), dtype=np.int64),

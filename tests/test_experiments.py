@@ -169,9 +169,12 @@ class TestRunDiagnose:
     def test_lower_certificate_is_the_brackets(self):
         for seed in range(1, 4):
             g = random_regular(60, 4, seed)
-            assert ohmlab.routing._conductance_lower(g) == conductance_bounds(g)[0]
+            lower, upper = ohmlab.routing._conductance(g, sweep=False)
+            assert (lower, upper) == (conductance_bounds(g)[0], None)
         g = random_regular(EXACT_CONDUCTANCE_CAP, 3, 2)
-        lower, (exact, _) = ohmlab.routing._conductance_lower(g), ohmlab.routing._conductance(g)
+        (lower, upper), (exact, _) = (ohmlab.routing._conductance(g, sweep=False),
+                                      ohmlab.routing._conductance(g))
+        assert lower is upper
         assert (lower.phi, lower.kind) == (exact.phi, "exact")
         assert np.array_equal(lower.witness, exact.witness)
 
@@ -181,7 +184,7 @@ class TestRunDiagnose:
         with pytest.raises(ohmlab.DisconnectedError) as bracket:
             conductance_bounds(g)
         with pytest.raises(ohmlab.DisconnectedError) as lower:
-            ohmlab.routing._conductance_lower(g)
+            ohmlab.routing._conductance(g, sweep=False)
         assert str(lower.value) == str(bracket.value)
 
     def test_one_profile_one_table(self, monkeypatch):

@@ -328,11 +328,39 @@ class TestDirectFallback:
         rho = ohmlab.competitive_ratio_inf(g)
         assert g.__dict__["laplacian_factor"] is None  # asked for, never factored
         assert len(pcg_calls) == g.m  # a simple graph: one pair per edge
-        assert widths == [1] * g.m  # the sweep holds one pair at a time
+        assert widths == [g.m]  # one block, as with a factor
         monkeypatch.undo()
         assert rho == pytest.approx(
             ohmlab.competitive_ratio_inf(random_regular(10, 3, 1)), rel=1e-9
         )
+
+    def test_factorless_sweep_matches_one_pair_at_a_time(self, monkeypatch, pcg_calls,
+                                                         random_multigraph):
+        # without a factor the sweep still solves 128 pairs per call, and
+        # every norm, Pi entry and the worst residual keep the bits of a
+        # sweep that holds one pair at a time
+        monkeypatch.setattr(ohmlab.graphs, "_DIRECT_VERTEX_CAP", 50)
+        width = ohmlab.linalg._BLOCK_COLUMNS
+        g = random_multigraph(np.random.default_rng(4), 120, 60)
+        pairs = ohmlab.routing._endpoint_pairs(g)[0].size
+        assert pairs > width
+        widths = []
+        block = ohmlab.routing.solve_laplacian_block
+
+        def recorded(g, b, *args, **kwargs):
+            widths.append(b.shape[1])
+            return block(g, b, *args, **kwargs)
+
+        monkeypatch.setattr(ohmlab.routing, "solve_laplacian_block", recorded)
+        l1, pi, residual = ohmlab.routing._sweep(g, signed=True)
+        assert g.laplacian_factor is None
+        assert len(pcg_calls) == pairs
+        assert widths == [width] * (pairs // width) + [pairs % width]
+        monkeypatch.setattr(ohmlab.routing, "_BLOCK_COLUMNS", 1)
+        l1_ref, pi_ref, residual_ref = ohmlab.routing._sweep(g, signed=True)
+        assert widths[-pairs:] == [1] * pairs
+        assert np.array_equal(l1, l1_ref) and np.array_equal(pi, pi_ref)
+        assert residual == residual_ref
 
 
 class TestInducedNorms:

@@ -16,3 +16,24 @@ def test_long_path_needs_no_recursion():
     assert sys.getrecursionlimit() == limit
     assert value == 1.5
     assert side.tolist() == [True] * 12346 + [False] * (n - 12346)
+
+
+def test_side_is_the_smallest_minimum_source_side(random_multigraph):
+    # every cut with s in and t out, by brute force; the minimum source
+    # sides are closed under intersection, so the smallest is theirs
+    rng = np.random.default_rng(17)
+    for trial in range(60):
+        n = int(rng.integers(3, 13))
+        g = random_multigraph(rng, n, int(rng.integers(0, 2 * n)), weighted=trial % 2 == 0)
+        arcs = list(zip(g.tails.tolist(), g.heads.tolist(), g.weights.tolist()))
+        s, t = (int(v) for v in rng.choice(n, 2, replace=False))
+        rest = np.delete(np.arange(n), [s, t])
+        sides = np.zeros((1 << rest.size, n), dtype=bool)
+        sides[:, s] = True
+        sides[:, rest] = (np.arange(1 << rest.size)[:, None] >> np.arange(rest.size)) & 1
+        cuts = (sides[:, g.tails] != sides[:, g.heads]) @ g.weights
+        minimum = cuts <= cuts.min() * (1 + 1e-12)
+        value, side = min_cut(n, arcs, s, t)
+        assert minimum[(sides == side).all(axis=1)][0]
+        assert value == sum(c for u, v, c in arcs if side[u] != side[v])
+        assert np.array_equal(side, np.logical_and.reduce(sides[minimum]))

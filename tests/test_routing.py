@@ -475,7 +475,7 @@ class TestCompetitiveReport:
     def test_large_graph_uses_bracket(self):
         g = random_regular(30, 3, 1)
         rep = competitive_report(g)
-        assert rep.phi_kind == "bracket"
+        assert rep.phi_kind == "cheeger-lower-bound"
         assert rep.phi_lower <= rep.phi_upper
         assert rep.rho[np.inf] <= rep.bound
 
@@ -520,10 +520,10 @@ class TestCompetitiveReport:
         assert sum(widths) == pairs
         assert widths == [width] * (pairs // width) + [pairs % width]
 
-    def test_one_factor_serves_lambda2_and_the_sweep(self, monkeypatch):
-        # above the dense eigensolver's cap, lambda_2 is read from the
-        # grounded factor that the sweep then reuses; no column reaches
-        # conjugate gradient
+    def test_the_sweep_builds_the_one_factor(self, monkeypatch):
+        # above the dense eigensolver's cap, lambda_2 comes from the filter
+        # without a factor; the sweep's solves build the one grounded factor
+        # and no column reaches conjugate gradient
         g = random_regular(1000, 3, 1)
         factors, dense, pcg = [], [], []
         splu, eigh = scipy.sparse.linalg.splu, scipy.linalg.eigh
@@ -545,7 +545,7 @@ class TestCompetitiveReport:
         monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
         monkeypatch.setattr(ohmlab.linalg, "solve_laplacian", counted_pcg)
         rep = competitive_report(g)
-        assert rep.phi_kind == "bracket"
+        assert rep.phi_kind == "cheeger-lower-bound"
         assert factors == [(g.n - 1, g.n - 1)]
         assert dense == []
         assert pcg == []

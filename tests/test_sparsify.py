@@ -78,6 +78,14 @@ class TestPartition:
         with pytest.raises(ValueError):
             read_partition(path, 5)
 
+    def test_read_names_the_file_of_a_bad_token(self, tmp_path):
+        # a bad id used to surface as int's message alone
+        path = tmp_path / "part.txt"
+        path.write_text("C: 0 x\nF: 1\n")
+        with pytest.raises(ValueError) as err:
+            read_partition(path, 3)
+        assert str(err.value) == f"{path}: invalid literal for int() with base 10: 'x'"
+
     def test_repeated_id_rejected(self):
         # np.unique used to swallow the second 0 and the second 2
         with pytest.raises(ValueError, match="each id once"):
