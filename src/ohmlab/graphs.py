@@ -17,7 +17,9 @@ vertices, Lanczos on a Chebyshev filter of the normalized Laplacian above,
 which needs only its sparse products.
 
 Vertex sets are numpy boolean masks of length n (bitset semantics). Helpers
-accept index iterables as well and normalize them.
+accept index iterables as well and normalize them. Every vertex and edge id
+in the library passes one rule, `_ids`: integers in range, a float id
+refused, not truncated.
 """
 
 from __future__ import annotations
@@ -164,16 +166,14 @@ class Multigraph:
     weights: np.ndarray
 
     def __post_init__(self):
-        tails = np.asarray(self.tails, dtype=np.int64)
-        heads = np.asarray(self.heads, dtype=np.int64)
+        tails, heads = np.asarray(self.tails), np.asarray(self.heads)
         weights = np.asarray(self.weights, dtype=np.float64)
         if not (tails.shape == heads.shape == weights.shape) or tails.ndim != 1:
             raise ValueError("tails, heads, weights must be 1-d arrays of equal length")
+        tails, heads = (_ids(ends, self.n, "edge endpoint") for ends in (tails, heads))
         if self.n < 1:
             raise ValueError("need at least one vertex")
         if tails.size:
-            if tails.min() < 0 or heads.min() < 0 or max(tails.max(), heads.max()) >= self.n:
-                raise ValueError("edge endpoint out of range")
             if np.any(tails == heads):
                 raise ValueError("self-loops are not allowed")
             if not np.all(np.isfinite(weights) & (weights >= 1.0)):
@@ -187,8 +187,8 @@ class Multigraph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple]) -> "Multigraph":
         edges = list(edges)
-        tails = np.array([e[0] for e in edges], dtype=np.int64)
-        heads = np.array([e[1] for e in edges], dtype=np.int64)
+        tails = np.array([e[0] for e in edges])
+        heads = np.array([e[1] for e in edges])
         weights = np.array([e[2] if len(e) > 2 else 1.0 for e in edges], dtype=np.float64)
         return cls(n, tails, heads, weights)
 
@@ -273,21 +273,30 @@ class ConductanceCertificate:
     witness: Optional[np.ndarray] = field(default=None, repr=False)
 
 
+def _ids(values, bound: int, what: str) -> np.ndarray:
+    """The one id rule: values as int64 ids in [0, bound), `what` naming one
+    id ("vertex id"). A non-integer dtype is refused, not truncated (empty
+    input passes), and so are ids outside [0, bound) and a non-integer bound."""
+    if not isinstance(bound, (int, np.integer)):
+        raise ValueError(f"vertex and edge counts must be integers, got {bound!r}")
+    ids = np.asarray(values)
+    if ids.size and not np.issubdtype(ids.dtype, np.integer):
+        raise ValueError(f"{what}s must be integers")
+    ids = ids.astype(np.int64, copy=False)
+    if ids.size and (ids.min() < 0 or ids.max() >= bound):
+        raise ValueError(f"{what} out of range [0, {bound})")
+    return ids
+
+
 def as_vertex_mask(n: int, s) -> np.ndarray:
     """Normalize a vertex-set argument to a boolean mask of length n: a bool
-    mask as given, else integer vertex ids (a float id is refused, not
-    truncated)."""
+    mask as given, else vertex ids under the one id rule (`_ids`)."""
     arr = np.asarray(s)
     if arr.dtype == bool:
         if arr.shape != (n,):
             raise ValueError(f"mask length {arr.shape} does not match n={n}")
         return arr
-    ids = arr.ravel()
-    if ids.size and not np.issubdtype(ids.dtype, np.integer):
-        raise ValueError("vertex ids must be integers")
-    ids = ids.astype(np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        raise ValueError("vertex id out of range")
+    ids = _ids(arr, n, "vertex id")
     mask = np.zeros(n, dtype=bool)
     mask[ids] = True
     return mask
@@ -858,7 +867,10 @@ def read_graph(path) -> Multigraph:
         line = text.count("\n", 0, bad.start())
         raise ValueError(f"{path}: edge line {line} needs 'tail head [weight]'")
     table = _edge_table(path, edges)
-    return Multigraph(n, table["tail"].copy(), table["head"].copy(), table["weight"].copy())
+    try:
+        return Multigraph(n, table["tail"].copy(), table["head"].copy(), table["weight"].copy())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _edge_table(path, edges: str) -> np.ndarray:

@@ -287,6 +287,16 @@ def induced_norm_inf(mat: np.ndarray) -> float:
     return float(sums.max()) if sums.size else 0.0
 
 
+def _pnorm(v: np.ndarray, p: float) -> float:
+    """The one l_p norm of a nonnegative vector, p in [1, inf], 0.0 when empty:
+    v is divided by its largest entry before the power, so the largest term
+    is exactly 1 and no p overflows or underflows the sum."""
+    top = float(v.max()) if v.size else 0.0
+    if top == 0.0 or np.isinf(p):
+        return top
+    return top * float(np.power(v / top, p).sum() ** (1.0 / p))
+
+
 # relative gap between the certified ends of the p-norm bracket at which the
 # iteration stops: below half a unit in the 12th printed digit
 _PNORM_TOL = 1e-12
@@ -307,8 +317,10 @@ def induced_pnorm_nonneg(mat: np.ndarray, p: float) -> float:
     of the max (on a reducible M, the leading block, which converges while x
     still mixes in a block of nearly the same norm). It stops once the gap is
     within _PNORM_TOL (1e-12, relative), returns the lower end, and gives up
-    after _PNORM_MAX_ITER iterations. p within 1e-9 of 2 runs the p = 2
-    path; p = 1 and p = inf are the exact column/row-sum formulas.
+    after _PNORM_MAX_ITER iterations. Every p-norm and power divides by the
+    vector's largest entry first (`_pnorm`), so no p overflows or underflows.
+    p within 1e-9 of 2 runs the p = 2 path; p = 1 and p = inf are the exact
+    column/row-sum formulas.
     """
     p = _check_p(p)
     mat = np.asarray(mat, dtype=np.float64)
@@ -327,15 +339,12 @@ def induced_pnorm_nonneg(mat: np.ndarray, p: float) -> float:
     q = p / (p - 1.0)
     mat_t = mat.T
 
-    def pnorm(v):
-        return float(np.power(v, p).sum() ** (1.0 / p))
-
     x = np.full(ncols, 1.0)
-    x /= pnorm(x)
+    x /= _pnorm(x, p)
     tiny = np.finfo(np.float64).tiny
     for it in range(1, _PNORM_MAX_ITER + 1):
         y = mat @ x
-        lower = pnorm(y)
+        lower = _pnorm(y, p)
         if lower == 0.0:
             return 0.0
         y_max = float(y.max())
@@ -351,10 +360,10 @@ def induced_pnorm_nonneg(mat: np.ndarray, p: float) -> float:
         # so this at most doubles the iterations, at log2(it) extra products
         if it & (it - 1) == 0:
             v = np.where(growth >= growth_max * (1.0 - _PNORM_TOL), x, 0.0)
-            lower = max(lower, pnorm(mat @ v) / pnorm(v))
+            lower = max(lower, _pnorm(mat @ v, p) / _pnorm(v, p))
         if upper - lower <= _PNORM_TOL * lower:
             return lower
-        x = x_next / pnorm(x_next)
+        x = x_next / _pnorm(x_next, p)
     raise ConvergenceError(
         f"p-norm bracket stayed wider than {_PNORM_TOL:g} (relative) after "
         f"{_PNORM_MAX_ITER} iterations",

@@ -1,11 +1,12 @@
 """Small max-flow / min-cut solver (Dinic's algorithm).
 
 Built for the l1 boundary-extension problem: a few thousand nodes, real
-capacities. Undirected edges become arc pairs that share residual capacity
-in both directions. The min-cut side returned is the set of nodes reachable
-from the source in the final residual network, which is the smallest source
-side among minimum cuts: the last level search, the one that no longer
-reaches the sink, has already found it.
+capacities, given as edge arrays with self-loops skipped. Edge k becomes
+arcs 2k (tail -> head) and 2k + 1 (back), which share residual capacity.
+The min-cut side returned is the set of nodes reachable from the source in
+the final residual network, which is the smallest source side among
+minimum cuts: the last level search, the one that no longer reaches the
+sink, has already found it.
 """
 
 from __future__ import annotations
@@ -19,20 +20,15 @@ __all__ = ["min_cut"]
 
 
 class _Dinic:
-    def __init__(self, n: int):
+    def __init__(self, n: int, tails: np.ndarray, heads: np.ndarray, caps: np.ndarray):
+        # arc 2k runs tails[k] -> heads[k] and arc 2k + 1 back, both at caps[k];
+        # a stable argsort by source lists each node's arcs in id order
         self.n = n
-        self.head: List[List[int]] = [[] for _ in range(n)]
-        self.to: List[int] = []
-        self.cap: List[float] = []
-
-    def add_undirected(self, u: int, v: int, c: float) -> None:
-        # paired arcs; each is the other's reverse, both start at capacity c
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(c)
+        source = np.column_stack([tails, heads]).ravel()
+        self.to: List[int] = np.column_stack([heads, tails]).ravel().tolist()
+        self.cap: List[float] = np.repeat(caps, 2).tolist()
+        ends = np.cumsum(np.bincount(source, minlength=n))[:-1]
+        self.head = [a.tolist() for a in np.split(np.argsort(source, kind="stable"), ends)]
 
     def _levels(self, s: int, eps: float) -> List[int]:
         """Breadth-first distance from s over arcs with residual > eps; -1
@@ -87,31 +83,27 @@ class _Dinic:
 
 
 def min_cut(
-    n: int, arcs: List[Tuple[int, int, float]], s: int, t: int
+    n: int, tails, heads, caps, s: int, t: int
 ) -> Tuple[float, np.ndarray]:
-    """Minimum s-t cut of an undirected capacitated graph.
-
-    Returns (value, side). The value is recomputed as the exact sum of
-    capacities crossing the returned cut, so integer capacities give an
-    integer result regardless of augmentation arithmetic. The side is the
-    boolean mask of the residual-reachable set: the unique smallest source
-    side among min cuts.
+    """Minimum s-t cut of the undirected graph on nodes 0..n-1 whose edge k
+    joins tails[k] and heads[k] with capacity caps[k] >= 0; self-loops are
+    skipped. Returns (value, side). The value is the exact sum of the
+    capacities crossing the returned cut, added in edge order, so integer
+    capacities give an integer result regardless of augmentation arithmetic.
+    The side is the boolean mask of the residual-reachable set: the unique
+    smallest source side among min cuts.
     """
     if s == t:
         raise ValueError("source and sink must differ")
-    net = _Dinic(n)
-    cmax = 0.0
-    for u, v, c in arcs:
-        if c < 0:
-            raise ValueError("capacities must be nonnegative")
-        if u == v:
-            continue
-        net.add_undirected(u, v, float(c))
-        cmax = max(cmax, float(c))
-    eps = 1e-11 * max(cmax, 1.0)
+    tails, heads = np.asarray(tails, dtype=np.int64), np.asarray(heads, dtype=np.int64)
+    caps = np.asarray(caps, dtype=np.float64)
+    if np.any(caps < 0):
+        raise ValueError("capacities must be nonnegative")
+    keep = tails != heads
+    net = _Dinic(n, tails[keep], heads[keep], caps[keep])
+    eps = 1e-11 * max(float(caps[keep].max(initial=0.0)), 1.0)
     side = net.max_flow(s, t, eps)
-    value = 0.0
-    for u, v, c in arcs:
-        if u != v and side[u] != side[v]:
-            value += float(c)
+    crossing = caps[side[tails] != side[heads]]
+    # a running sum adds left to right, where sum would add pairwise
+    value = float(np.cumsum(crossing)[-1]) if crossing.size else 0.0
     return value, side

@@ -29,6 +29,7 @@ from .graphs import (
     ConductanceCertificate,
     Multigraph,
     _cheeger_lower,
+    _ids,
     conductance_bounds,
     conductance_exact,
 )
@@ -37,7 +38,7 @@ from .linalg import (
     _centred,
     _check_p,
     _column_sums,
-    incidence,
+    _pnorm,
     induced_pnorm_nonneg,
     laplacian,
     solve_laplacian_block,
@@ -82,18 +83,16 @@ def validate_demand(g: Multigraph, chi: np.ndarray) -> np.ndarray:
 def _pair_demands(g: Multigraph, sources, sinks) -> np.ndarray:
     """Unit demands 1_s - 1_t as the columns of an n x k block, one per
     (source, sink) pair; sources and sinks must differ pairwise."""
-    sources = np.asarray(sources, dtype=np.int64)
-    chi = np.zeros((g.n, sources.size))
-    cols = np.arange(sources.size)
+    cols = np.arange(len(sources))
+    chi = np.zeros((g.n, cols.size))
     chi[sources, cols] = 1.0
-    chi[np.asarray(sinks, dtype=np.int64), cols] = -1.0
+    chi[sinks, cols] = -1.0
     return chi
 
 
 def edge_demand(g: Multigraph, eid: int) -> np.ndarray:
     """Unit demand 1_tail - 1_head for edge eid."""
-    if not 0 <= eid < g.m:
-        raise ValueError(f"edge index {eid} out of range for m={g.m}")
+    eid = _ids(eid, g.m, "edge id")
     return _pair_demands(g, [g.tails[eid]], [g.heads[eid]])[:, 0]
 
 
@@ -107,8 +106,7 @@ def route_electrical(g: Multigraph, chi: np.ndarray) -> np.ndarray:
 
 def effective_resistance(g: Multigraph, s: int, t: int) -> float:
     """chi^T L^+ chi for the unit s-t demand; 0 when s == t."""
-    if not (0 <= s < g.n and 0 <= t < g.n):
-        raise ValueError("endpoint out of range")
+    s, t = _ids([s, t], g.n, "vertex id")
     if s == t:
         return 0.0
     v = solve_laplacian_block(g, _pair_demands(g, [s], [t]))[0][:, 0]
@@ -124,10 +122,7 @@ def congestion(g: Multigraph, flows: Sequence[np.ndarray], p: float) -> float:
         if f.shape != (g.m,):
             raise ValueError(f"flow must have length m={g.m}")
         total += np.abs(f)
-    loads = total / g.weights
-    if math.isinf(p):
-        return float(loads.max()) if loads.size else 0.0
-    return float(np.power(loads, p).sum() ** (1.0 / p))
+    return _pnorm(total / g.weights, p)
 
 
 def flow_energy(g: Multigraph, f: np.ndarray) -> float:
@@ -149,12 +144,8 @@ def demand_fraction(g: Multigraph, f: np.ndarray, chi: np.ndarray, edges) -> flo
     if f.shape != (g.m,):
         raise ValueError(f"flow must have length m={g.m}")
     chi = validate_demand(g, chi)
-    ids = np.asarray(edges).ravel()
-    if ids.size and not (np.issubdtype(ids.dtype, np.integer)
-                         and ids.min() >= 0 and ids.max() < g.m):
-        raise ValueError(f"edge ids must be integers in [0, m={g.m})")
     mask = np.zeros(g.m, dtype=bool)
-    mask[ids.astype(np.int64)] = True
+    mask[_ids(edges, g.m, "edge id")] = True
     supply = chi > 0
     total = float(chi[supply].sum())
     if total == 0.0:
@@ -289,23 +280,20 @@ def flow_projection(g: Multigraph) -> np.ndarray:
 
 
 def competitive_ratio(g: Multigraph, p: float) -> float:
-    """l_p -> l_p competitive ratio of electrical routing on a unit graph.
-
-    Materializes |Pi| (dense, capped at PROJECTION_EDGE_CAP edges) for every
-    p; competitive_ratio_inf gives p = inf without it. The induced norm is
-    linalg.induced_pnorm_nonneg's: exact column/row sums for p = 1 and
-    p = inf, otherwise the nonnegative power iteration, which stops once its
-    certified bracket on the norm is narrower than 1e-12 (relative).
-    Non-unit weights are refused: use competitive_ratio_operator, which
-    applies the weighted scaling.
+    """l_p -> l_p competitive ratio of electrical routing on a unit graph,
+    from the one sweep (`_ratios`). p = inf is competitive_ratio_inf's value
+    and builds no projection. A finite p materializes |Pi| (dense, capped at
+    PROJECTION_EDGE_CAP edges) and takes linalg.induced_pnorm_nonneg's
+    norm: exact column sums for p = 1, otherwise the nonnegative power
+    iteration, which stops once its certified bracket on the norm is
+    narrower than 1e-12 (relative). Non-unit weights are refused: use
+    competitive_ratio_operator, which applies the weighted scaling.
     """
     if not g.is_unit_weight:
         raise ValueError(
             "competitive_ratio needs unit weights; use competitive_ratio_operator"
         )
-    p = _check_p(p)
-    pi = flow_projection(g)
-    return induced_pnorm_nonneg(np.abs(pi, out=pi), p)
+    return _ratios(g, (p,))[0][_check_p(p)]
 
 
 def _ratios(
@@ -341,33 +329,35 @@ def competitive_ratio_operator(
 ) -> float:
     """l_p -> l_p competitive ratio of an arbitrary demand -> flow operator.
 
-    The operator must be linear and actually route: B (routing(chi_e)) = chi_e
-    is verified on _ROUTE_CHECK_EDGES edges to within _ROUTE_CHECK_TOL. The
-    ratio is the induced norm of the entrywise absolute value of W^-1 A B W,
-    assembled one column per edge as w(e) |W^-1 routing(chi_e)|, dense and
-    so capped at PROJECTION_EDGE_CAP edges.
+    The operator is called once per distinct endpoint pair, f = routing(chi)
+    for the unit demand from the pair's low end to its high end. It must be
+    linear, so the orientation does not matter: an edge stored the other way
+    takes -f. It must also route: B f = chi is verified on the pairs of
+    _ROUTE_CHECK_EDGES edges to within _ROUTE_CHECK_TOL. The ratio is the
+    induced norm of |W^-1 A B W|, one column per edge w(e) |W^-1 f|, dense
+    and so capped at PROJECTION_EDGE_CAP edges.
     """
     p = _check_p(p)
     _require_projection_size(g)
+    lows, highs, pair_of_edge = _endpoint_pairs(g)
     sample = np.linspace(0, g.m - 1, num=min(_ROUTE_CHECK_EDGES, g.m), dtype=np.int64)
-    inc = incidence(g)
-    cols = np.empty((g.m, g.m))
-    cache: Dict[tuple, np.ndarray] = {}
-    for e in range(g.m):
-        pair = (int(g.tails[e]), int(g.heads[e]))
-        if pair not in cache:
-            cache[pair] = np.asarray(routing(edge_demand(g, e)), dtype=np.float64)
-            if cache[pair].shape != (g.m,):
-                raise ValueError("routing operator must return one flow value per edge")
-        f = cache[pair]
-        if e in sample:
-            chi = edge_demand(g, e)
-            err = float(np.abs(inc @ f - chi).max())
+    checked = set(pair_of_edge[sample].tolist())
+    flows = np.empty((g.m, lows.size))
+    for k in range(lows.size):
+        chi = _pair_demands(g, lows[k:k + 1], highs[k:k + 1])[:, 0]
+        f = np.asarray(routing(chi), dtype=np.float64)
+        if f.shape != (g.m,):
+            raise ValueError("routing operator must return one flow value per edge")
+        if k in checked:
+            b_f = np.bincount(g.heads, f, minlength=g.n) - np.bincount(g.tails, f, minlength=g.n)
+            err = float(np.abs(b_f - chi).max())
             if err > _ROUTE_CHECK_TOL:
-                raise ValueError(
-                    f"operator does not route edge demand {e}: |B f - chi| = {err:.3e}"
-                )
-        cols[:, e] = g.weights[e] * np.abs(f) / g.weights
+                raise ValueError(f"operator does not route the unit demand {lows[k]} -> "
+                                 f"{highs[k]}: |B f - chi| = {err:.3e}")
+        flows[:, k] = f
+    cols = np.abs(flows[:, pair_of_edge])
+    cols *= g.weights  # column e times w(e)
+    cols /= g.weights[:, None]  # row f over w(f)
     return induced_pnorm_nonneg(cols, p)
 
 

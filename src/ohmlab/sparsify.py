@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .graphs import Multigraph, _interval_sums
+from .graphs import Multigraph, _ids, _interval_sums, as_vertex_mask
 from .linalg import _BLOCK_COLUMNS, laplacian
 from .maxflow import min_cut
 
@@ -59,15 +59,13 @@ class Partition:
 
     def __post_init__(self):
         # sorted copies, not np.unique: a repeated id must fail the size check
-        c = np.sort(np.asarray(self.terminals, dtype=np.int64))
-        f = np.sort(np.asarray(self.eliminated, dtype=np.int64))
+        c = np.sort(_ids(self.terminals, self.n, "vertex id"))
+        f = np.sort(_ids(self.eliminated, self.n, "vertex id"))
         if c.size == 0:
             raise ValueError("partition needs at least one terminal")
         ids = np.concatenate([c, f])
         if ids.size != self.n or np.unique(ids).size != self.n:
             raise ValueError("terminals and eliminated must partition 0..n-1, each id once")
-        if ids.min() < 0 or ids.max() >= self.n:
-            raise ValueError("vertex id out of range")
         object.__setattr__(self, "terminals", c)
         object.__setattr__(self, "eliminated", f)
         c.setflags(write=False)
@@ -76,13 +74,7 @@ class Partition:
     @classmethod
     def from_eliminated(cls, n: int, eliminated) -> "Partition":
         """Partition with the given eliminated set; the rest are terminals."""
-        f = np.asarray(eliminated, dtype=np.int64)
-        mask = np.ones(n, dtype=bool)
-        if f.size:
-            if f.min() < 0 or f.max() >= n:
-                raise ValueError("vertex id out of range")
-            mask[f] = False
-        return cls(n, np.flatnonzero(mask), f)
+        return cls(n, np.flatnonzero(~as_vertex_mask(n, eliminated)), eliminated)
 
 
 def write_partition(part: Partition, path) -> None:
@@ -93,7 +85,7 @@ def write_partition(part: Partition, path) -> None:
 
 
 def read_partition(path, n: int) -> Partition:
-    sets: Dict[str, List[int]] = {}
+    sets: Dict[str, List[str]] = {}
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -105,14 +97,33 @@ def read_partition(path, n: int) -> Partition:
                 raise ValueError(f"{path}: expected 'C:' or 'F:' lines, got {key!r}")
             if key in sets:
                 raise ValueError(f"{path}: repeated '{key}:' line")
-            try:
-                sets[key] = [int(tok) for tok in rest.split()]
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
+            sets[key] = rest.split()
     if "C" not in sets:
         raise ValueError(f"{path}: missing 'C:' line")
-    return Partition(n, np.array(sets.get("C", []), dtype=np.int64),
-                     np.array(sets.get("F", []), dtype=np.int64))
+    try:
+        return Partition(n, [int(t) for t in sets["C"]], [int(t) for t in sets.get("F", [])])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _same_n(g: Multigraph, part: Partition) -> None:
+    if part.n != g.n:
+        raise ValueError("partition size does not match the graph")
+
+
+def _boundary(g: Multigraph, part: Partition, x) -> np.ndarray:
+    _same_n(g, part)
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (part.terminals.size,):
+        raise ValueError("need one boundary value per terminal")
+    return x
+
+
+def _zero_one(x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all((x == 0.0) | (x == 1.0)):
+        raise ValueError("boundary data must be 0/1")
+    return x
 
 
 def _elimination(g: Multigraph, part: Partition) -> tuple:
@@ -123,8 +134,7 @@ def _elimination(g: Multigraph, part: Partition) -> tuple:
     L_FF is nonsingular exactly when every connected component keeps a
     terminal; a component without one is refused. F may be empty.
     """
-    if part.n != g.n:
-        raise ValueError("partition size does not match the graph")
+    _same_n(g, part)
     labels = g.component_labels
     drained = np.zeros(int(labels.max()) + 1, dtype=bool)
     drained[labels[part.terminals]] = True
@@ -215,9 +225,7 @@ def harmonic_extension(g: Multigraph, part: Partition, x: np.ndarray) -> np.ndar
     check instead of being hidden).
     """
     l_fc, lu = _elimination(g, part)
-    x = _box_check(x, "boundary")
-    if x.shape != (part.terminals.size,):
-        raise ValueError("need one boundary value per terminal")
+    x = _box_check(_boundary(g, part, x), "boundary")
     # + 0.0 turns the -0.0 of a zero right-hand side into 0.0 (printed "0")
     y = lu.solve(-(l_fc @ x)) + 0.0
     if y.size and (y.min() < -1e-10 or y.max() > 1.0 + 1e-10):
@@ -230,12 +238,8 @@ def harmonic_extension(g: Multigraph, part: Partition, x: np.ndarray) -> np.ndar
 
 def _full_vector(g: Multigraph, part: Partition, x, y) -> np.ndarray:
     """One vertex vector: x on the terminals, y on the eliminated vertices."""
-    if part.n != g.n:
-        raise ValueError("partition size does not match the graph")
-    x = np.asarray(x, dtype=np.float64)
+    x = _boundary(g, part, x)
     y = np.asarray(y, dtype=np.float64)
-    if x.shape != (part.terminals.size,):
-        raise ValueError("need one boundary value per terminal")
     if y.shape != (part.eliminated.size,):
         raise ValueError("need one extension value per eliminated vertex")
     z = np.empty(g.n)
@@ -273,29 +277,20 @@ def min_l1_extension(
     weight of the returned assignment. All-equal boundary data short-circuits
     to the constant extension with value 0.
     """
-    if part.n != g.n:
-        raise ValueError("partition size does not match the graph")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (part.terminals.size,):
-        raise ValueError("need one boundary value per terminal")
-    if not np.all((x == 0.0) | (x == 1.0)):
-        raise ValueError("boundary data must be 0/1")
+    x = _zero_one(_boundary(g, part, x))
     f = part.eliminated
     if np.all(x == 1.0):
         return 0.0, np.ones(f.size)
     if np.all(x == 0.0):
         return 0.0, np.zeros(f.size)
 
-    # contract 1-terminals into the source, 0-terminals into the sink; arcs
-    # keep the edge order
+    # contract 1-terminals into the source, 0-terminals into the sink; edges
+    # inside either become self-loops, which min_cut skips
     src, snk = f.size, f.size + 1
     node_of = np.empty(g.n, dtype=np.int64)
     node_of[f] = np.arange(f.size)
     node_of[part.terminals] = np.where(x == 1.0, src, snk)
-    tails, heads = node_of[g.tails], node_of[g.heads]
-    keep = tails != heads
-    arcs = list(zip(tails[keep].tolist(), heads[keep].tolist(), g.weights[keep].tolist()))
-    value, side = min_cut(f.size + 2, arcs, src, snk)
+    value, side = min_cut(f.size + 2, node_of[g.tails], node_of[g.heads], g.weights, src, snk)
     y = side[: f.size].astype(np.float64)
     return value, y
 
@@ -312,9 +307,7 @@ def discretize_minimizer(
     step raises the objective beyond _ROUNDING_TOL (relative), y was not a
     minimizer and the offending level is reported.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all((x == 0.0) | (x == 1.0)):
-        raise ValueError("boundary data must be 0/1")
+    x = _zero_one(x)
     y = _box_check(np.array(y, dtype=np.float64, copy=True), "extension")
 
     # snap near-equal levels to their common minimum, and the 0/1 rims exactly

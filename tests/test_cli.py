@@ -323,7 +323,7 @@ class TestMainEntry:
         assert exc.value.code == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: edge weights must be finite and >= 1\n"
+        assert err == f"error: {gpath}: edge weights must be finite and >= 1\n"
 
     @pytest.mark.parametrize("args", [
         ["experiment", "upperbound", "--p", "2"],

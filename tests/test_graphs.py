@@ -67,6 +67,20 @@ class TestMultigraph:
         with pytest.raises(ValueError):
             Multigraph.from_edges(2, [(0, 2, 1.0)])
 
+    def test_float_endpoints_refused_not_truncated(self):
+        # tails [0.5, 1.7] used to read as [0, 1]
+        with pytest.raises(ValueError, match="edge endpoints must be integers"):
+            Multigraph(3, [0.5, 1.7], [1, 2], [1.0, 1.0])
+        with pytest.raises(ValueError, match="edge endpoints must be integers"):
+            Multigraph.from_edges(3, [(0, 1.0), (1, 2)])
+        assert Multigraph.from_edges(3, []).m == 0
+
+    @pytest.mark.parametrize("n", [3.0, 3.5, "3"])
+    def test_non_integer_vertex_count_refused(self, n):
+        # n = 3.0 used to pass and fail later as numpy's TypeError
+        with pytest.raises(ValueError, match="must be integers"):
+            Multigraph(n, [0, 1], [1, 2], [1.0, 1.0])
+
     def test_arrays_are_frozen(self):
         g = complete_graph(3)
         with pytest.raises(ValueError):
@@ -687,6 +701,14 @@ class TestGraphText:
         with pytest.raises(ValueError, match=r"g\.txt: bad header line, expected 'n m'"):
             read_graph(p)
 
+    def test_graph_errors_name_the_file(self, tmp_path):
+        # Multigraph's own refusals used to reach the user without the path
+        p = tmp_path / "g.txt"
+        p.write_text("3 1\n0 3\n")
+        with pytest.raises(ValueError) as err:
+            read_graph(p)
+        assert str(err.value) == f"{p}: edge endpoint out of range [0, 3)"
+
     def test_edge_count_mismatch_rejected(self, tmp_path):
         p = tmp_path / "g.txt"
         p.write_text("2 2\n0 1 1.0\n")
@@ -720,7 +742,10 @@ def _reference_read_graph(path) -> Multigraph:
         tails[i] = int(row[0])
         heads[i] = int(row[1])
         weights[i] = float(row[2]) if len(row) == 3 else 1.0
-    return Multigraph(n, tails, heads, weights)
+    try:
+        return Multigraph(n, tails, heads, weights)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _same_graph(g: Multigraph, h: Multigraph) -> bool:

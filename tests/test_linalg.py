@@ -418,6 +418,18 @@ class TestInducedNorms:
                 np_norm = induced_pnorm_nonneg(m, p)
                 assert np_norm <= n1 ** (1.0 / p) * ninf ** (1.0 - 1.0 / p) + 1e-9
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 1000.0])
+    def test_scales_with_the_matrix_at_any_size(self, p):
+        # every p-norm divides by the largest entry before the power; 2^600
+        # used to overflow and 2^-600 to return 0
+        rng = np.random.default_rng(29)
+        for _ in range(4):
+            m = rng.random((5, 4)) * (rng.random((5, 4)) < 0.7) + np.eye(5, 4)
+            base = induced_pnorm_nonneg(m, p)
+            for c in (2.0 ** 600, 2.0 ** -600):
+                assert induced_pnorm_nonneg(c * m, p) == pytest.approx(c * base, rel=1e-11)
+        assert induced_pnorm_nonneg(np.array([[0.1]]), 2000.0) == pytest.approx(0.1, rel=1e-15)
+
     def test_negative_entries_rejected(self):
         m = np.array([[1.0, -2.0], [3.0, 4.0]])
         with pytest.raises(ValueError, match="nonneg"):

@@ -35,6 +35,7 @@ from ohmlab import (
     validate_demand,
     voltage_energy,
 )
+from ohmlab.routing import PROJECTION_EDGE_CAP
 
 
 def test_package_reexports_are_in_submodule_all():
@@ -51,6 +52,11 @@ def electrical(g):
 
 
 class TestDemands:
+    def test_float_edge_id_refused(self):
+        # 1.5 used to raise numpy's IndexError
+        with pytest.raises(ValueError, match="edge ids must be integers"):
+            edge_demand(cycle_graph(6), 1.5)
+
     def test_edge_demand_signs(self):
         g = complete_graph(3)
         chi = edge_demand(g, 0)  # edge (0, 1)
@@ -141,6 +147,16 @@ class TestEffectiveResistance:
         with pytest.raises(ValueError):
             effective_resistance(cycle_graph(4), 0, 4)
 
+    def test_float_end_refused_before_any_solve(self, monkeypatch):
+        # 1.5 used to pass the range check and fail as numpy's IndexError
+        # after the solve
+        def no_solve(*args):
+            raise AssertionError("solve ran")
+
+        monkeypatch.setattr(ohmlab.routing, "solve_laplacian_block", no_solve)
+        with pytest.raises(ValueError, match="vertex ids must be integers"):
+            effective_resistance(cycle_graph(6), 1.5, 3)
+
 
 class TestCongestion:
     def test_no_cancellation_between_commodities(self):
@@ -157,6 +173,14 @@ class TestCongestion:
         g = path_graph(3)
         flows = [np.array([3.0, 4.0])]
         assert congestion(g, flows, 2.0) == pytest.approx(5.0)
+
+    def test_large_p_stays_finite(self):
+        # loads up to 5 once overflowed 5 ** 1000, and congestion read inf;
+        # ||x||_inf <= ||x||_p <= m^(1/p) ||x||_inf
+        g = cycle_graph(6)
+        flows = [np.linspace(1.0, 5.0, g.m), -np.linspace(0.5, 2.0, g.m)]
+        top = congestion(g, flows, np.inf)
+        assert top <= congestion(g, flows, 1000.0) <= g.m ** (1.0 / 1000.0) * top
 
 
 class TestCompetitiveRatioInf:
@@ -254,6 +278,16 @@ class TestCompetitiveRatioP:
         with pytest.raises(ValueError, match="unit"):
             competitive_ratio(g, 2.0)
 
+    def test_inf_builds_no_projection(self):
+        # p = inf reads the sweep's l1 norms, as competitive_ratio_inf does;
+        # past the projection's edge cap it used to be refused
+        rng = np.random.default_rng(5)
+        ring = [(i, (i + 1) % 10) for i in range(10)]
+        g = Multigraph.from_edges(10, ring + [tuple(rng.choice(10, 2, replace=False))
+                                              for _ in range(4000)])
+        assert g.m > PROJECTION_EDGE_CAP
+        assert competitive_ratio(g, np.inf) == competitive_ratio_inf(g)
+
     def test_riesz_thorin_interpolation(self):
         g = random_regular(12, 3, 6)
         r1 = competitive_ratio(g, 1.0)
@@ -309,6 +343,21 @@ class TestOperatorRatio:
         assert competitive_ratio_operator(c4, tree_route, np.inf) == pytest.approx(
             2.0, abs=1e-9
         )
+
+    def test_one_call_per_endpoint_pair(self):
+        # (0, 1) and (1, 0) are one pair: the operator is linear, so an edge
+        # stored the other way round takes the negated flow
+        g = Multigraph.from_edges(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 0), (0, 1)])
+        route = electrical(g)
+        calls = []
+
+        def counted(chi):
+            calls.append(chi)
+            return route(chi)
+
+        value = competitive_ratio_operator(g, counted, 2.0)
+        assert len(calls) == 4
+        assert value == pytest.approx(competitive_ratio(g, 2.0), rel=1e-9)
 
     def test_non_routing_operator_rejected(self):
         g = cycle_graph(4)
@@ -391,7 +440,7 @@ class TestDemandFraction:
         # -1 once read as the last edge and 0.5 as edge 0; 4 and a short flow
         # once raised a bare numpy IndexError
         for edges in ([-1], [0.5], [g.m], np.array([[0, g.m]])):
-            with pytest.raises(ValueError, match="edge ids"):
+            with pytest.raises(ValueError, match="edge id"):
                 demand_fraction(g, f, chi, edges)
         with pytest.raises(ValueError, match="length m"):
             demand_fraction(g, f[:-1], chi, [0])

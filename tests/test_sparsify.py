@@ -86,6 +86,22 @@ class TestPartition:
             read_partition(path, 3)
         assert str(err.value) == f"{path}: invalid literal for int() with base 10: 'x'"
 
+    def test_read_names_the_file_of_a_bad_partition(self, tmp_path):
+        # Partition's own refusals used to reach the user without the path
+        path = tmp_path / "part.txt"
+        path.write_text("C: 0 5\nF: 1 2\n")
+        with pytest.raises(ValueError) as err:
+            read_partition(path, 3)
+        assert str(err.value) == f"{path}: vertex id out of range [0, 3)"
+
+    def test_float_ids_refused_not_truncated(self):
+        # both used to truncate: terminals {0, 1}, eliminated {1, 2}
+        with pytest.raises(ValueError, match="vertex ids must be integers"):
+            Partition(3, [0.5, 1.9], [2.0])
+        with pytest.raises(ValueError, match="vertex ids must be integers"):
+            Partition.from_eliminated(4, [1.7, 2.2])
+        assert Partition(3, [0, 1, 2], []).eliminated.size == 0
+
     def test_repeated_id_rejected(self):
         # np.unique used to swallow the second 0 and the second 2
         with pytest.raises(ValueError, match="each id once"):
