@@ -14,10 +14,8 @@ from .graphs import (
     ConductanceCertificate,
     Multigraph,
     as_vertex_mask,
-    complete_graph,
     conductance_bounds,
     conductance_exact,
-    cut_weight,
     cycle_graph,
     gadget_subdivide,
     girth,
@@ -28,14 +26,11 @@ from .graphs import (
     random_regular,
     read_graph,
     volume,
-    weighted_to_multigraph,
     write_graph,
 )
 from .linalg import (
     SolveReport,
     incidence,
-    induced_norm_1,
-    induced_norm_inf,
     induced_pnorm_nonneg,
     laplacian,
     solve_laplacian,
@@ -44,7 +39,6 @@ from .routing import (
     CompetitiveReport,
     competitive_ratio,
     competitive_ratio_inf,
-    competitive_ratio_operator,
     competitive_report,
     congestion,
     demand_fraction,
@@ -55,18 +49,15 @@ from .routing import (
     localization,
     route_electrical,
     validate_demand,
-    voltage_energy,
 )
 from .sparsify import (
     Partition,
-    cap_to_unit_box,
     discretize_minimizer,
     expected_cut_l1,
     extension_energy,
     harmonic_extension,
     l1_objective,
     min_l1_extension,
-    random_threshold_cut,
     read_partition,
     schur_complement,
     schur_edge_weights,
@@ -79,15 +70,9 @@ from .thresholds import (
     check_derivative_bounds,
     check_integral_identity,
     check_unit_flow,
-    crossing_flow,
     diagnostic_rows,
-    fractional_volume,
-    padded_volume,
     profile_from_voltages,
-    threshold_cut,
-    threshold_cut_weight,
     threshold_profile,
-    volume_decay_rate,
 )
 
 __version__ = "0.1.0"

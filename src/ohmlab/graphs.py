@@ -29,7 +29,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -44,24 +44,21 @@ __all__ = [
     "ConductanceCertificate",
     "as_vertex_mask",
     "volume",
-    "cut_weight",
     "conductance_exact",
     "conductance_bounds",
     "girth",
     "random_regular",
     "gadget_subdivide",
     "graph_union",
-    "weighted_to_multigraph",
     "read_graph",
     "write_graph",
     "graph_text",
     "cycle_graph",
-    "complete_graph",
     "path_graph",
     "petersen_graph",
 ]
 
-# most edges gadget_subdivide and weighted_to_multigraph may create
+# most edges gadget_subdivide may create
 DEFAULT_EDGE_CAP = 2_000_000
 # random_regular's pairing attempts before it gives up
 _PAIRING_TRIES = 10_000
@@ -306,13 +303,6 @@ def volume(g: Multigraph, s) -> float:
     """Sum of weighted degrees over the vertex set."""
     mask = as_vertex_mask(g.n, s)
     return float(g.weighted_degrees[mask].sum())
-
-
-def cut_weight(g: Multigraph, s) -> float:
-    """Total weight of edges with exactly one endpoint in the set."""
-    mask = as_vertex_mask(g.n, s)
-    crossing = mask[g.tails] != mask[g.heads]
-    return float(g.weights[crossing].sum())
 
 
 def conductance_exact(g: Multigraph) -> ConductanceCertificate:
@@ -781,40 +771,6 @@ def graph_union(g: Multigraph, h: Multigraph) -> Multigraph:
     )
 
 
-def weighted_to_multigraph(
-    g: Multigraph,
-    capacities: Sequence[int],
-    lengths: Sequence[int],
-) -> Multigraph:
-    """Expand integer capacities and lengths into a unit multigraph.
-
-    Edge e becomes a path of lengths[e] hops through fresh internal vertices,
-    each hop carrying capacities[e] parallel unit edges. With unit lengths the
-    vertex set is unchanged and cuts/degrees match the capacity-weighted
-    graph exactly. More than DEFAULT_EDGE_CAP new edges are refused.
-    """
-    cap = np.asarray(capacities)
-    ln = np.asarray(lengths)
-    if cap.shape != (g.m,) or ln.shape != (g.m,):
-        raise ValueError("need one capacity and one length per edge")
-    if not (np.issubdtype(cap.dtype, np.integer) or np.all(cap == np.floor(cap))):
-        raise ValueError("capacities must be integers")
-    if not (np.issubdtype(ln.dtype, np.integer) or np.all(ln == np.floor(ln))):
-        raise ValueError("lengths must be integers")
-    cap = cap.astype(np.int64)
-    ln = ln.astype(np.int64)
-    if cap.size and (cap.min() < 1 or ln.min() < 1):
-        raise ValueError("capacities and lengths must be >= 1")
-    new_m = int((cap * ln).sum())
-    if new_m > DEFAULT_EDGE_CAP:
-        raise SizeLimitError(
-            f"expansion would create {new_m} edges, over the cap {DEFAULT_EDGE_CAP}"
-        )
-    n, tails, heads = _subdivide(g.n, g.tails, g.heads, ln)
-    copies = np.repeat(cap, ln)
-    return Multigraph(n, np.repeat(tails, copies), np.repeat(heads, copies), np.ones(new_m))
-
-
 def graph_text(g: Multigraph) -> str:
     """The text format: a header line "n m", then one "tail head weight" line
     per edge."""
@@ -915,11 +871,6 @@ def cycle_graph(k: int) -> Multigraph:
     tails = np.arange(k, dtype=np.int64)
     heads = (tails + 1) % k
     return Multigraph(k, tails, heads, np.ones(k))
-
-
-def complete_graph(k: int) -> Multigraph:
-    edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    return Multigraph.from_edges(k, [(i, j, 1.0) for i, j in edges])
 
 
 def path_graph(k: int) -> Multigraph:

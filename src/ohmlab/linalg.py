@@ -35,8 +35,6 @@ __all__ = [
     "laplacian",
     "solve_laplacian",
     "solve_laplacian_block",
-    "induced_norm_1",
-    "induced_norm_inf",
     "induced_pnorm_nonneg",
 ]
 
@@ -273,20 +271,6 @@ def solve_laplacian_block(g: Multigraph, b: np.ndarray) -> Tuple[np.ndarray, np.
     return x, residuals
 
 
-def induced_norm_1(mat: np.ndarray) -> float:
-    """Exact 1 -> 1 induced norm: maximum absolute column sum. Dense arrays
-    only; a scipy.sparse matrix raises ValueError."""
-    sums = np.abs(np.asarray(mat, dtype=np.float64)).sum(axis=0)
-    return float(sums.max()) if sums.size else 0.0
-
-
-def induced_norm_inf(mat: np.ndarray) -> float:
-    """Exact inf -> inf induced norm: maximum absolute row sum. Dense arrays
-    only; a scipy.sparse matrix raises ValueError."""
-    sums = np.abs(np.asarray(mat, dtype=np.float64)).sum(axis=1)
-    return float(sums.max()) if sums.size else 0.0
-
-
 def _pnorm(v: np.ndarray, p: float) -> float:
     """The one l_p norm of a nonnegative vector, p in [1, inf], 0.0 when empty:
     v is divided by its largest entry before the power, so the largest term
@@ -326,10 +310,9 @@ def induced_pnorm_nonneg(mat: np.ndarray, p: float) -> float:
     mat = np.asarray(mat, dtype=np.float64)
     if mat.size and not float(mat.min()) >= 0.0:
         raise ValueError("matrix must be entrywise nonnegative")
-    if np.isinf(p):
-        return induced_norm_inf(mat)
-    if p == 1.0:
-        return induced_norm_1(mat)
+    if np.isinf(p) or p == 1.0:
+        sums = mat.sum(axis=1 if np.isinf(p) else 0)
+        return float(sums.max()) if sums.size else 0.0
     if abs(p - 2.0) <= 1e-9:
         p = 2.0
     ncols = mat.shape[1]

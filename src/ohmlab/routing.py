@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .linalg import (
     _column_sums,
     _pnorm,
     induced_pnorm_nonneg,
-    laplacian,
     solve_laplacian_block,
 )
 
@@ -52,11 +51,9 @@ __all__ = [
     "congestion",
     "flow_energy",
     "demand_fraction",
-    "voltage_energy",
     "flow_projection",
     "competitive_ratio_inf",
     "competitive_ratio",
-    "competitive_ratio_operator",
     "localization",
     "CompetitiveReport",
     "competitive_report",
@@ -64,10 +61,6 @@ __all__ = [
 
 # largest m for which a dense m x m block is built (128 MB of float64)
 PROJECTION_EDGE_CAP = 4000
-# edges on which competitive_ratio_operator checks that the operator routes
-_ROUTE_CHECK_EDGES = 8
-# largest |B f - chi| entry the route check accepts on those edges
-_ROUTE_CHECK_TOL = 1e-8
 
 
 def validate_demand(g: Multigraph, chi: np.ndarray) -> np.ndarray:
@@ -113,21 +106,26 @@ def effective_resistance(g: Multigraph, s: int, t: int) -> float:
     return float(v[s] - v[t])
 
 
+def _flow(g: Multigraph, f) -> np.ndarray:
+    """f as a float array, refused unless it has one value per edge."""
+    f = np.asarray(f, dtype=np.float64)
+    if f.shape != (g.m,):
+        raise ValueError(f"flow must have length m={g.m}")
+    return f
+
+
 def congestion(g: Multigraph, flows: Sequence[np.ndarray], p: float) -> float:
     """l_p norm of per-edge total |flow| over capacity."""
     p = _check_p(p)
     total = np.zeros(g.m)
     for f in flows:
-        f = np.asarray(f, dtype=np.float64)
-        if f.shape != (g.m,):
-            raise ValueError(f"flow must have length m={g.m}")
-        total += np.abs(f)
+        total += np.abs(_flow(g, f))
     return _pnorm(total / g.weights, p)
 
 
 def flow_energy(g: Multigraph, f: np.ndarray) -> float:
     """sum_e f(e)^2 / w(e)."""
-    f = np.asarray(f, dtype=np.float64)
+    f = _flow(g, f)
     return float((f * f / g.weights).sum())
 
 
@@ -140,9 +138,7 @@ def demand_fraction(g: Multigraph, f: np.ndarray, chi: np.ndarray, edges) -> flo
     for how a flow splits across edge classes that meet only at vertices.
     f needs one value per edge and the edge ids must be integers in [0, m).
     """
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (g.m,):
-        raise ValueError(f"flow must have length m={g.m}")
+    f = _flow(g, f)
     chi = validate_demand(g, chi)
     mask = np.zeros(g.m, dtype=bool)
     mask[_ids(edges, g.m, "edge id")] = True
@@ -155,12 +151,6 @@ def demand_fraction(g: Multigraph, f: np.ndarray, chi: np.ndarray, edges) -> flo
     out -= f[mask & supply[g.tails]].sum()
     out += f[mask & supply[g.heads]].sum()
     return float(out / total)
-
-
-def voltage_energy(g: Multigraph, v: np.ndarray) -> float:
-    """v^T L v, the energy dissipated by the voltage vector."""
-    v = np.asarray(v, dtype=np.float64)
-    return float(v @ (laplacian(g) @ v))
 
 
 def _endpoint_pairs(g: Multigraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -280,19 +270,16 @@ def flow_projection(g: Multigraph) -> np.ndarray:
 
 
 def competitive_ratio(g: Multigraph, p: float) -> float:
-    """l_p -> l_p competitive ratio of electrical routing on a unit graph,
-    from the one sweep (`_ratios`). p = inf is competitive_ratio_inf's value
-    and builds no projection. A finite p materializes |Pi| (dense, capped at
-    PROJECTION_EDGE_CAP edges) and takes linalg.induced_pnorm_nonneg's
+    """l_p -> l_p competitive ratio of electrical routing, weighted graphs
+    included, from the one sweep (`_ratios`): the induced norm of
+    |W^-1 A B W| = |Pi| W, which is |Pi| on a unit graph, and the value
+    competitive_report reports. p = inf is competitive_ratio_inf's value
+    and builds no projection. A finite p materializes |Pi| W (dense, capped
+    at PROJECTION_EDGE_CAP edges) and takes linalg.induced_pnorm_nonneg's
     norm: exact column sums for p = 1, otherwise the nonnegative power
     iteration, which stops once its certified bracket on the norm is
-    narrower than 1e-12 (relative). Non-unit weights are refused: use
-    competitive_ratio_operator, which applies the weighted scaling.
+    narrower than 1e-12 (relative).
     """
-    if not g.is_unit_weight:
-        raise ValueError(
-            "competitive_ratio needs unit weights; use competitive_ratio_operator"
-        )
     return _ratios(g, (p,))[0][_check_p(p)]
 
 
@@ -322,43 +309,6 @@ def _ratios(
                 rho[p] = induced_pnorm_nonneg(cols, p)
     loc = _edge_average(l1) if g.is_unit_weight else None
     return rho, loc, max_residual
-
-
-def competitive_ratio_operator(
-    g: Multigraph, routing: Callable[[np.ndarray], np.ndarray], p: float
-) -> float:
-    """l_p -> l_p competitive ratio of an arbitrary demand -> flow operator.
-
-    The operator is called once per distinct endpoint pair, f = routing(chi)
-    for the unit demand from the pair's low end to its high end. It must be
-    linear, so the orientation does not matter: an edge stored the other way
-    takes -f. It must also route: B f = chi is verified on the pairs of
-    _ROUTE_CHECK_EDGES edges to within _ROUTE_CHECK_TOL. The ratio is the
-    induced norm of |W^-1 A B W|, one column per edge w(e) |W^-1 f|, dense
-    and so capped at PROJECTION_EDGE_CAP edges.
-    """
-    p = _check_p(p)
-    _require_projection_size(g)
-    lows, highs, pair_of_edge = _endpoint_pairs(g)
-    sample = np.linspace(0, g.m - 1, num=min(_ROUTE_CHECK_EDGES, g.m), dtype=np.int64)
-    checked = set(pair_of_edge[sample].tolist())
-    flows = np.empty((g.m, lows.size))
-    for k in range(lows.size):
-        chi = _pair_demands(g, lows[k:k + 1], highs[k:k + 1])[:, 0]
-        f = np.asarray(routing(chi), dtype=np.float64)
-        if f.shape != (g.m,):
-            raise ValueError("routing operator must return one flow value per edge")
-        if k in checked:
-            b_f = np.bincount(g.heads, f, minlength=g.n) - np.bincount(g.tails, f, minlength=g.n)
-            err = float(np.abs(b_f - chi).max())
-            if err > _ROUTE_CHECK_TOL:
-                raise ValueError(f"operator does not route the unit demand {lows[k]} -> "
-                                 f"{highs[k]}: |B f - chi| = {err:.3e}")
-        flows[:, k] = f
-    cols = np.abs(flows[:, pair_of_edge])
-    cols *= g.weights  # column e times w(e)
-    cols /= g.weights[:, None]  # row f over w(f)
-    return induced_pnorm_nonneg(cols, p)
 
 
 @dataclass(frozen=True)

@@ -35,11 +35,9 @@ __all__ = [
     "schur_edge_weights",
     "harmonic_extension",
     "extension_energy",
-    "cap_to_unit_box",
     "min_l1_extension",
     "l1_objective",
     "discretize_minimizer",
-    "random_threshold_cut",
     "expected_cut_l1",
 ]
 
@@ -260,11 +258,6 @@ def l1_objective(g: Multigraph, part: Partition, x, y) -> float:
     return float((g.weights * np.abs(z[g.heads] - z[g.tails])).sum())
 
 
-def cap_to_unit_box(y: np.ndarray) -> np.ndarray:
-    """Clamp entries into [0, 1]; never increases the l1 or energy objective."""
-    return np.clip(np.asarray(y, dtype=np.float64), 0.0, 1.0)
-
-
 def min_l1_extension(
     g: Multigraph, part: Partition, x: np.ndarray
 ) -> Tuple[float, np.ndarray]:
@@ -339,17 +332,6 @@ def discretize_minimizer(
         y = candidate
         objective = new_objective
     return y
-
-
-def random_threshold_cut(x: np.ndarray, t: float) -> np.ndarray:
-    """Membership mask of the threshold set {a : x(a) >= t} for x in [0,1]^V.
-
-    An edge (a, b) lands across the cut exactly when t falls strictly between
-    its endpoint values, so a uniform t in [0, 1] crosses it with probability
-    |x(a) - x(b)|; the expected cut weight is the l1 objective.
-    """
-    x = _box_check(x, "vector")
-    return x >= t
 
 
 def expected_cut_l1(g: Multigraph, x: np.ndarray) -> Tuple[float, float]:

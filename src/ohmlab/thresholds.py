@@ -42,12 +42,6 @@ __all__ = [
     "ThresholdProfile",
     "threshold_profile",
     "profile_from_voltages",
-    "threshold_cut",
-    "threshold_cut_weight",
-    "fractional_volume",
-    "padded_volume",
-    "volume_decay_rate",
-    "crossing_flow",
     "IntegralIdentityReport",
     "check_integral_identity",
     "check_unit_flow",
@@ -223,41 +217,6 @@ def threshold_profile(g: Multigraph, chi: np.ndarray) -> ThresholdProfile:
         support = voltages[chi != 0]
         voltages = np.clip(voltages, support.min(), support.max())
     return profile_from_voltages(g, voltages, solver_residual=rep.residual_norm)
-
-
-def threshold_cut(profile: ThresholdProfile, t: float) -> np.ndarray:
-    """Vertex mask of S_t = {a : v(a) >= t} on the centered voltages."""
-    return profile.voltages >= t
-
-
-def threshold_cut_weight(profile: ThresholdProfile, t: float) -> float:
-    """Weight of edges crossing S_t (exactly one endpoint at voltage >= t)."""
-    return float(_rows_at(profile, t)[0])
-
-
-def fractional_volume(profile: ThresholdProfile, t: float) -> float:
-    """vol_geq(t) under the per-edge full / interpolated / zero case rule."""
-    return float(_rows_at(profile, t)[3])
-
-
-def padded_volume(profile: ThresholdProfile, t: float) -> float:
-    """vol_geq(t) + 1, the padded volume the derivative bound divides by."""
-    return fractional_volume(profile, t) + 1.0
-
-
-def volume_decay_rate(profile: ThresholdProfile, t: float) -> float:
-    """-d/dt vol_geq at a non-breakpoint t: sum of 2w / (v(b) - v(a)) over
-    crossing edges."""
-    return float(_rows_at(profile, t)[1])
-
-
-def crossing_flow(profile: ThresholdProfile, t: float) -> float:
-    """Flow across S_t: sum of w (v(b) - v(a)) over crossing edges.
-
-    Equals 1 for every t strictly between t_min and t_max when the voltages
-    come from a unit demand, up to solver residual.
-    """
-    return float(_rows_at(profile, t)[2])
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,31 @@
 import numpy as np
 import pytest
 
-from ohmlab import Multigraph
+from ohmlab import Multigraph, as_vertex_mask, induced_pnorm_nonneg
+
+
+def complete_graph(k):
+    return Multigraph.from_edges(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+
+
+def cut_weight(g, s):
+    """Total weight of edges with exactly one endpoint in the set, edge by
+    edge: the check on conductance_exact's half-table enumeration."""
+    mask = as_vertex_mask(g.n, s)
+    return float(g.weights[mask[g.tails] != mask[g.heads]].sum())
+
+
+def competitive_ratio_operator(g, routing, p):
+    """Reference l_p -> l_p competitive ratio of a linear demand -> flow
+    operator, called once per edge: the induced norm of |W^-1 A B W|, whose
+    column e is w(e) |W^-1 f| for the flow f = routing(chi) of edge e's unit
+    demand chi = 1_tail - 1_head."""
+    cols = np.empty((g.m, g.m))
+    for e in range(g.m):
+        chi = np.zeros(g.n)
+        chi[g.tails[e]], chi[g.heads[e]] = 1.0, -1.0
+        cols[:, e] = np.abs(routing(chi)) * g.weights[e] / g.weights
+    return induced_pnorm_nonneg(cols, p)
 
 
 def _random_multigraph(rng, n, extra, weighted=True):

@@ -10,7 +10,6 @@ import ohmlab.experiments
 from ohmlab import (
     Multigraph,
     Partition,
-    competitive_ratio_operator,
     cycle_graph,
     path_graph,
     random_regular,
@@ -21,6 +20,8 @@ from ohmlab import (
 )
 from ohmlab.cli import cli
 from ohmlab.routing import _endpoint_pairs
+
+from conftest import competitive_ratio_operator
 
 
 @pytest.fixture

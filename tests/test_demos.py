@@ -1,6 +1,10 @@
+import ast
+import io
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -27,3 +31,29 @@ def test_readme_tour_runs():
     tour = readme.split("## Library tour\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     proc = _run_python("-c", tour)
     assert proc.returncode == 0, proc.stderr
+
+
+def _code_names(path):
+    """Identifiers a Python file uses: its NAME tokens, less the names its
+    def and class statements define and the attribute names after a dot."""
+    names, prev = set(), None
+    for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+        if tok.type == tokenize.NAME and prev not in ("def", "class", "."):
+            names.add(tok.string)
+        if tok.type not in (tokenize.NL, tokenize.COMMENT):
+            prev = tok.string
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # a name ohmlab exports is called by the package outside its own def and
+    # listings, by a demo, or named in README; flow_projection's one caller
+    # is the benchmark's tracer, which times it
+    package = ROOT / "src" / "ohmlab"
+    tree = ast.parse((package / "__init__.py").read_text())
+    exported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    files = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    used = set().union(*map(_code_names, files + sorted((ROOT / "demos").glob("*.py"))))
+    used |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    assert not sorted(exported - used - {"flow_projection"}), sorted(exported - used)

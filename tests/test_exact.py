@@ -34,7 +34,6 @@ import pytest
 import ohmlab.routing
 from ohmlab import (
     competitive_ratio_inf,
-    complete_graph,
     cycle_graph,
     effective_resistance,
     localization,
@@ -45,7 +44,7 @@ from ohmlab import (
 from ohmlab.experiments import format_value
 from ohmlab.linalg import _SOLVE_TOL
 
-from conftest import _random_multigraph
+from conftest import _random_multigraph, complete_graph
 
 EPS = np.finfo(np.float64).eps
 

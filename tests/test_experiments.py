@@ -7,7 +7,6 @@ import pytest
 import ohmlab
 from ohmlab import (
     Partition,
-    complete_graph,
     conductance_bounds,
     conductance_exact,
     cycle_graph,
@@ -27,6 +26,8 @@ from ohmlab.experiments import (
     run_sparsify,
     run_upperbound,
 )
+
+from conftest import complete_graph
 
 
 class TestRenderCsv:

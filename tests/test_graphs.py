@@ -16,10 +16,8 @@ from ohmlab import (
     Multigraph,
     SizeLimitError,
     as_vertex_mask,
-    complete_graph,
     conductance_bounds,
     conductance_exact,
-    cut_weight,
     cycle_graph,
     gadget_subdivide,
     girth,
@@ -30,10 +28,11 @@ from ohmlab import (
     random_regular,
     read_graph,
     volume,
-    weighted_to_multigraph,
     write_graph,
 )
 from ohmlab.experiments import format_value
+
+from conftest import complete_graph, cut_weight
 
 
 class TestMultigraph:
@@ -107,9 +106,7 @@ class TestVolumeAndCut:
         for ids in ([1.7, 2.2], [1.0, 2.0], np.array([3.0])):
             with pytest.raises(ValueError, match="vertex ids must be integers"):
                 volume(g, ids)
-            with pytest.raises(ValueError, match="vertex ids must be integers"):
-                cut_weight(g, ids)
-        assert volume(g, []) == 0.0 and cut_weight(g, []) == 0.0
+        assert volume(g, []) == 0.0
         assert volume(g, np.array([1, 2], dtype=np.uint8)) == 4.0
         assert volume(g, np.arange(5) < 2) == 4.0
 
@@ -617,37 +614,6 @@ class TestGraphUnion:
         assert np.all(u.weighted_degrees == 6)
 
 
-class TestWeightedToMultigraph:
-    def test_unit_lengths_preserve_conductance(self):
-        rng = np.random.default_rng(5)
-        g = cycle_graph(5)
-        caps = rng.integers(1, 4, g.m)
-        weighted = Multigraph(g.n, g.tails, g.heads, caps.astype(float))
-        unit = weighted_to_multigraph(g, caps, np.ones(g.m, dtype=int))
-        assert unit.n == g.n
-        assert unit.is_unit_weight
-        assert conductance_exact(unit).phi == pytest.approx(
-            conductance_exact(weighted).phi, abs=1e-14
-        )
-
-    def test_length_two_subdivides(self):
-        g = complete_graph(2)
-        u = weighted_to_multigraph(g, [3], [2])
-        assert u.n == 3  # one internal vertex
-        assert u.m == 6  # two hops of three parallel edges
-        # series pair of parallel triples: R = 1/3 + 1/3
-        assert ohmlab.effective_resistance(u, 0, 1) == pytest.approx(
-            2.0 / 3.0, abs=1e-9
-        )
-
-    def test_non_integer_rejected(self):
-        g = complete_graph(2)
-        with pytest.raises(ValueError):
-            weighted_to_multigraph(g, [1.5], [1])
-        with pytest.raises(ValueError):
-            weighted_to_multigraph(g, [1], [0])
-
-
 class TestGraphText:
     def test_round_trip(self, tmp_path):
         g = Multigraph.from_edges(4, [(0, 1, 1.0), (1, 2, 2.5), (2, 3, 1.0)])
@@ -1009,22 +975,6 @@ def _reference_gadget(g, k):
     return nxt, tails, heads
 
 
-def _reference_expansion(g, caps, lengths):
-    """(n, tails, heads): edge e a path of lengths[e] hops, caps[e] copies each."""
-    tails, heads, nxt = [], [], g.n
-    for t, h, c, s in zip(g.tails.tolist(), g.heads.tolist(), caps, lengths):
-        prev = t
-        for step in range(1, s + 1):
-            if step == s:
-                node = h
-            else:
-                node, nxt = nxt, nxt + 1
-            tails += [prev] * c
-            heads += [node] * c
-            prev = node
-    return nxt, tails, heads
-
-
 def _simple(g):
     """g with only the first copy of each parallel edge."""
     lo, hi = np.minimum(g.tails, g.heads), np.maximum(g.tails, g.heads)
@@ -1122,12 +1072,6 @@ class TestTraversalsMatchReferences:
                 n, tails, heads = _reference_gadget(g, k)
                 assert got.n == n
                 assert got.tails.tolist() == tails and got.heads.tolist() == heads
-            caps, lengths = rng.integers(1, 4, g.m), rng.integers(1, 5, g.m)
-            got = weighted_to_multigraph(g, caps, lengths)
-            n, tails, heads = _reference_expansion(g, caps.tolist(), lengths.tolist())
-            assert got.n == n
-            assert got.tails.tolist() == tails and got.heads.tolist() == heads
-            assert got.is_unit_weight
 
 
 def _cut_ratio(g, s):

@@ -13,9 +13,7 @@ from ohmlab import (
     SizeLimitError,
     competitive_ratio,
     competitive_ratio_inf,
-    competitive_ratio_operator,
     competitive_report,
-    complete_graph,
     congestion,
     cycle_graph,
     demand_fraction,
@@ -33,9 +31,10 @@ from ohmlab import (
     random_regular,
     route_electrical,
     validate_demand,
-    voltage_energy,
 )
 from ohmlab.routing import PROJECTION_EDGE_CAP
+
+from conftest import competitive_ratio_operator, complete_graph
 
 
 def test_package_reexports_are_in_submodule_all():
@@ -128,7 +127,7 @@ class TestRouteElectrical:
             v = solve_laplacian(g, chi).solution
             reff = effective_resistance(g, int(g.tails[0]), int(g.heads[0]))
             assert flow_energy(g, f) == pytest.approx(reff, rel=1e-8)
-            assert voltage_energy(g, v) == pytest.approx(reff, rel=1e-8)
+            assert v @ (g.laplacian @ v) == pytest.approx(reff, rel=1e-8)
 
 
 class TestEffectiveResistance:
@@ -173,6 +172,16 @@ class TestCongestion:
         g = path_graph(3)
         flows = [np.array([3.0, 4.0])]
         assert congestion(g, flows, 2.0) == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda g, f: congestion(g, [f], 2.0),
+        flow_energy,
+        lambda g, f: demand_fraction(g, f, edge_demand(g, 0), [0]),
+    ], ids=["congestion", "flow_energy", "demand_fraction"])
+    def test_short_flow_refused(self, call):
+        # flow_energy broadcast [1.0] over the four edges and returned 4.0
+        with pytest.raises(ValueError, match="^flow must have length m=4$"):
+            call(cycle_graph(4), [1.0])
 
     def test_large_p_stays_finite(self):
         # loads up to 5 once overflowed 5 ** 1000, and congestion read inf;
@@ -273,10 +282,16 @@ class TestCompetitiveRatioP:
                 competitive_ratio_inf(g), abs=1e-8
             )
 
-    def test_weighted_graph_rejected(self):
-        g = Multigraph.from_edges(2, [(0, 1, 2.0)])
-        with pytest.raises(ValueError, match="unit"):
-            competitive_ratio(g, 2.0)
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+    def test_weighted_graphs_match_the_operator_reference(self, p, random_multigraph):
+        # |Pi| W from the sweep against one electrical flow per edge, each
+        # column w(e) |W^-1 f|; weights log-uniform in [1, 1e6]
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            g = random_multigraph(rng, int(rng.integers(2, 16)), int(rng.integers(0, 20)))
+            rho = competitive_ratio(g, p)
+            assert rho == pytest.approx(competitive_ratio_operator(g, electrical(g), p), rel=1e-9)
+            assert rho == competitive_report(g, [p]).rho[p]
 
     def test_inf_builds_no_projection(self):
         # p = inf reads the sweep's l1 norms, as competitive_ratio_inf does;
@@ -309,6 +324,8 @@ class TestCompetitiveRatioP:
 
 
 class TestOperatorRatio:
+    """The operator reference in conftest, checked against closed forms."""
+
     def test_electrical_agrees_with_projection_route(self):
         g = cycle_graph(4)
         for p in (1.0, 2.0, np.inf):
@@ -318,9 +335,8 @@ class TestOperatorRatio:
 
     def test_weight2_k2_is_one(self):
         g = Multigraph.from_edges(2, [(0, 1, 2.0)])
-        assert competitive_ratio_operator(g, electrical(g), 3.0) == pytest.approx(
-            1.0, abs=1e-9
-        )
+        for rho in (competitive_ratio_operator(g, electrical(g), 3.0), competitive_ratio(g, 3.0)):
+            assert rho == pytest.approx(1.0, abs=1e-9)
 
     def test_c4_tree_routing(self):
         # route every demand along the spanning path 0-1-2-3; the flow on
@@ -344,26 +360,6 @@ class TestOperatorRatio:
             2.0, abs=1e-9
         )
 
-    def test_one_call_per_endpoint_pair(self):
-        # (0, 1) and (1, 0) are one pair: the operator is linear, so an edge
-        # stored the other way round takes the negated flow
-        g = Multigraph.from_edges(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 0), (0, 1)])
-        route = electrical(g)
-        calls = []
-
-        def counted(chi):
-            calls.append(chi)
-            return route(chi)
-
-        value = competitive_ratio_operator(g, counted, 2.0)
-        assert len(calls) == 4
-        assert value == pytest.approx(competitive_ratio(g, 2.0), rel=1e-9)
-
-    def test_non_routing_operator_rejected(self):
-        g = cycle_graph(4)
-        with pytest.raises(ValueError, match="route"):
-            competitive_ratio_operator(g, lambda chi: np.zeros(g.m), np.inf)
-
 
 class TestPRange:
     @pytest.mark.parametrize("p", [np.nan, 0.5, -np.inf])
@@ -375,7 +371,6 @@ class TestPRange:
         g = random_regular(10, 3, 1)
         calls = [
             lambda: competitive_ratio(g, p),
-            lambda: competitive_ratio_operator(g, no_solve, p),
             lambda: congestion(g, [np.ones(g.m)], p),
             lambda: induced_pnorm_nonneg(np.ones((3, 3)), p),
             lambda: ohmlab.routing._ratios(g, (np.inf, p)),
@@ -437,13 +432,11 @@ class TestDemandFraction:
         g = cycle_graph(4)
         chi = edge_demand(g, 0)
         f = route_electrical(g, chi)
-        # -1 once read as the last edge and 0.5 as edge 0; 4 and a short flow
-        # once raised a bare numpy IndexError
+        # -1 once read as the last edge and 0.5 as edge 0; 4 once raised a
+        # bare numpy IndexError
         for edges in ([-1], [0.5], [g.m], np.array([[0, g.m]])):
             with pytest.raises(ValueError, match="edge id"):
                 demand_fraction(g, f, chi, edges)
-        with pytest.raises(ValueError, match="length m"):
-            demand_fraction(g, f[:-1], chi, [0])
         assert demand_fraction(g, f, chi, []) == 0.0
 
 

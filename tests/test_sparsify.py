@@ -9,8 +9,6 @@ import ohmlab
 from ohmlab import (
     Multigraph,
     Partition,
-    cap_to_unit_box,
-    complete_graph,
     cycle_graph,
     discretize_minimizer,
     expected_cut_l1,
@@ -20,7 +18,6 @@ from ohmlab import (
     min_l1_extension,
     path_graph,
     random_regular,
-    random_threshold_cut,
     read_partition,
     schur_complement,
     schur_edge_weights,
@@ -460,29 +457,6 @@ class TestDiscretize:
         assert out.tolist() == [0.0, 1.0]
 
 
-class TestCapping:
-    def test_never_increases_objectives(self):
-        rng = np.random.default_rng(31)
-        trials = 0
-        while trials < 1000:
-            g, part = random_instance(rng, n=8, f_size=3)
-            x = rng.random(part.terminals.size)
-            for _ in range(10):
-                y = rng.standard_normal(part.eliminated.size) * 1.5 + 0.5
-                capped = cap_to_unit_box(y)
-                assert l1_objective(g, part, x, capped) <= l1_objective(
-                    g, part, x, y
-                ) + 1e-12
-                assert extension_energy(g, part, x, capped) <= extension_energy(
-                    g, part, x, y
-                ) + 1e-12
-                trials += 1
-
-    def test_identity_inside_box(self):
-        y = np.array([0.0, 0.3, 1.0])
-        assert np.array_equal(cap_to_unit_box(y), y)
-
-
 class TestThresholdRounding:
     def test_expected_cut_two_ways(self, random_multigraph):
         rng = np.random.default_rng(41)
@@ -503,19 +477,12 @@ class TestThresholdRounding:
         draws = rng.uniform(0.0, 1.0, 100_000)
         cuts = np.empty(draws.size)
         for i, t in enumerate(draws):
-            mask = random_threshold_cut(x, t)
+            mask = x >= t
             cuts[i] = g.weights[mask[g.tails] != mask[g.heads]].sum()
         se = cuts.std(ddof=1) / np.sqrt(cuts.size)
         assert abs(cuts.mean() - closed) <= 4.0 * se
 
-    def test_cut_mask_semantics(self):
-        x = np.array([0.2, 0.8, 0.5])
-        assert random_threshold_cut(x, 0.5).tolist() == [False, True, True]
-        assert random_threshold_cut(x, 0.0).tolist() == [True, True, True]
-
     def test_out_of_box_rejected(self):
-        with pytest.raises(ValueError):
-            random_threshold_cut(np.array([1.2, 0.0]), 0.5)
         g = path_graph(2)
         with pytest.raises(ValueError):
             expected_cut_l1(g, np.array([-0.1, 0.5]))
@@ -524,5 +491,3 @@ class TestThresholdRounding:
         # expected_cut_l1 used to return (nan, nan)
         with pytest.raises(ValueError):
             expected_cut_l1(path_graph(3), np.array([0.0, np.nan, 1.0]))
-        with pytest.raises(ValueError):
-            random_threshold_cut(np.array([np.nan, 0.5]), 0.5)

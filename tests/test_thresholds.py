@@ -7,23 +7,18 @@ from ohmlab import (
     check_derivative_bounds,
     check_integral_identity,
     check_unit_flow,
-    complete_graph,
     conductance_exact,
-    crossing_flow,
     cycle_graph,
     diagnostic_rows,
     edge_demand,
-    fractional_volume,
-    padded_volume,
     petersen_graph,
     profile_from_voltages,
     random_regular,
-    threshold_cut,
-    threshold_cut_weight,
     threshold_profile,
-    volume_decay_rate,
 )
 from ohmlab.thresholds import DIAGNOSTIC_COLUMNS, ThresholdProfile, _rows_at, _thin
+
+from conftest import complete_graph
 
 
 def scan(prof, t):
@@ -104,8 +99,8 @@ def assert_matches_mirrored_reference(prof, phi, samples):
 
 
 def table_at(prof, t):
-    return (threshold_cut_weight(prof, t), volume_decay_rate(prof, t),
-            crossing_flow(prof, t), fractional_volume(prof, t))
+    """(cut weight, decay rate, crossing flow, vol_geq) at t as floats."""
+    return tuple(map(float, _rows_at(prof, t)))
 
 
 def assert_table_matches_scan(prof, ts):
@@ -157,29 +152,34 @@ class TestK2Profile:
 
     def test_cut_at_zero_is_higher_endpoint(self):
         prof = k2_profile()
-        mask = threshold_cut(prof, 0.0)
+        mask = prof.voltages >= 0.0
         assert mask.sum() == 1
         assert prof.voltages[mask][0] == pytest.approx(0.5, abs=1e-10)
 
     def test_cut_beyond_extremes(self):
+        # past either end every vertex is on one side: no edge is cut and no
+        # flow crosses
         prof = k2_profile()
-        assert threshold_cut(prof, -1.0).all()
-        assert not threshold_cut(prof, 1.0).any()
+        assert (prof.voltages >= -1.0).all()
+        assert not (prof.voltages >= 1.0).any()
+        for t in (-1.0, 1.0):
+            cut, decay, flow, _ = table_at(prof, t)
+            assert (cut, decay, flow) == (0.0, 0.0, 0.0)
 
     def test_closed_form_volume(self):
         # vol_geq(t) = 1 - 2t on (-1/2, 1/2], 2 below, 0 above
         prof = k2_profile()
         for t in (-0.3, 0.0, 0.1, 0.49):
-            assert fractional_volume(prof, t) == pytest.approx(1.0 - 2.0 * t, abs=1e-9)
-        assert fractional_volume(prof, -0.6) == 2.0
-        assert fractional_volume(prof, 0.6) == 0.0
-        assert padded_volume(prof, 0.0) == pytest.approx(2.0, abs=1e-9)
+            assert table_at(prof, t)[3] == pytest.approx(1.0 - 2.0 * t, abs=1e-9)
+        assert table_at(prof, -0.6)[3] == 2.0
+        assert table_at(prof, 0.6)[3] == 0.0
 
     def test_quad_inequality_is_tight(self):
         # a single unit edge attains -d/dt vol = 2 delta^2 exactly
         prof = k2_profile()
-        assert threshold_cut_weight(prof, 0.0) == pytest.approx(1.0, abs=1e-10)
-        assert volume_decay_rate(prof, 0.0) == pytest.approx(2.0, abs=1e-9)
+        cut, decay, _, _ = table_at(prof, 0.0)
+        assert cut == pytest.approx(1.0, abs=1e-10)
+        assert decay == pytest.approx(2.0, abs=1e-9)
 
     def test_integral_identity_exact(self):
         rep = check_integral_identity(k2_profile())
@@ -230,7 +230,7 @@ class TestIntervalTable:
         for samples in (0, -3, None):
             assert len(diagnostic_rows(prof, samples)) == intervals
         bp = prof.breakpoints
-        worst = max(abs(crossing_flow(prof, t) - 1.0) for t in 0.5 * (bp[:-1] + bp[1:]))
+        worst = max(abs(table_at(prof, t)[2] - 1.0) for t in 0.5 * (bp[:-1] + bp[1:]))
         assert check_unit_flow(prof) == worst > 0.5
         rep = check_derivative_bounds(prof, 0.1, samples=0)
         assert rep.evaluated == check_derivative_bounds(prof, 0.1, samples=10**6).evaluated
@@ -244,7 +244,7 @@ class TestCentering:
                 prof = threshold_profile(g, edge_demand(g, e))
                 vol = prof.total_volume
                 if prof.center_residual <= 1e-9 * vol:
-                    assert fractional_volume(prof, 0.0) == pytest.approx(
+                    assert table_at(prof, 0.0)[3] == pytest.approx(
                         vol / 2.0, abs=1e-8 * vol
                     )
                 else:
@@ -258,7 +258,7 @@ class TestCentering:
         g = random_regular(10, 3, 2)
         prof = threshold_profile(g, edge_demand(g, 3))
         ts = np.linspace(prof.t_min - 0.1, prof.t_max + 0.1, 400)
-        vals = [fractional_volume(prof, t) for t in ts]
+        vals = [table_at(prof, t)[3] for t in ts]
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-12
         assert vals[0] == prof.total_volume
@@ -270,8 +270,8 @@ class TestCentering:
         assert prof.center_residual == pytest.approx(1.0, abs=1e-9)
         # just left of the jump the volume is 6, just right it is 4;
         # the target 5 is unattainable and the profile says so
-        assert fractional_volume(prof, -1e-9) == pytest.approx(6.0, abs=1e-6)
-        assert fractional_volume(prof, 1e-9) == pytest.approx(4.0, abs=1e-6)
+        assert table_at(prof, -1e-9)[3] == pytest.approx(6.0, abs=1e-6)
+        assert table_at(prof, 1e-9)[3] == pytest.approx(4.0, abs=1e-6)
 
 
 class TestCutWeightAndFlow:
@@ -280,11 +280,11 @@ class TestCutWeightAndFlow:
         prof = threshold_profile(g, edge_demand(g, 0))
         rng = np.random.default_rng(0)
         for t in rng.uniform(prof.t_min, prof.t_max, 25):
-            mask = threshold_cut(prof, t)
+            mask = prof.voltages >= t
             direct = float(
                 prof.weights[mask[g.tails] != mask[g.heads]].sum()
             )
-            assert threshold_cut_weight(prof, t) == pytest.approx(direct, abs=1e-12)
+            assert table_at(prof, t)[0] == pytest.approx(direct, abs=1e-12)
 
     def test_cut_weight_at_least_one_inside(self):
         # every interior threshold cuts the graph, and unit weights make
@@ -293,7 +293,7 @@ class TestCutWeightAndFlow:
             g = random_regular(12, 3, seed)
             prof = threshold_profile(g, edge_demand(g, 1))
             for t in np.linspace(prof.t_min + 1e-9, prof.t_max, 50):
-                assert threshold_cut_weight(prof, t) >= 1.0 - 1e-12
+                assert table_at(prof, t)[0] >= 1.0 - 1e-12
 
     def test_crossing_flow_is_unit_inside(self):
         for seed in (1, 4):
@@ -301,7 +301,7 @@ class TestCutWeightAndFlow:
             prof = threshold_profile(g, edge_demand(g, 2))
             assert check_unit_flow(prof) <= 1e-8
             for t in np.linspace(prof.t_min * 0.99, prof.t_max * 0.99, 20):
-                assert crossing_flow(prof, t) == pytest.approx(1.0, abs=1e-8)
+                assert table_at(prof, t)[2] == pytest.approx(1.0, abs=1e-8)
 
     def test_integral_identity_random(self):
         for seed in (1, 2, 3):
@@ -321,10 +321,8 @@ class TestDecayRate:
                 continue
             mid = 0.5 * (lo + hi)
             h = (hi - lo) * 1e-4
-            fd = (fractional_volume(prof, mid - h) - fractional_volume(prof, mid + h)) / (
-                2.0 * h
-            )
-            assert volume_decay_rate(prof, mid) == pytest.approx(fd, rel=1e-6)
+            fd = (table_at(prof, mid - h)[3] - table_at(prof, mid + h)[3]) / (2.0 * h)
+            assert table_at(prof, mid)[1] == pytest.approx(fd, rel=1e-6)
 
 
 class TestMirror:
@@ -335,8 +333,8 @@ class TestMirror:
         prof = threshold_profile(g, edge_demand(g, 6))
         mir = mirrored_profile(prof)
         for t in np.linspace(-0.5, 0.5, 30):
-            want = prof.total_volume - fractional_volume(prof, -t)
-            got = fractional_volume(mir, t)
+            want = prof.total_volume - table_at(prof, -t)[3]
+            got = table_at(mir, t)[3]
             # the two sides may disagree exactly at shared breakpoints
             if np.min(np.abs(prof.breakpoints + t)) > 1e-9:
                 assert got == pytest.approx(want, abs=1e-8)
@@ -359,9 +357,7 @@ class TestMirror:
         mir = mirrored_profile(prof)
         for t in (0.01, 0.07):
             if np.min(np.abs(prof.breakpoints + t)) > 1e-9:
-                assert threshold_cut_weight(mir, t) == pytest.approx(
-                    threshold_cut_weight(prof, -t), abs=1e-9
-                )
+                assert table_at(mir, t)[0] == pytest.approx(table_at(prof, -t)[0], abs=1e-9)
 
     @pytest.mark.parametrize("samples", [None, 0, 7, 50])
     def test_derivative_check_matches_mirror(self, samples, random_multigraph):
@@ -454,10 +450,11 @@ class TestDiagnosticRows:
         prof = threshold_profile(g, edge_demand(g, 0))
         for row in diagnostic_rows(prof, samples=8):
             t, delta, vol, volp, slope, flow = row
-            assert delta == pytest.approx(threshold_cut_weight(prof, t), abs=1e-12)
-            assert vol == pytest.approx(fractional_volume(prof, t), abs=1e-12)
+            cut, decay, _, want_vol = table_at(prof, t)
+            assert delta == pytest.approx(cut, abs=1e-12)
+            assert vol == pytest.approx(want_vol, abs=1e-12)
             assert volp == pytest.approx(vol + 1.0, abs=1e-12)
-            assert slope == pytest.approx(-volume_decay_rate(prof, t), abs=1e-9)
+            assert slope == pytest.approx(-decay, abs=1e-9)
             assert flow == pytest.approx(1.0, abs=1e-8)
 
     def test_k2_dump(self):
