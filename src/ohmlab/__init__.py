@@ -25,7 +25,6 @@ from .graphs import (
     petersen_graph,
     random_regular,
     read_graph,
-    volume,
     write_graph,
 )
 from .linalg import (

@@ -160,10 +160,11 @@ def run_sparsify(g: Multigraph, part: Partition, x: np.ndarray) -> ExperimentRes
     Sections are separated by comment lines; the single header covers the
     per-row records (section, key fields, value)."""
     x = np.asarray(x, dtype=np.float64)
+    # first, so that a boundary of the wrong length is refused before the Schur work
+    y_h = harmonic_extension(g, part, x)
     rows: List[tuple] = []
     for (u, v), w in schur_edge_weights(g, part).items():
         rows.append(("schur-weight", str(u), str(v), w))
-    y_h = harmonic_extension(g, part, x)
     for v, val in zip(part.eliminated, y_h):
         rows.append(("harmonic", str(int(v)), "", float(val)))
     value, y01 = min_l1_extension(g, part, x)

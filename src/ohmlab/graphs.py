@@ -43,7 +43,6 @@ __all__ = [
     "Multigraph",
     "ConductanceCertificate",
     "as_vertex_mask",
-    "volume",
     "conductance_exact",
     "conductance_bounds",
     "girth",
@@ -261,7 +260,7 @@ class ConductanceCertificate:
     """A conductance value plus how it was obtained.
 
     kind is one of "exact", "cheeger-lower-bound", "sweep-upper-bound".
-    witness is a vertex mask for the certifying cut side (empty for the
+    witness is a vertex mask for the certifying cut side (None for the
     eigenvalue lower bound, which certifies no particular cut).
     """
 
@@ -297,12 +296,6 @@ def as_vertex_mask(n: int, s) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     mask[ids] = True
     return mask
-
-
-def volume(g: Multigraph, s) -> float:
-    """Sum of weighted degrees over the vertex set."""
-    mask = as_vertex_mask(g.n, s)
-    return float(g.weighted_degrees[mask].sum())
 
 
 def conductance_exact(g: Multigraph) -> ConductanceCertificate:
@@ -454,10 +447,7 @@ def _interval_sums(grid: np.ndarray, lo, hi, columns) -> np.ndarray:
 
 def _normalized_laplacian(g: Multigraph) -> sp.csr_array:
     """D^-1/2 L D^-1/2 on the cached Laplacian's pattern, diagonal exactly 1."""
-    d = g.weighted_degrees
-    if np.any(d == 0):
-        raise DisconnectedError("isolated vertex has no conductance certificate")
-    dinv_sqrt = 1.0 / np.sqrt(d)
+    dinv_sqrt = 1.0 / np.sqrt(g.weighted_degrees)
     lap = g.laplacian
     rows = np.repeat(np.arange(g.n), np.diff(lap.indptr))
     data = lap.data * dinv_sqrt[rows] * dinv_sqrt[lap.indices]
@@ -544,6 +534,7 @@ def _filtered_lambda2(g: Multigraph, nl: sp.csr_array, u: np.ndarray, lo: float)
 
     T_m is the Chebyshev polynomial of degree m = _FILTER_DEGREE, applied by
     the three-term recurrence, and l the affine map of [lo, 2] onto [-1, 1].
+    ARPACK runs from the fixed start vector; no convergence is a ConvergenceError.
     The quotient is summed over edges as sum w (y_a - y_b)^2 / x^T x with
     y = D^-1/2 x, which has no cancellation on long paths.
     """
@@ -557,26 +548,11 @@ def _filtered_lambda2(g: Multigraph, nl: sp.csr_array, u: np.ndarray, lo: float)
             prev, cur = cur, 2.0 * (mapped @ cur) - prev
         return cur - u * (u @ cur)
 
-    x = _top_eigenpair(g, filtered)[1]
-    x -= u * (u @ x)
-    y = x / np.sqrt(g.weighted_degrees)
-    return float(g.weights @ (y[g.tails] - y[g.heads]) ** 2) / float(x @ x), x
-
-
-def _start_vector(n: int) -> np.ndarray:
-    """The fixed start vector of every Lanczos run on an n-vertex graph."""
-    return np.random.default_rng(0).standard_normal(n)
-
-
-def _top_eigenpair(g: Multigraph, matvec) -> tuple:
-    """ARPACK's largest eigenvalue and its eigenvector of the symmetric n x n
-    operator x -> matvec(x), from a fixed start vector (its own random start
-    differs per call); no convergence is a ConvergenceError."""
     cap = max(10 * g.n, _EIGSH_MAXITER)
+    op = sp.linalg.LinearOperator((g.n, g.n), matvec=filtered, dtype=np.float64)
     v0 = _start_vector(g.n)
-    op = sp.linalg.LinearOperator((g.n, g.n), matvec=matvec, dtype=np.float64)
     try:
-        vals, vecs = sp.linalg.eigsh(op, k=1, which="LA", maxiter=cap, tol=1e-10, v0=v0)
+        x = sp.linalg.eigsh(op, k=1, which="LA", maxiter=cap, tol=1e-10, v0=v0)[1][:, 0]
     except sp.linalg.ArpackNoConvergence as exc:
         found = exc.eigenvectors
         best = found[:, -1] if found is not None and found.size else None
@@ -585,7 +561,14 @@ def _top_eigenpair(g: Multigraph, matvec) -> tuple:
             best=best,
             iterations=cap,
         ) from exc
-    return float(vals[0]), vecs[:, 0]
+    x -= u * (u @ x)
+    y = x / np.sqrt(g.weighted_degrees)
+    return float(g.weights @ (y[g.tails] - y[g.heads]) ** 2) / float(x @ x), x
+
+
+def _start_vector(n: int) -> np.ndarray:
+    """The fixed start vector of every Lanczos run on an n-vertex graph."""
+    return np.random.default_rng(0).standard_normal(n)
 
 
 def _sweep_cut(g: Multigraph, vec: np.ndarray) -> tuple:
@@ -729,6 +712,8 @@ def gadget_subdivide(g: Multigraph, k: int) -> Multigraph:
 
     Original vertex ids are preserved; each original edge adds k*(k-1) fresh
     internal vertices and k^2 unit edges. k = 1 returns a copy of the input.
+    Path j of edge e is p = e k + j: from its tail, fresh vertices
+    n + (k - 1) p + i for i < k - 1, and edges p k + i for i < k.
     Effective resistance across a replaced edge's endpoints is preserved
     (k parallel paths of k unit resistors each). More than DEFAULT_EDGE_CAP
     new edges are refused before anything is built.
@@ -742,22 +727,10 @@ def gadget_subdivide(g: Multigraph, k: int) -> Multigraph:
         raise SizeLimitError(
             f"subdivision would create {new_m} edges, over the cap {DEFAULT_EDGE_CAP}"
         )
-    n, tails, heads = _subdivide(
-        g.n, np.repeat(g.tails, k), np.repeat(g.heads, k), np.full(g.m * k, k)
-    )
-    return Multigraph(n, tails, heads, np.ones(new_m))
-
-
-def _subdivide(n: int, tails: np.ndarray, heads: np.ndarray, hops: np.ndarray) -> tuple:
-    """(n', tails', heads'): edge e becomes a path of hops[e] edges through
-    hops[e] - 1 fresh vertices, numbered from n on in edge order and along
-    each path from its tail."""
-    edge = np.repeat(np.arange(hops.size), hops)
-    step = np.arange(edge.size) - np.repeat(np.cumsum(hops) - hops, hops)
-    base = (n + np.cumsum(hops - 1) - (hops - 1))[edge]
-    new_tails = np.where(step == 0, tails[edge], base + step - 1)
-    new_heads = np.where(step == hops[edge] - 1, heads[edge], base + step)
-    return n + int((hops - 1).sum()), new_tails, new_heads
+    paths = g.m * k
+    fresh = g.n + (k - 1) * np.arange(paths)[:, None] + np.arange(k - 1)
+    walk = np.column_stack([np.repeat(g.tails, k), fresh, np.repeat(g.heads, k)])
+    return Multigraph(g.n + fresh.size, walk[:, :-1].ravel(), walk[:, 1:].ravel(), np.ones(new_m))
 
 
 def graph_union(g: Multigraph, h: Multigraph) -> Multigraph:

@@ -88,7 +88,7 @@ _REFINEMENTS = 2
 def _iteration_cap(g: Multigraph) -> int:
     # crude condition estimate; only the order of magnitude matters for a cap
     w = g.weights
-    kappa_hat = g.n * (float(w.max()) / float(w.min())) if g.m else 1.0
+    kappa_hat = g.n * (float(w.max()) / float(w.min()))
     return max(10_000, int(np.ceil(10 * g.n * np.sqrt(kappa_hat))))
 
 
@@ -303,8 +303,7 @@ def induced_pnorm_nonneg(mat: np.ndarray, p: float) -> float:
     within _PNORM_TOL (1e-12, relative), returns the lower end, and gives up
     after _PNORM_MAX_ITER iterations. Every p-norm and power divides by the
     vector's largest entry first (`_pnorm`), so no p overflows or underflows.
-    p within 1e-9 of 2 runs the p = 2 path; p = 1 and p = inf are the exact
-    column/row-sum formulas.
+    p = 1 and p = inf are the exact column/row-sum formulas.
     """
     p = _check_p(p)
     mat = np.asarray(mat, dtype=np.float64)
@@ -313,8 +312,6 @@ def induced_pnorm_nonneg(mat: np.ndarray, p: float) -> float:
     if np.isinf(p) or p == 1.0:
         sums = mat.sum(axis=1 if np.isinf(p) else 0)
         return float(sums.max()) if sums.size else 0.0
-    if abs(p - 2.0) <= 1e-9:
-        p = 2.0
     ncols = mat.shape[1]
     if ncols == 0:
         return 0.0

@@ -154,16 +154,13 @@ def demand_fraction(g: Multigraph, f: np.ndarray, chi: np.ndarray, edges) -> flo
 
 
 def _endpoint_pairs(g: Multigraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct endpoint pairs in first-occurrence edge order: their low and
-    high ends as two arrays, and for every edge the index of its pair."""
+    """Distinct endpoint pairs in ascending (low, high) order: their low and
+    high ends as two arrays, and for every edge the index of its pair. No
+    output of the sweep depends on this order."""
     low = np.minimum(g.tails, g.heads)
     high = np.maximum(g.tails, g.heads)
-    _, first, inverse = np.unique(low * g.n + high, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    first = first[order]
-    return low[first], high[first], rank[inverse]
+    keys, pair_of_edge = np.unique(low * g.n + high, return_inverse=True)
+    return keys // g.n, keys % g.n, pair_of_edge
 
 
 def _l1_norms(flows: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -179,31 +176,27 @@ def _l1_norms(flows: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def _sweep(
     g: Multigraph, signed: bool = False
 ) -> Tuple[np.ndarray, Optional[np.ndarray], float]:
-    """One solve per distinct endpoint pair, in blocks of _BLOCK_COLUMNS pairs
-    whichever solver linalg.solve_laplacian_block runs.
+    """One solve per distinct endpoint pair, in ascending order, in blocks of
+    _BLOCK_COLUMNS pairs whichever solver linalg.solve_laplacian_block runs.
 
     Returns the l1 flow norm sum_f w(f) |v(head) - v(tail)| of every edge's
     unit demand (parallel edges share their pair's value), the dense signed
     projection Pi when `signed` is set (else None), and the worst solver
     residual. Only one block of voltages and flows, (n + m) _BLOCK_COLUMNS
     floats, is held at a time. Every norm is summed left to right over the
-    edges, so it does not depend on its block's width, and the blocks
-    depend on the graph alone.
+    edges, so it does not depend on its block's width, and no output depends
+    on the pair order.
     """
     lows, highs, pair_of_edge = _endpoint_pairs(g)
     norms = np.empty(lows.size)
     pi = np.empty((g.m, g.m)) if signed else None
     max_residual = 0.0
-    width = _BLOCK_COLUMNS
     if signed:
-        # block i's edges are by_pair[bounds[i]:bounds[i + 1]]
-        by_pair = np.argsort(pair_of_edge, kind="stable")
-        bounds = np.searchsorted(pair_of_edge[by_pair], np.arange(0, lows.size + width, width))
         # the solve runs low -> high; column e of B is -chi_e for the stored
         # orientation, so flip once more when tail is the low end
         sign = np.where(g.tails < g.heads, -1.0, 1.0)
-    for block, start in enumerate(range(0, lows.size, width)):
-        stop = start + width
+    for start in range(0, lows.size, _BLOCK_COLUMNS):
+        stop = start + _BLOCK_COLUMNS
         volts, residuals = solve_laplacian_block(
             g, _pair_demands(g, lows[start:stop], highs[start:stop])
         )
@@ -215,7 +208,7 @@ def _sweep(
         flows -= rows[:, g.tails]
         norms[start:stop] = _l1_norms(flows, g.weights)
         if signed:
-            edges = by_pair[bounds[block]:bounds[block + 1]]
+            edges = np.flatnonzero((pair_of_edge >= start) & (pair_of_edge < stop))
             pi[:, edges] = flows[pair_of_edge[edges] - start].T * sign[edges]
     return norms[pair_of_edge], pi, max_residual
 

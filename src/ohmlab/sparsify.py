@@ -113,7 +113,9 @@ def _boundary(g: Multigraph, part: Partition, x) -> np.ndarray:
     _same_n(g, part)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (part.terminals.size,):
-        raise ValueError("need one boundary value per terminal")
+        got = f"got {x.size} values" if x.ndim == 1 else f"got shape {x.shape}"
+        raise ValueError(f"need one boundary value per terminal: "
+                         f"{part.terminals.size} terminals, {got}")
     return x
 
 
@@ -222,8 +224,8 @@ def harmonic_extension(g: Multigraph, part: Partition, x: np.ndarray) -> np.ndar
     [0, 1] only to shave float noise (drift beyond 1e-10 trips an internal
     check instead of being hidden).
     """
-    l_fc, lu = _elimination(g, part)
     x = _box_check(_boundary(g, part, x), "boundary")
+    l_fc, lu = _elimination(g, part)
     # + 0.0 turns the -0.0 of a zero right-hand side into 0.0 (printed "0")
     y = lu.solve(-(l_fc @ x)) + 0.0
     if y.size and (y.min() < -1e-10 or y.max() > 1.0 + 1e-10):

@@ -241,10 +241,11 @@ def check_integral_identity(profile: ThresholdProfile) -> IntegralIdentityReport
     lhs sums w (v(b) - v(a)) edge by edge; rhs is the integral of delta(t),
     the table's cut weight per breakpoint interval times the interval's
     length. The identity holds for any voltage vector, so the gap measures
-    arithmetic noise only.
+    arithmetic noise only. Both are pairwise sums, not a BLAS dot, whose
+    order follows the thread count.
     """
     lhs = float((profile.weights * (profile.vb - profile.va)).sum())
-    rhs = float(profile.table[1:-1, 0] @ np.diff(profile.breakpoints))
+    rhs = float((profile.table[1:-1, 0] * np.diff(profile.breakpoints)).sum())
     return IntegralIdentityReport(lhs=lhs, rhs=rhs)
 
 

@@ -15,6 +15,11 @@ def cut_weight(g, s):
     return float(g.weights[mask[g.tails] != mask[g.heads]].sum())
 
 
+def volume(g, s):
+    """Sum of weighted degrees over the vertex set."""
+    return float(g.weighted_degrees[as_vertex_mask(g.n, s)].sum())
+
+
 def competitive_ratio_operator(g, routing, p):
     """Reference l_p -> l_p competitive ratio of a linear demand -> flow
     operator, called once per edge: the induced norm of |W^-1 A B W|, whose

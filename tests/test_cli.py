@@ -177,14 +177,19 @@ class TestSparsify:
         assert "schur-weight,0,2,0.5" in res.output
         assert "l1-minimum,,,1" in res.output
 
-    def test_wrong_x_arity(self, runner, tmp_path):
+    def test_wrong_x_arity(self, tmp_path, capsys):
+        # the library's one-value-per-terminal rule, with both counts
         gpath = tmp_path / "p3.txt"
         ppath = tmp_path / "part.txt"
         write_graph(path_graph(3), gpath)
         write_partition(Partition.from_eliminated(3, [1]), ppath)
-        res = runner.invoke(cli, ["sparsify", str(gpath), "--partition",
-                                  str(ppath), "--x", "1"], obj={})
-        assert res.exit_code != 0
+        with pytest.raises(SystemExit) as exc:
+            ohmlab.cli.main(["sparsify", str(gpath), "--partition", str(ppath), "--x", "1"])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: need one boundary value per terminal: 2 terminals, "
+                       "got 1 values\n")
 
 
 class TestExperiment:

@@ -45,15 +45,23 @@ def _code_names(path):
     return names
 
 
+def _readme_code():
+    """README's fenced blocks and inline code spans: its code, not its prose."""
+    text = (ROOT / "README.md").read_text()
+    fenced = re.compile(r"^```[^\n]*\n(.*?)^```", re.S | re.M)
+    return fenced.findall(text) + re.findall(r"`([^`\n]+)`", fenced.sub("", text))
+
+
 def test_every_public_name_has_a_caller():
     # a name ohmlab exports is called by the package outside its own def and
-    # listings, by a demo, or named in README; flow_projection's one caller
-    # is the benchmark's tracer, which times it
+    # listings, by a demo, or named in README's code (its prose does not
+    # count); flow_projection's one caller is the benchmark's tracer, which
+    # times it
     package = ROOT / "src" / "ohmlab"
     tree = ast.parse((package / "__init__.py").read_text())
     exported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     files = [p for p in package.glob("*.py") if p.name != "__init__.py"]
     used = set().union(*map(_code_names, files + sorted((ROOT / "demos").glob("*.py"))))
-    used |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    used |= set(re.findall(r"\w+", " ".join(_readme_code())))
     assert not sorted(exported - used - {"flow_projection"}), sorted(exported - used)

@@ -18,6 +18,10 @@ that follows from the solve contract alone:
 - forming the quantity from x rounds once more, by under 4 (m + n) eps
   relative.
 
+Conductance needs no bound: every cut weight and volume of these unit-weight
+graphs is an integer below 2^53, so phi is one correctly rounded quotient
+of the exact minimum over every cut.
+
 lambda_2 comes from dense eigvalsh. The printed format_value token (12
 significant digits) must equal the exact value rounded to 12 digits, unless
 the exact value lies within the bound of a rounding boundary. With
@@ -34,6 +38,7 @@ import pytest
 import ohmlab.routing
 from ohmlab import (
     competitive_ratio_inf,
+    conductance_exact,
     cycle_graph,
     effective_resistance,
     localization,
@@ -192,6 +197,38 @@ def test_solve_quantities_match_exact_rationals(name, monkeypatch):
 
     # the token half is not vacuous: most values sit well clear of a boundary
     assert sum(checked) >= 0.75 * len(checked)
+
+
+def _exact_phi(g):
+    """min over every nonempty proper S of cut(S) / min(vol(S), vol(V - S)),
+    in rationals, one cut at a time."""
+    ends = list(zip(g.tails.tolist(), g.heads.tolist()))
+    degree = [0] * g.n
+    for a, b in ends:
+        degree[a] += 1
+        degree[b] += 1
+    best = None
+    for bits in range(1, 2 ** g.n - 1):
+        side = [bits >> v & 1 for v in range(g.n)]
+        vol = sum(d for d, s in zip(degree, side) if s)
+        cut = sum(side[a] != side[b] for a, b in ends)
+        phi = Fraction(cut, min(vol, sum(degree) - vol))
+        best = phi if best is None else min(best, phi)
+    return best
+
+
+@pytest.mark.parametrize("name", list(GRAPHS))
+def test_conductance_matches_exact_rational(name):
+    g = GRAPHS[name]()
+    exact = _exact_phi(g)
+    cert = conductance_exact(g)
+    assert cert.kind == "exact"
+    assert cert.phi == float(exact)
+    side = cert.witness
+    vol = int(g.weighted_degrees[side].sum())
+    cut = int((side[g.tails] != side[g.heads]).sum())
+    assert Fraction(cut, min(vol, int(g.weighted_degrees.sum()) - vol)) == exact
+    assert Fraction(format_value(cert.phi)) == _round12(exact)
 
 
 def test_multigraphs_have_parallel_edges():

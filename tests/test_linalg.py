@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse as sp
 
 import ohmlab
@@ -400,11 +401,24 @@ class TestInducedNorms:
             top = np.linalg.svd(m, compute_uv=False)[0]
             assert induced_pnorm_nonneg(m, 2.0) == pytest.approx(top, rel=1e-9)
 
-    def test_p_near_two_snaps(self):
+    def test_p_near_two_gets_its_own_value(self):
+        # p is never rounded to 2: at p = 2 + 1e-10 the norm lies 4.7e-12
+        # (relative) above the spectral norm, beyond the 1e-12 bracket
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        a = induced_pnorm_nonneg(m, 2.0)
-        b = induced_pnorm_nonneg(m, 2.0 + 1e-10)
-        assert a == b
+
+        def brute(p):
+            # the maximum over nonnegative unit directions in the plane
+            def neg(t):
+                x = np.array([np.cos(t), np.sin(t)])
+                return -np.linalg.norm(m @ x, p) / np.linalg.norm(x, p)
+
+            bounds, opts = (0.0, np.pi / 2), {"xatol": 1e-12}
+            return -scipy.optimize.minimize_scalar(neg, bounds=bounds, method="bounded",
+                                                   options=opts).fun
+
+        near = induced_pnorm_nonneg(m, 2.0 + 1e-10)
+        assert near == pytest.approx(brute(2.0 + 1e-10), rel=3e-12, abs=0.0)
+        assert near > induced_pnorm_nonneg(m, 2.0) * (1.0 + 2e-12)
 
     def test_endpoint_dispatch(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])

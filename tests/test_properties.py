@@ -36,10 +36,9 @@ from ohmlab import (  # noqa: E402
     schur_complement,
     schur_edge_weights,
     solve_laplacian,
-    volume,
 )
 from ohmlab.linalg import solve_laplacian_block  # noqa: E402
-from conftest import cut_weight  # noqa: E402
+from conftest import cut_weight, volume  # noqa: E402
 from test_cli import HEAVY_SEVEN  # noqa: E402
 from test_graphs import assert_interval_above, record_filter_intervals  # noqa: E402
 from test_thresholds import (  # noqa: E402

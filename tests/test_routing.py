@@ -720,12 +720,37 @@ class TestSweepMatchesPairLoop:
         assert g.laplacian_factor is None
         self.assert_same(g)
 
-    def test_endpoint_pairs_in_first_occurrence_order(self):
+    def test_endpoint_pairs_in_ascending_order(self):
         g = Multigraph(5, [3, 1, 0, 4, 1, 2, 3], [1, 3, 2, 0, 3, 4, 1], np.ones(7))
         lows, highs, pair_of_edge = ohmlab.routing._endpoint_pairs(g)
-        assert lows.tolist() == [1, 0, 0, 2]
-        assert highs.tolist() == [3, 2, 4, 4]
-        assert pair_of_edge.tolist() == [0, 0, 1, 2, 0, 3, 0]
+        assert lows.tolist() == [0, 0, 1, 2]
+        assert highs.tolist() == [2, 4, 3, 4]
+        assert pair_of_edge.tolist() == [2, 2, 0, 1, 2, 3, 2]
+
+    @pytest.mark.parametrize("factored", [True, False])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_sweep_does_not_depend_on_pair_order(
+        self, monkeypatch, random_multigraph, factored, weighted
+    ):
+        # each pair's column, norm and Pi columns are its own, whatever block
+        # and position a permutation of the pairs puts it in
+        if not factored:
+            monkeypatch.setattr(ohmlab.graphs, "_DIRECT_VERTEX_CAP", 1)
+        rng = np.random.default_rng(45 + weighted)
+        g = _both_orientations(random_multigraph, rng, 120, 90, weighted)
+        assert (g.laplacian_factor is None) != factored
+        ascending = ohmlab.routing._endpoint_pairs(g)
+        assert ascending[0].size > ohmlab.linalg._BLOCK_COLUMNS
+        expected = ohmlab.routing._sweep(g, signed=True)
+        perm = rng.permutation(ascending[0].size)
+        position = np.empty_like(perm)
+        position[perm] = np.arange(perm.size)
+        permuted = (ascending[0][perm], ascending[1][perm], position[ascending[2]])
+        monkeypatch.setattr(ohmlab.routing, "_endpoint_pairs", lambda graph: permuted)
+        l1, pi, max_residual = ohmlab.routing._sweep(g, signed=True)
+        assert l1.tobytes() == expected[0].tobytes()
+        assert pi.tobytes() == expected[1].tobytes()
+        assert max_residual == expected[2]
 
     def test_edge_average_matches_a_left_to_right_loop(self):
         # the reference is the per-edge Python loop that cumsum replaced;

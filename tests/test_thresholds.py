@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -309,6 +314,29 @@ class TestCutWeightAndFlow:
             for e in (0, 4, 8):
                 rep = check_integral_identity(threshold_profile(g, edge_demand(g, e)))
                 assert rep.relative_gap <= 1e-10
+
+    def test_integral_identity_independent_of_blas_threads(self):
+        # rhs was a BLAS dot, which OpenBLAS splits across threads above a
+        # few thousand entries: on this cycle it read 22547.615437449083 with
+        # one thread and ...072 with two. So on a machine with fewer than two
+        # cores this test cannot tell the dot from the pairwise sum.
+        script = (
+            "import numpy as np\n"
+            "from ohmlab import check_integral_identity, cycle_graph, profile_from_voltages\n"
+            "g = cycle_graph(20000)\n"
+            "v = np.random.default_rng(0).standard_normal(g.n)\n"
+            "print(repr(check_integral_identity(profile_from_voltages(g, v)).rhs))\n"
+        )
+        src = str(Path(ohmlab.__file__).resolve().parents[1])
+        rhs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            rhs.append(proc.stdout)
+        assert rhs[0] == rhs[1]
 
 
 class TestDecayRate:
