@@ -3,7 +3,9 @@
 Each runner takes only the inputs it reads and produces an
 ExperimentResult: a column header, data rows, leading comment lines, and a
 list of violation messages. A nonempty violation list is what the CLI turns
-into exit code 2, so CI can gate on bound violations. All numeric output is
+into exit code 2, so CI can gate on bound violations. Every comparison of a
+printed ratio against its printed bound is made by `_gate` under one rule: the
+value exceeds the bound by more than SLACK_TOL. All numeric output is
 formatted with %.12g, which makes reruns byte-identical.
 
 The four paper experiments come in two shapes. run_upperbound and
@@ -71,6 +73,14 @@ def format_value(v) -> str:
     return str(v)
 
 
+def _gate(violations: List[str], where: str, name: str, value: float,
+          bound_name: str, bound: float) -> None:
+    """Append a violation when `value` exceeds `bound` by more than SLACK_TOL."""
+    if value > bound + SLACK_TOL:
+        violations.append(f"{where}: {name} {format_value(value)} exceeds "
+                          f"{bound_name} {format_value(bound)}")
+
+
 def render_csv(result: ExperimentResult, timestamp: Optional[str] = None) -> str:
     """Comment lines, the header, then one line per row, each value formatted
     by `format_value`'s rule. Rows (tuples or lists) are rendered by one `%`
@@ -100,13 +110,8 @@ def run_report(g: Multigraph, p_grid: Sequence[float]) -> ExperimentResult:
     for p in p_grid:
         p = float(p)
         rho = rep.rho[p]
-        slack = rep.bound - rho
-        rows.append((format_value(p), rho, rep.bound, slack))
-        if slack < -SLACK_TOL:
-            violations.append(
-                f"p={format_value(p)}: rho {format_value(rho)} exceeds bound "
-                f"{format_value(rep.bound)}"
-            )
+        rows.append((format_value(p), rho, rep.bound, rep.bound - rho))
+        _gate(violations, f"p={format_value(p)}", "rho", rho, "bound", rep.bound)
     comments = [
         f"graph: n={rep.n} m={rep.m} vol={format_value(rep.vol)}",
         f"phi ({rep.phi_kind}): {format_value(rep.phi_lower)}",
@@ -203,11 +208,7 @@ def run_upperbound(
         rho, bound = rep.rho[math.inf], rep.bound
         ratio = rho / bound if math.isfinite(bound) and bound > 0 else 0.0
         rows.append((n, d, seed, rep.phi_lower, rho, bound, ratio))
-        if rho > bound + SLACK_TOL * max(bound, 1.0):
-            violations.append(
-                f"n={n} d={d} seed={seed}: rho_inf {format_value(rho)} "
-                f"exceeds bound {format_value(bound)}"
-            )
+        _gate(violations, f"n={n} d={d} seed={seed}", "rho_inf", rho, "bound", bound)
     return ExperimentResult(
         ("n", "d", "seed", "phi", "rho_inf", "bound", "ratio"), rows, [], violations
     )
@@ -239,16 +240,9 @@ def run_interpolation(g: Multigraph, p_grid: Sequence[float]) -> ExperimentResul
         two_over = 0.0 if math.isinf(pp) else 2.0 / pp
         loc_bound = rho_2**two_over * rho_inf ** (1.0 - two_over)
         rows.append((format_value(p), rho, rt_bound, loc_bound))
-        if rho > rt_bound + SLACK_TOL:
-            violations.append(
-                f"p={format_value(p)}: rho {format_value(rho)} exceeds interpolation "
-                f"bound {format_value(rt_bound)}"
-            )
-        if rho > loc_bound + SLACK_TOL:
-            violations.append(
-                f"p={format_value(p)}: rho {format_value(rho)} exceeds spectral "
-                f"bound {format_value(loc_bound)}"
-            )
+        where = f"p={format_value(p)}"
+        _gate(violations, where, "rho", rho, "interpolation bound", rt_bound)
+        _gate(violations, where, "rho", rho, "spectral bound", loc_bound)
     comments = [f"graph: n={g.n} m={g.m}"]
     return ExperimentResult(
         ("p", "rho_p", "interp_bound", "spectral_bound"), rows, comments, violations
@@ -268,14 +262,11 @@ def run_lowerbound(
         u = graph_union(base, gadget_subdivide(base, k))
         # the table reports the spectral bracket, so cuts are never enumerated
         rep = competitive_report(u, p_grid, bracket=True)
-        rho, bound = rep.rho[math.inf], rep.bound
+        rho = rep.rho[math.inf]
         row = [k, u.n, u.m, rep.phi_lower, rep.phi_upper, rho]
         row.extend(rep.rho[p] for p in finite_p)
         rows.append(tuple(row))
-        if rho > bound + SLACK_TOL * max(bound, 1.0):
-            violations.append(
-                f"k={k}: rho_inf {format_value(rho)} exceeds bound {format_value(bound)}"
-            )
+        _gate(violations, f"k={k}", "rho_inf", rho, "bound", rep.bound)
     return ExperimentResult(tuple(header), rows, [], violations)
 
 
@@ -291,16 +282,9 @@ def run_localization(
         logsq_bound = math.log(n) ** 2 + 10.0
         min_bound = min(phi_bound, logsq_bound)
         rows.append((n, d, seed, loc, rho, phi_bound, logsq_bound))
-        if loc > rho + SLACK_TOL:
-            violations.append(
-                f"n={n} d={d} seed={seed}: localization "
-                f"{format_value(loc)} exceeds rho_inf {format_value(rho)}"
-            )
-        if loc > min_bound + SLACK_TOL:
-            violations.append(
-                f"n={n} d={d} seed={seed}: localization "
-                f"{format_value(loc)} exceeds bound {format_value(min_bound)}"
-            )
+        where = f"n={n} d={d} seed={seed}"
+        _gate(violations, where, "localization", loc, "rho_inf", rho)
+        _gate(violations, where, "localization", loc, "bound", min_bound)
     return ExperimentResult(
         ("n", "d", "seed", "localization", "rho_inf", "phi_bound", "logsq_bound"),
         rows,

@@ -54,10 +54,7 @@ def incidence(g: Multigraph) -> sp.csr_array:
     rows = np.concatenate([g.tails, g.heads])
     vals = np.concatenate([-np.ones(g.m), np.ones(g.m)])
     mat = sp.coo_array((vals, (rows, np.concatenate([cols, cols]))), shape=(g.n, g.m))
-    out = mat.tocsr()
-    out.sum_duplicates()
-    out.eliminate_zeros()
-    return out
+    return mat.tocsr()
 
 
 def laplacian(g: Multigraph) -> sp.csr_array:

@@ -163,16 +163,6 @@ def _endpoint_pairs(g: Multigraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return keys // g.n, keys % g.n, pair_of_edge
 
 
-def _l1_norms(flows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_f w(f) |flow(f)| of each row of an F-ordered block of flows, the
-    terms added left to right over the edges at every block width: the
-    transpose is a C-ordered block whose columns `_column_sums` adds top to
-    bottom."""
-    weighted = np.abs(flows)
-    weighted *= weights
-    return _column_sums(weighted.T)
-
-
 def _sweep(
     g: Multigraph, signed: bool = False
 ) -> Tuple[np.ndarray, Optional[np.ndarray], float]:
@@ -201,12 +191,18 @@ def _sweep(
             g, _pair_demands(g, lows[start:stop], highs[start:stop])
         )
         max_residual = max(max_residual, float(residuals.max()))
-        # one row per pair, F-ordered, as _l1_norms needs; subtracted in place,
-        # since each block-sized temporary adds to the sweep's peak memory
+        # one row per pair, F-ordered; each block-sized temporary adds to the
+        # sweep's peak memory, so flows are subtracted in place and `weighted` freed
         rows = volts.T
         flows = rows[:, g.heads]
         flows -= rows[:, g.tails]
-        norms[start:stop] = _l1_norms(flows, g.weights)
+        # each row's terms are added left to right over the edges at every
+        # block width: the transpose is a C-ordered block whose columns
+        # `_column_sums` adds top to bottom
+        weighted = np.abs(flows)
+        weighted *= g.weights
+        norms[start:stop] = _column_sums(weighted.T)
+        del weighted
         if signed:
             edges = np.flatnonzero((pair_of_edge >= start) & (pair_of_edge < stop))
             pi[:, edges] = flows[pair_of_edge[edges] - start].T * sign[edges]

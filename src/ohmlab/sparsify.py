@@ -352,4 +352,5 @@ def expected_cut_l1(g: Multigraph, x: np.ndarray) -> Tuple[float, float]:
     points = np.unique(np.concatenate([[0.0, 1.0], x]))
     lo, hi = np.minimum(x[g.tails], x[g.heads]), np.maximum(x[g.tails], x[g.heads])
     (cut,) = _interval_sums(points, lo, hi, [g.weights])
-    return closed, float(cut @ np.diff(points))
+    # a pairwise sum, not a BLAS dot, whose split depends on the thread count
+    return closed, float(np.sum(cut * np.diff(points)))

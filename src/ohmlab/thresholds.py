@@ -181,19 +181,16 @@ def profile_from_voltages(
     v = np.asarray(voltages, dtype=np.float64)
     if v.shape != (g.n,):
         raise ValueError(f"voltages must have length n={g.n}")
-    flip = v[g.tails] > v[g.heads]
-    tails = np.where(flip, g.heads, g.tails)
-    heads = np.where(flip, g.tails, g.heads)
+    va = np.minimum(v[g.tails], v[g.heads])
+    vb = np.maximum(v[g.tails], v[g.heads])
     total = float(g.weighted_degrees.sum())
-    va = v[tails]
-    vb = v[heads]
     shift, residual = _center_shift(va, vb, g.weights, total)
     centered = v - shift
     return ThresholdProfile(
         weights=g.weights,
         voltages=centered,
-        va=centered[tails],
-        vb=centered[heads],
+        va=va - shift,
+        vb=vb - shift,
         center_shift=float(shift),
         center_residual=float(residual),
         breakpoints=np.unique(centered),

@@ -1,11 +1,35 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ohmlab import Multigraph, as_vertex_mask, induced_pnorm_nonneg
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_python(*args, timeout=300):
+    """Run the interpreter on `args` from the repository root with src/ on
+    the path, under a timeout, so that a hang fails the test that ran it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # the RuntimeWarning rule pyproject.toml applies inside the test process
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=timeout)
+
 
 def complete_graph(k):
     return Multigraph.from_edges(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+
+
+def _grid(a, b):
+    """a x b grid graph, vertex i * b + j at row i, column j."""
+    edges = [(i * b + j, i * b + j + 1) for i in range(a) for j in range(b - 1)]
+    edges += [(i * b + j, (i + 1) * b + j) for i in range(a - 1) for j in range(b)]
+    return Multigraph.from_edges(a * b, edges)
 
 
 def cut_weight(g, s):

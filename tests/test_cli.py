@@ -21,7 +21,7 @@ from ohmlab import (
 from ohmlab.cli import cli
 from ohmlab.routing import _endpoint_pairs
 
-from conftest import competitive_ratio_operator
+from conftest import _grid, _run_python, competitive_ratio_operator
 
 
 @pytest.fixture
@@ -164,6 +164,19 @@ class TestDiagnose:
         res = invoke(runner, ["--no-timestamp", "diagnose", str(p), "--edge", str(edge)])
         assert res.exit_code == 0, res.output
 
+    @pytest.mark.parametrize("graph", [lambda: cycle_graph(3500), lambda: _grid(60, 60)],
+                             ids=["cycle-3500", "grid-60x60"])
+    def test_long_cycle_and_square_grid_exit_zero(self, tmp_path, graph):
+        # above 400 vertices lambda_2 comes from Lanczos on a Chebyshev filter
+        # of N; on a 2-vCPU x86-64 guest diagnose takes 0.6 s on this cycle
+        # and 0.5 s on this grid, whose lambda_2 is double. Unshifted ARPACK
+        # took 33 s on the cycle, so each run is a subprocess under a 60 s
+        # timeout, and a hang fails the test rather than stalling the suite
+        p = tmp_path / "g.txt"
+        write_graph(graph(), p)
+        proc = _run_python("-m", "ohmlab.cli", "--no-timestamp", "diagnose", str(p), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestSparsify:
     def test_path_instance(self, runner, tmp_path):
@@ -239,6 +252,22 @@ class TestExperiment:
                                    "--graph", small_graph])
         assert generated.exit_code == explicit.exit_code == 0
         assert generated.output == explicit.output
+
+    @pytest.mark.parametrize("args", [
+        ["report", "GRAPH", "--p", "50,1000,inf"],
+        ["experiment", "interpolation", "--p", "1000,inf"],
+    ], ids=["report", "interpolation"])
+    def test_large_p_gives_a_finite_ratio(self, runner, tmp_path, args):
+        # every vector p-norm divides by its largest entry before the power;
+        # raised unscaled to p = 1000 the loads overflowed, and both commands
+        # printed rho inf for p = 1000 and exited 2
+        gpath = tmp_path / "g16.txt"
+        write_graph(random_regular(16, 3, 3), gpath)
+        args = [str(gpath) if a == "GRAPH" else a for a in args]
+        res = invoke(runner, ["--no-timestamp", *args])
+        assert res.exit_code == 0, res.output
+        row = next(l for l in res.output.splitlines() if l.startswith("1000,"))
+        assert np.isfinite(float(row.split(",")[1]))
 
     @pytest.mark.parametrize("args", [
         ["experiment", "frobnicate"],

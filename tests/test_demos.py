@@ -1,23 +1,11 @@
 import ast
 import io
-import os
 import re
-import subprocess
-import sys
 import tokenize
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def _run_python(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    # the RuntimeWarning rule pyproject.toml applies inside the test process
-    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args],
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+from conftest import ROOT, _run_python
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)

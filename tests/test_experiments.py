@@ -178,6 +178,14 @@ class TestRunDiagnose:
         assert lower is upper
         assert (lower.phi, lower.kind) == (exact.phi, "exact")
         assert np.array_equal(lower.witness, exact.witness)
+        # report and diagnose print that one certificate: exact on 16
+        # vertices, lambda_2 / 2 on 30
+        for n, kind in ((16, "exact"), (30, "cheeger-lower-bound")):
+            g = random_regular(n, 3, 3)
+            printed = [[c for c in res.comments if c.startswith("phi (")]
+                       for res in (run_report(g, (np.inf,)), run_diagnose(g, 0))]
+            assert printed[0] == printed[1]
+            assert len(printed[0]) == 1 and printed[0][0].startswith(f"phi ({kind}): ")
 
     def test_disconnected_refused_as_by_the_bracket(self):
         ring = [(i, (i + 1) % 15) for i in range(15)]
@@ -209,6 +217,50 @@ class TestRunDiagnose:
         assert res.violations == [] and len(res.rows) == 5
         assert len(made) == 1
         assert len(tabled) == 1 and tabled[0] is made[0]
+
+
+class TestGatesAgree:
+    """Every printed value meets its printed bound under one rule: a
+    violation when it exceeds the bound by more than SLACK_TOL = 1e-6,
+    absolute, in every runner. Upperbound and lowerbound used to scale the
+    tolerance by the bound, so at bound 10 they let 10 + 5e-6 pass."""
+
+    @staticmethod
+    def _reports(monkeypatch, rho, localization=None):
+        # every report rho at each p, against bound 10
+        def fake(g, p_list=(math.inf,), bracket=False):
+            return ohmlab.routing.CompetitiveReport(
+                g.n, g.m, float(2 * g.m), 0.5, 0.5, "exact",
+                dict.fromkeys(map(float, p_list), rho), 10.0, localization, 0.0)
+
+        monkeypatch.setattr(ohmlab.experiments, "competitive_report", fake)
+
+    @pytest.mark.parametrize("excess, flagged", [(5e-6, True), (5e-7, False)])
+    def test_every_runner_flags_the_same_excess(self, monkeypatch, excess, flagged):
+        value = 10.0 + excess
+        v = format_value(value)
+        g = random_regular(10, 3, 1)
+        self._reports(monkeypatch, value)
+        got = {
+            "report": run_report(g, (np.inf,)).violations,
+            "upperbound": run_upperbound([10], [3], [1]).violations,
+            "lowerbound": run_lowerbound(g, [1], (np.inf,)).violations,
+        }
+        self._reports(monkeypatch, 10.0, localization=value)
+        got["localization"] = run_localization([10], [3], [1]).violations
+        monkeypatch.setattr(ohmlab.experiments, "_ratios", lambda g, ps: (
+            {1.0: 10.0, 2.0: 10.0, math.inf: 10.0, 3.0: value}, None, 0.0))
+        got["interpolation"] = run_interpolation(g, (3.0,)).violations
+        expected = {
+            "report": [f"p=inf: rho {v} exceeds bound 10"],
+            "upperbound": [f"n=10 d=3 seed=1: rho_inf {v} exceeds bound 10"],
+            "lowerbound": [f"k=1: rho_inf {v} exceeds bound 10"],
+            "localization": [f"n=10 d=3 seed=1: localization {v} exceeds rho_inf 10",
+                             f"n=10 d=3 seed=1: localization {v} exceeds bound 10"],
+            "interpolation": [f"p=3: rho {v} exceeds interpolation bound 10",
+                              f"p=3: rho {v} exceeds spectral bound 10"],
+        }
+        assert got == (expected if flagged else dict.fromkeys(expected, []))
 
 
 class TestRunSparsify:

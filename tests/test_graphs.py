@@ -32,7 +32,7 @@ from ohmlab import (
 )
 from ohmlab.experiments import format_value
 
-from conftest import complete_graph, cut_weight, volume
+from conftest import _grid, complete_graph, cut_weight, volume
 
 
 class TestMultigraph:
@@ -163,13 +163,6 @@ class TestConductanceExact:
         g = random_regular(26, 3, 1)
         with pytest.raises(SizeLimitError):
             conductance_exact(g)
-
-
-def _grid(a, b):
-    """a x b grid graph, vertex i * b + j at row i, column j."""
-    edges = [(i * b + j, i * b + j + 1) for i in range(a) for j in range(b - 1)]
-    edges += [(i * b + j, (i + 1) * b + j) for i in range(a - 1) for j in range(b)]
-    return Multigraph.from_edges(a * b, edges)
 
 
 class TestConductanceBounds:
@@ -626,11 +619,11 @@ class TestGraphText:
         assert np.array_equal(h.weights, g.weights)
 
     def test_round_trip_is_byte_stable(self, tmp_path):
-        g = random_regular(12, 3, 8)
-        text = graph_text(g)
         p = tmp_path / "g.txt"
-        p.write_text(text)
-        assert graph_text(read_graph(p)) == text
+        for n, seed in ((12, 8), (20000, 1)):
+            text = graph_text(random_regular(n, 3, seed))
+            p.write_text(text)
+            assert graph_text(read_graph(p)) == text
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         p = tmp_path / "g.txt"

@@ -316,16 +316,20 @@ class TestCutWeightAndFlow:
                 assert rep.relative_gap <= 1e-10
 
     def test_integral_identity_independent_of_blas_threads(self):
-        # rhs was a BLAS dot, which OpenBLAS splits across threads above a
-        # few thousand entries: on this cycle it read 22547.615437449083 with
-        # one thread and ...072 with two. So on a machine with fewer than two
-        # cores this test cannot tell the dot from the pairwise sum.
+        # each rhs was a BLAS dot, which OpenBLAS splits across threads above
+        # a few thousand entries: the identity's read 22547.615437449083 with
+        # one thread and ...072 with two on the first cycle, and the rounding
+        # integral 13317.891160439996 and ...995 on the second. So on a
+        # machine with fewer than two cores this test cannot tell the dot from
+        # the pairwise sum.
         script = (
             "import numpy as np\n"
-            "from ohmlab import check_integral_identity, cycle_graph, profile_from_voltages\n"
+            "from ohmlab import check_integral_identity, cycle_graph, expected_cut_l1, profile_from_voltages\n"
             "g = cycle_graph(20000)\n"
             "v = np.random.default_rng(0).standard_normal(g.n)\n"
             "print(repr(check_integral_identity(profile_from_voltages(g, v)).rhs))\n"
+            "g = cycle_graph(40000)\n"
+            "print(repr(expected_cut_l1(g, np.random.default_rng(3).random(g.n))[1]))\n"
         )
         src = str(Path(ohmlab.__file__).resolve().parents[1])
         rhs = []
