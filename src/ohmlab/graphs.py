@@ -11,7 +11,8 @@ normalized Laplacian and girth all read it, never per-vertex lists. Its one
 factorization, the cached `Multigraph.laplacian_factor` with vertex 0
 grounded, decides by itself whether to exist: only up to _DIRECT_VERTEX_CAP
 vertices. Where it exists it serves linalg's solves, nothing else; the
-all-pairs sweep solves in the same blocks either way. The conductance
+all-pairs sweep solves in the same blocks either way; its recipe,
+`_spd_factor`, also factors sparsify's eliminated block. The conductance
 bracket's lambda_2 never reads it: dense eigh up to _DENSE_EIGEN_CAP
 vertices, Lanczos on a Chebyshev filter of the normalized Laplacian above,
 which needs only its sparse products.
@@ -152,6 +153,16 @@ _RITZ_STEPS = 20
 _RITZ_BREAKDOWN = 1e-12
 
 
+def _spd_factor(block) -> scipy.sparse.linalg.SuperLU:
+    """Sparse LU of a positive definite Laplacian block (the grounded
+    Laplacian, sparsify's L_FF): the one factor recipe. Such a block needs no
+    off-diagonal pivot, so every pivot is on the diagonal (perm_r == perm_c);
+    SuperLU's symmetric mode then gives the same fill as its general mode
+    and about half the block-solve time on 3-regular graphs."""
+    return scipy.sparse.linalg.splu(sp.csc_array(block), permc_spec="MMD_AT_PLUS_A",
+                                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
 @dataclass(frozen=True)
 class Multigraph:
     """Immutable weighted multigraph on vertices 0..n-1."""
@@ -215,27 +226,17 @@ class Multigraph:
 
     @cached_property
     def laplacian_factor(self) -> Optional[scipy.sparse.linalg.SuperLU]:
-        """Symmetric-mode sparse LU, diagonal pivots, of the Laplacian with
-        vertex 0 grounded (its row and column removed), factored once on
-        first use; None, with nothing factored, above _DIRECT_VERTEX_CAP
-        vertices, on a disconnected graph or on one vertex. This is the one
-        place the cap is checked, and linalg.solve_laplacian_block the one
-        reader: it solves against the factor exactly when this is not None.
-        No eigensolver reads it, so the cap never moves lambda_2.
-
-        The grounded block of a connected graph is symmetric positive
-        definite, so every pivot is on the diagonal (perm_r == perm_c).
-        SuperLU's symmetric mode then gives the same fill as its general
-        mode and about half the block-solve time on 3-regular graphs."""
+        """`_spd_factor` of the Laplacian with vertex 0 grounded (its row
+        and column removed, which leaves a connected graph's block positive
+        definite), factored once on first use; None, with nothing factored,
+        above _DIRECT_VERTEX_CAP vertices, on a disconnected graph or on one
+        vertex. This is the one place the cap is checked, and
+        linalg.solve_laplacian_block the one reader: it solves against the
+        factor exactly when this is not None. No eigensolver reads it, so
+        the cap never moves lambda_2."""
         if not 2 <= self.n <= _DIRECT_VERTEX_CAP or not self.is_connected:
             return None
-        grounded = sp.csc_array(self.laplacian[1:, 1:])
-        return scipy.sparse.linalg.splu(
-            grounded,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+        return _spd_factor(self.laplacian[1:, 1:])
 
     @cached_property
     def is_unit_weight(self) -> bool:
@@ -405,24 +406,25 @@ def _half_cuts(bits: np.ndarray, adj: np.ndarray, half: np.ndarray) -> np.ndarra
     return np.einsum("ij,ij->i", z @ adj[np.ix_(ids, ids)], 1.0 - z)
 
 
-def _interval_sums(grid: np.ndarray, lo, hi, columns) -> np.ndarray:
+def _interval_sums(grid: np.ndarray, a, b, columns) -> np.ndarray:
     """(len(columns), len(grid) - 1) sums of each column over the edges
-    spanning each grid interval: lo[e] <= grid[j] and grid[j + 1] <= hi[e],
-    with lo and hi on the grid and the columns nonnegative.
+    spanning each grid interval: min(a, b)[e] <= grid[j] and grid[j + 1] <=
+    max(a, b)[e], with the ends a, b on the grid in either order and the
+    columns nonnegative.
 
-    This is the one threshold sweep: the threshold table and the rounding
-    integral (voltages as the grid) and the conductance bracket's sweep cuts
-    (vertex ranks as the grid) all read it.
+    This is the one threshold sweep: the threshold table, sparsify's
+    rounding integral and rounding check (voltages as the grid) and the
+    conductance bracket's sweep cuts (vertex ranks as the grid) all read it.
 
     Every sum adds nonnegative terms only: each edge's run of intervals is
     split into aligned dyadic blocks that take its values. Running totals
-    (add at lo, subtract at hi) cancel when a 1e-13-wide edge's decay rate
-    swamps its neighbours'. Values are also split into multiples of a
-    quantum, 2**-52 of a power of two above the column total, whose sums are
-    exact, and remainders, so each sum is rounded about once in any order.
+    (add at the low end, subtract at the high) cancel when a 1e-13-wide edge's
+    decay rate swamps its neighbours'. Values are also split into multiples
+    of a quantum, 2**-52 of a power of two above the column total, whose sums
+    are exact, and remainders, so each sum is rounded about once in any order.
     """
     k = grid.size - 1
-    first, stop = np.searchsorted(grid, lo), np.searchsorted(grid, hi)
+    first, stop = np.searchsorted(grid, np.minimum(a, b)), np.searchsorted(grid, np.maximum(a, b))
     edge = np.flatnonzero(first < stop)
     first, stop = first[edge], stop[edge]
     parts = []
@@ -585,9 +587,7 @@ def _sweep_cut(g: Multigraph, vec: np.ndarray) -> tuple:
     order = np.argsort(vec / np.sqrt(wdeg), kind="stable")
     rank = np.empty(g.n, dtype=np.int64)
     rank[order] = np.arange(g.n)
-    lo = np.minimum(rank[g.tails], rank[g.heads])
-    hi = np.maximum(rank[g.tails], rank[g.heads])
-    (cut,) = _interval_sums(np.arange(g.n), lo, hi, [g.weights])
+    (cut,) = _interval_sums(np.arange(g.n), rank[g.tails], rank[g.heads], [g.weights])
     vol_s = np.cumsum(wdeg[order])[:-1]
     vol_rest = np.cumsum(wdeg[order][::-1])[::-1][1:]
     ratio = cut / np.minimum(vol_s, vol_rest)

@@ -4,14 +4,16 @@ A partition splits the vertices into terminals C (kept) and eliminated
 vertices F. Eliminating F from the Laplacian gives the Schur complement
 L_H = L_CC - L_CF L_FF^{-1} L_FC, itself the Laplacian of a weighted graph
 on C. The Schur complement and the harmonic extension both solve against one
-sparse LU factor of L_FF, sliced from the cached Laplacian, so the size of F
-is not capped and no |F| x |F| block is ever dense. The Schur complement is
-eliminated in column blocks into a sparse result, which schur_edge_weights
-reads directly; only the public schur_complement densifies it. Boundary
-values on C extend to F either harmonically (minimizing energy) or by
-minimizing the l1 edge-difference objective; the l1 problem with 0/1
-boundary data is an s-t minimum cut and always has a 0/1 minimizer, which
-the level-set rounding recovers from any real minimizer.
+sparse LU factor of L_FF, sliced from the cached Laplacian and factored like
+the grounded Laplacian (`_spd_factor`), so the size of F is not capped and
+no |F| x |F| block is ever dense. The Schur complement is eliminated in
+column blocks into a sparse result, which schur_edge_weights reads directly;
+only the public schur_complement densifies it. Boundary values on C extend
+to F either harmonically (minimizing energy) or by minimizing the l1
+edge-difference objective; the l1 problem with 0/1 boundary data is an s-t
+minimum cut and always has a 0/1 minimizer, which the level-set rounding
+recovers from any real minimizer; its check and the rounding integral read
+one threshold sweep (`_threshold_cuts`).
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
-from .graphs import Multigraph, _ids, _interval_sums, as_vertex_mask
+from .graphs import Multigraph, _ids, _interval_sums, _spd_factor, as_vertex_mask
 from .linalg import _BLOCK_COLUMNS, laplacian
 from .maxflow import min_cut
 
@@ -41,7 +42,8 @@ __all__ = [
     "expected_cut_l1",
 ]
 
-# relative size below which a Schur weight is fill-in noise (perfbench mirrors it)
+# relative size below which a Schur weight is dropped (perfbench mirrors it):
+# a size cut, not a noise floor, as the dropped weights are accurate too
 _SCHUR_DROP = 1e-12
 # relative objective rise that shows discretize_minimizer was given no minimizer
 _ROUNDING_TOL = 1e-6
@@ -131,8 +133,9 @@ def _elimination(g: Multigraph, part: Partition) -> tuple:
     complement and the harmonic extension, both sliced from the cached
     Laplacian.
 
-    L_FF is nonsingular exactly when every connected component keeps a
-    terminal; a component without one is refused. F may be empty.
+    L_FF is nonsingular, hence positive definite, exactly when every
+    connected component keeps a terminal; a component without one is
+    refused. F may be empty.
     """
     _same_n(g, part)
     labels = g.component_labels
@@ -146,8 +149,7 @@ def _elimination(g: Multigraph, part: Partition) -> tuple:
         )
     f = part.eliminated
     f_rows = g.laplacian[f]
-    lu = scipy.sparse.linalg.splu(sp.csc_array(f_rows[:, f]), permc_spec="MMD_AT_PLUS_A")
-    return f_rows[:, part.terminals], lu
+    return f_rows[:, part.terminals], _spd_factor(f_rows[:, f])
 
 
 def _schur_sparse(g: Multigraph, part: Partition) -> sp.csr_array:
@@ -190,8 +192,8 @@ def schur_edge_weights(g: Multigraph, part: Partition) -> Dict[tuple, float]:
     """Off-diagonal Schur weights as {(u, v): weight} on original ids, u < v,
     in row-major order.
 
-    Entries below _SCHUR_DROP (relative to the largest magnitude) are dropped
-    as elimination fill-in noise. The Schur complement is never densified.
+    Entries below _SCHUR_DROP (relative to the largest magnitude) are
+    dropped, a size cut. The Schur complement is never densified.
     """
     sc = _schur_sparse(g, part)
     c = part.terminals
@@ -290,17 +292,26 @@ def min_l1_extension(
     return value, y
 
 
+def _threshold_cuts(g: Multigraph, z: np.ndarray) -> tuple:
+    """(points, cut): the sorted distinct values of z, 0 and 1, and the cut
+    weight of {z >= t} on each interval between consecutive points."""
+    points = np.unique(np.concatenate([[0.0, 1.0], z]))
+    (cut,) = _interval_sums(points, z[g.tails], z[g.heads], [g.weights])
+    return points, cut
+
+
 def discretize_minimizer(
     g: Multigraph, part: Partition, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
     """Round a real minimizer of the l1 extension problem to a 0/1 one.
 
-    Repeatedly shifts the smallest positive level set of y to 0: for a true
-    minimizer the objective is linear, hence constant, along that shift, so
-    each step preserves the value and strictly grows the 0/1 set. Values
-    within 1e-9 of each other (or of 0/1) are snapped together first. If a
-    step raises the objective beyond _ROUNDING_TOL (relative), y was not a
-    minimizer and the offending level is reported.
+    Shifts each level of y in (0, 1) to 0, smallest first: for a true
+    minimizer the objective is linear, hence constant, along each shift.
+    Values within 1e-9 of each other (or of 0/1) are snapped together first.
+    Shifting level r to 0 changes the objective by r (cut above r - cut
+    below r), so one threshold sweep checks every step. If a step raises the
+    objective beyond _ROUNDING_TOL (relative), y was not a minimizer and the
+    first offending level is reported.
     """
     x = _zero_one(x)
     y = _box_check(np.array(y, dtype=np.float64, copy=True), "extension")
@@ -315,25 +326,16 @@ def discretize_minimizer(
     snapped[snapped >= 1.0 - 1e-9] = 1.0
     y[order] = snapped
 
+    points, cut = _threshold_cuts(g, _full_vector(g, part, x, y))
+    rise = points[1:-1] * np.diff(cut)
     objective = l1_objective(g, part, x, y)
-    scale = max(abs(objective), 1.0)
-    for _ in range(y.size):
-        interior = (y > 0.0) & (y < 1.0)
-        if not interior.any():
-            break
-        r = float(y[y > 0.0].min())
-        level = y == r
-        candidate = y.copy()
-        candidate[level] = 0.0
-        new_objective = l1_objective(g, part, x, candidate)
-        if new_objective > objective + _ROUNDING_TOL * scale:
-            raise ValueError(
-                f"not a minimizer: shifting level {r} to 0 raises the "
-                f"objective from {objective} to {new_objective}"
-            )
-        y = candidate
-        objective = new_objective
-    return y
+    bad = np.flatnonzero(rise > _ROUNDING_TOL * max(objective, 1.0))
+    if bad.size:
+        raise ValueError(
+            f"not a minimizer: shifting level {points[bad[0] + 1]} to 0 raises "
+            f"the objective {objective} by {rise[bad[0]]}"
+        )
+    return np.where(y == 1.0, 1.0, 0.0)
 
 
 def expected_cut_l1(g: Multigraph, x: np.ndarray) -> Tuple[float, float]:
@@ -342,15 +344,12 @@ def expected_cut_l1(g: Multigraph, x: np.ndarray) -> Tuple[float, float]:
     Returns (sum_e w |x(a) - x(b)|, integral over [0, 1] of the cut weight of
     {x >= t} dt), computed independently: the closed form edge by edge, the
     integral as the cut weight on each interval between sorted distinct
-    values of x (summed per interval like the threshold table's) times the
-    interval's length.
+    values of x (`_threshold_cuts`) times the interval's length.
     """
     x = _box_check(x, "vector")
     if x.shape != (g.n,):
         raise ValueError(f"need one value per vertex, n={g.n}")
     closed = float((g.weights * np.abs(x[g.heads] - x[g.tails])).sum())
-    points = np.unique(np.concatenate([[0.0, 1.0], x]))
-    lo, hi = np.minimum(x[g.tails], x[g.heads]), np.maximum(x[g.tails], x[g.heads])
-    (cut,) = _interval_sums(points, lo, hi, [g.weights])
+    points, cut = _threshold_cuts(g, x)
     # a pairwise sum, not a BLAS dot, whose split depends on the thread count
     return closed, float(np.sum(cut * np.diff(points)))

@@ -275,7 +275,7 @@ class DerivativeCheckReport:
 
 
 def check_derivative_bounds(
-    profile: ThresholdProfile, phi: float, samples: Optional[int] = 50
+    profile: ThresholdProfile, phi: float, samples: Optional[int] = None
 ) -> DerivativeCheckReport:
     """Check both derivative inequalities at interval midpoints.
 

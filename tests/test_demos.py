@@ -53,3 +53,31 @@ def test_every_public_name_has_a_caller():
     used = set().union(*map(_code_names, files + sorted((ROOT / "demos").glob("*.py"))))
     used |= set(re.findall(r"\w+", " ".join(_readme_code())))
     assert not sorted(exported - used - {"flow_projection"}), sorted(exported - used)
+
+
+def _dotted(node):
+    """'a.b.c' for the expression a.b.c, None for anything but names and
+    attributes."""
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # `from m import n` must be read as n and `import a.b` as a.b or a longer
+    # chain; __init__.py is skipped, as its imports are the package's exports
+    unread = []
+    for path in sorted((ROOT / "src" / "ohmlab").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        chains = {_dotted(node) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute))
+                  and isinstance(node.ctx, ast.Load)}
+        prefixes = {c.rsplit(".", k)[0] for c in chains - {None} for k in range(c.count(".") + 1)}
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"]
+        unread += [f"{path.name}: {a.asname or a.name}" for node in imports for a in node.names
+                   if (a.asname or a.name) not in prefixes]
+    assert not unread, unread

@@ -38,6 +38,7 @@ from ohmlab import (  # noqa: E402
     solve_laplacian,
 )
 from ohmlab.linalg import solve_laplacian_block  # noqa: E402
+from ohmlab.sparsify import _elimination  # noqa: E402
 from conftest import cut_weight, volume  # noqa: E402
 from test_cli import HEAVY_SEVEN  # noqa: E402
 from test_graphs import assert_interval_above, record_filter_intervals  # noqa: E402
@@ -316,6 +317,10 @@ def test_elimination_matches_dense_pinv(case):
     c, f = part.terminals, part.eliminated
     l_ff, l_fc = lap[np.ix_(f, f)], lap[np.ix_(f, c)]
     l_ff_inv = np.linalg.pinv(l_ff) if f.size else l_ff
+    # L_FF is eliminated as SPD, like the grounded factor: diagonal pivots, all positive
+    _, lu = _elimination(g, part)
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert np.all(lu.U.diagonal() > 0.0)
     # a backward-stable solve is off by about eps cond(L_FF), relative
     slack = 100.0 * EPS * (np.linalg.cond(l_ff) if f.size else 1.0)
     schur = schur_complement(g, part)

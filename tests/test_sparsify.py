@@ -413,7 +413,70 @@ class TestVectorLengths:
             l1_objective(path_graph(5), part, [1.0, 0.0], [0.5, 0.5])
 
 
+def _discretize_reference(g, part, x, y):
+    """The per-level rounding discretize_minimizer replaced: snap as it
+    does, then shift the smallest positive level to 0 one at a time,
+    recomputing the l1 objective at every step."""
+    y = np.array(y, dtype=np.float64, copy=True)
+    order = np.argsort(y, kind="stable")
+    snapped = y[order].copy()
+    for i in range(1, snapped.size):
+        if snapped[i] - snapped[i - 1] <= 1e-9:
+            snapped[i] = snapped[i - 1]
+    snapped[snapped <= 1e-9] = 0.0
+    snapped[snapped >= 1.0 - 1e-9] = 1.0
+    y[order] = snapped
+    objective = l1_objective(g, part, x, y)
+    scale = max(abs(objective), 1.0)
+    for _ in range(y.size):
+        if not ((y > 0.0) & (y < 1.0)).any():
+            break
+        candidate = y.copy()
+        candidate[y == y[y > 0.0].min()] = 0.0
+        new_objective = l1_objective(g, part, x, candidate)
+        if new_objective > objective + ohmlab.sparsify._ROUNDING_TOL * scale:
+            raise ValueError("not a minimizer")
+        y, objective = candidate, new_objective
+    return y
+
+
 class TestDiscretize:
+    def test_matches_per_level_reference(self, random_multigraph):
+        # one threshold sweep must give the per-level loop's verdict and
+        # output: random y (continuous or on a few shared levels), blends
+        # of the l1 minimizer with the harmonic extension, and 0/1 y
+        rng = np.random.default_rng(59)
+        verdicts = []
+        for i in range(1200):
+            g = random_multigraph(rng, int(rng.integers(2, 12)), int(rng.integers(0, 10)),
+                                  weighted=i % 2 == 0)
+            elim = np.flatnonzero(rng.random(g.n) < 0.6)
+            part = Partition.from_eliminated(g.n, elim if elim.size < g.n else elim[1:])
+            x = rng.integers(0, 2, part.terminals.size).astype(float)
+            f = part.eliminated.size
+            kind = i // 2 % 4
+            if kind == 0:
+                y = rng.random(f)
+            elif kind == 1:
+                y = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], f)
+            elif kind == 2:
+                lam = rng.random()
+                y = lam * min_l1_extension(g, part, x)[1]
+                y += (1.0 - lam) * harmonic_extension(g, part, x)
+            else:
+                y = rng.integers(0, 2, f).astype(float)
+            try:
+                want = _discretize_reference(g, part, x, y)
+            except ValueError:
+                with pytest.raises(ValueError, match="not a minimizer"):
+                    discretize_minimizer(g, part, x, y)
+                verdicts.append(False)
+            else:
+                assert np.array_equal(discretize_minimizer(g, part, x, y), want)
+                verdicts.append(True)
+        # both verdicts are exercised, many times each
+        assert 200 < sum(verdicts) < 1000
+
     def test_preserves_objective(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
