@@ -29,7 +29,6 @@ from .graphs import (
 )
 from .linalg import (
     SolveReport,
-    incidence,
     induced_pnorm_nonneg,
     laplacian,
     solve_laplacian,
@@ -39,7 +38,6 @@ from .routing import (
     competitive_ratio,
     competitive_ratio_inf,
     competitive_report,
-    congestion,
     demand_fraction,
     edge_demand,
     effective_resistance,

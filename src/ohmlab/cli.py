@@ -206,9 +206,7 @@ _GRID_OPTIONS = (
 _BASE_OPTIONS = (
     click.Option(["--p", "p_grid"], default="inf,2", show_default=True),
     click.Option(["--graph", "graph_path"], type=click.Path(exists=True, dir_okay=False),
-                 help="Base graph file (default: generated)."),
-    click.Option(["--base-n"], type=int, default=10, show_default=True),
-    click.Option(["--base-d"], type=int, default=3, show_default=True),
+                 help="Base graph file (default: random_regular(10, 3, --seed))."),
 )
 
 
@@ -217,12 +215,13 @@ def _grid(n_list: str, d_list: str, seeds: str) -> tuple:
             _parse_int_list(seeds, "seed"))
 
 
-def _base_graph(ctx, graph_path, base_n: int, base_d: int) -> Multigraph:
-    """The --graph file, else random_regular(base_n, base_d, global --seed)."""
+def _base_graph(ctx, graph_path) -> Multigraph:
+    """The --graph file, else random_regular(10, 3, global --seed); any other
+    base is written by gen regular and passed with --graph."""
     if graph_path:
         _refuse_seed(ctx, " with --graph")
         return read_graph(graph_path)
-    return random_regular(base_n, base_d, ctx.obj["seed"])
+    return random_regular(10, 3, ctx.obj["seed"])
 
 
 @cli.group()
@@ -248,20 +247,20 @@ def localization(ctx, n_list, d_list, seeds):
 
 @experiment.command(params=list(_BASE_OPTIONS))
 @click.pass_context
-def interpolation(ctx, p_grid, graph_path, base_n, base_d):
+def interpolation(ctx, p_grid, graph_path):
     """rho_p against its interpolation bounds on one unit-weight graph."""
     p_grid = _parse_p_grid(p_grid)
-    g = _base_graph(ctx, graph_path, base_n, base_d)
+    g = _base_graph(ctx, graph_path)
     return _emit_result(ctx, run_interpolation(g, p_grid))
 
 
 @experiment.command(params=[
     *_BASE_OPTIONS, click.Option(["--k-list"], default="1,2,3,4", show_default=True)])
 @click.pass_context
-def lowerbound(ctx, p_grid, graph_path, base_n, base_d, k_list):
+def lowerbound(ctx, p_grid, graph_path, k_list):
     """Ratios of the base graph united with its k-gadget, one row per k."""
     p_grid, k_list = _parse_p_grid(p_grid), _parse_int_list(k_list, "k")
-    base = _base_graph(ctx, graph_path, base_n, base_d)
+    base = _base_graph(ctx, graph_path)
     return _emit_result(ctx, run_lowerbound(base, k_list, p_grid))
 
 

@@ -14,7 +14,9 @@ class DisconnectedError(ValueError):
 class ConvergenceError(RuntimeError):
     """An iterative scheme missed its tolerance within the iteration cap.
 
-    Carries the best iterate seen so callers can inspect how close it got.
+    Carries the iterate it stopped at (the p-norm iteration: its lower end),
+    that iterate's true residual where there is one, and the iteration count,
+    so callers can inspect how close it got.
     """
 
     def __init__(self, message, *, best=None, residual=None, iterations=None):

@@ -1,9 +1,10 @@
-"""Incidence assembly, singular Laplacian solves, and induced norms.
+"""Singular Laplacian solves and induced norms.
 
-The signed incidence matrix B is n x m with B[tail, e] = -1 and
-B[head, e] = +1 for edge e = (tail, head). The Laplacian L = B W B^T is
+The Laplacian L = B W B^T, with B the n x m signed incidence matrix
+(B[tail, e] = -1 and B[head, e] = +1 for edge e = (tail, head)), is
 assembled once on the graph (`Multigraph.laplacian`), not here, and is
-solved only on the sum-zero subspace; the pseudo-inverse is never formed.
+solved only on the sum-zero subspace; neither B nor the pseudo-inverse is
+ever formed.
 
 Two solve methods, picked by the graph alone. Where the graph has a
 Laplacian factor (`Multigraph.laplacian_factor`: vertex 0 grounded,
@@ -31,7 +32,6 @@ from .graphs import Multigraph
 
 __all__ = [
     "SolveReport",
-    "incidence",
     "laplacian",
     "solve_laplacian",
     "solve_laplacian_block",
@@ -45,16 +45,6 @@ class SolveReport:
     solution: np.ndarray
     residual_norm: float
     iterations: int
-
-
-def incidence(g: Multigraph) -> sp.csr_array:
-    """Signed incidence matrix, n x m, column e carrying -1 at the tail and +1
-    at the head."""
-    cols = np.arange(g.m, dtype=np.int64)
-    rows = np.concatenate([g.tails, g.heads])
-    vals = np.concatenate([-np.ones(g.m), np.ones(g.m)])
-    mat = sp.coo_array((vals, (rows, np.concatenate([cols, cols]))), shape=(g.n, g.m))
-    return mat.tocsr()
 
 
 def laplacian(g: Multigraph) -> sp.csr_array:
@@ -142,8 +132,8 @@ def solve_laplacian(g: Multigraph, b: np.ndarray) -> SolveReport:
 
     The iteration cap is max(1e4, 10 n sqrt(kappa_hat)) with
     kappa_hat = n * w_max / w_min, a deliberately crude condition-number
-    heuristic; hitting the cap raises a convergence error carrying the best
-    iterate.
+    heuristic; hitting the cap raises a convergence error carrying the
+    iterate it stopped at and that iterate's true residual.
 
     solve_laplacian_block runs this solver for every column of a graph
     without a Laplacian factor, and threshold_profile for its one demand;
@@ -169,8 +159,6 @@ def solve_laplacian(g: Multigraph, b: np.ndarray) -> SolveReport:
     z -= z.mean()
     p = z.copy()
     rz = float(r @ z)
-    best_x = x.copy()
-    best_res = nb
     target = _SOLVE_TOL * nb
     iterations = 0
     while iterations < cap:
@@ -184,11 +172,7 @@ def solve_laplacian(g: Multigraph, b: np.ndarray) -> SolveReport:
         r -= alpha * lp
         x -= x.mean()
         r -= r.mean()
-        res = float(np.linalg.norm(r))
-        if res < best_res:
-            best_res = res
-            best_x = x.copy()
-        if res <= target:
+        if float(np.linalg.norm(r)) <= target:
             true_r = b - lap @ x
             true_res = float(np.linalg.norm(true_r))
             if true_res <= target:
@@ -202,11 +186,11 @@ def solve_laplacian(g: Multigraph, b: np.ndarray) -> SolveReport:
         beta = rz_new / rz
         rz = rz_new
         p = z + beta * p
-    true_res = float(np.linalg.norm(b - lap @ best_x))
+    true_res = float(np.linalg.norm(b - lap @ x))
     raise ConvergenceError(
         f"conjugate gradient missed tolerance {_SOLVE_TOL:g} after {iterations} "
         f"iterations (residual {true_res:.3e})",
-        best=best_x,
+        best=x,
         residual=true_res,
         iterations=iterations,
     )

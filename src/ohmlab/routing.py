@@ -13,6 +13,10 @@ reads the factor, and every column meets the same residual contract.
 rho_inf and localization read the l1 flow norm of each solve, and |Pi| for
 finite p is filled from the same solves; Pi is materialized only when a
 finite p asks for it.
+
+Beside the ratios it builds demands (validate_demand, edge_demand), routes
+one demand (route_electrical, effective_resistance) and meters a given flow
+(flow_energy, demand_fraction), refusing one without a value per edge.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .linalg import (
     _centred,
     _check_p,
     _column_sums,
-    _pnorm,
     induced_pnorm_nonneg,
     solve_laplacian_block,
 )
@@ -48,7 +51,6 @@ __all__ = [
     "edge_demand",
     "route_electrical",
     "effective_resistance",
-    "congestion",
     "flow_energy",
     "demand_fraction",
     "flow_projection",
@@ -112,15 +114,6 @@ def _flow(g: Multigraph, f) -> np.ndarray:
     if f.shape != (g.m,):
         raise ValueError(f"flow must have length m={g.m}")
     return f
-
-
-def congestion(g: Multigraph, flows: Sequence[np.ndarray], p: float) -> float:
-    """l_p norm of per-edge total |flow| over capacity."""
-    p = _check_p(p)
-    total = np.zeros(g.m)
-    for f in flows:
-        total += np.abs(_flow(g, f))
-    return _pnorm(total / g.weights, p)
 
 
 def flow_energy(g: Multigraph, f: np.ndarray) -> float:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ohmlab import Multigraph, as_vertex_mask, induced_pnorm_nonneg
 
@@ -30,6 +31,15 @@ def _grid(a, b):
     edges = [(i * b + j, i * b + j + 1) for i in range(a) for j in range(b - 1)]
     edges += [(i * b + j, (i + 1) * b + j) for i in range(a - 1) for j in range(b)]
     return Multigraph.from_edges(a * b, edges)
+
+
+def incidence(g):
+    """Reference signed incidence matrix B, n x m, column e carrying -1 at
+    the tail and +1 at the head, so that L = B W B^T."""
+    cols = np.arange(g.m)
+    rows = np.concatenate([g.tails, g.heads])
+    vals = np.concatenate([-np.ones(g.m), np.ones(g.m)])
+    return sp.csr_array((vals, (rows, np.concatenate([cols, cols]))), shape=(g.n, g.m))
 
 
 def cut_weight(g, s):

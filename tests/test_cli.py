@@ -223,7 +223,6 @@ class TestExperiment:
 
     def test_lowerbound(self, runner):
         res = invoke(runner, ["--no-timestamp", "experiment", "lowerbound",
-                              "--base-n", "10", "--base-d", "3",
                               "--k-list", "1,2", "--p", "inf"])
         assert res.exit_code == 0
         lines = [l for l in res.output.strip().split("\n") if not l.startswith("#")]
@@ -245,10 +244,14 @@ class TestExperiment:
         assert keys == [(n, d, seed) for n in (10, 12, 16, 20) for d in (3, 4)
                         for seed in (1, 2, 3, 4, 5)]
 
-    def test_interpolation_default_graph(self, runner, small_graph):
-        # without --graph the base graph is random_regular(--base-n, --base-d, --seed)
-        generated = invoke(runner, ["--no-timestamp", "experiment", "interpolation"])
-        explicit = invoke(runner, ["--no-timestamp", "experiment", "interpolation",
+    @pytest.mark.parametrize("args", [
+        ["interpolation"],
+        ["lowerbound", "--k-list", "1,2"],
+    ], ids=lambda args: args[0])
+    def test_default_base_graph(self, runner, small_graph, args):
+        # without --graph the base graph is random_regular(10, 3, --seed)
+        generated = invoke(runner, ["--no-timestamp", "experiment", *args])
+        explicit = invoke(runner, ["--no-timestamp", "experiment", *args,
                                    "--graph", small_graph])
         assert generated.exit_code == explicit.exit_code == 0
         assert generated.output == explicit.output
@@ -366,6 +369,8 @@ class TestMainEntry:
         ["experiment", "localization", "--k-list", "2"],
         ["experiment", "interpolation", "--seeds", "3"],
         ["experiment", "lowerbound", "--n-list", "10"],
+        ["experiment", "interpolation", "--base-n", "12"],
+        ["experiment", "lowerbound", "--base-d", "4"],
         ["--cap-edges", "5", "gen", "regular", "--n", "10", "--d", "3"],
         ["gen", "regular", "--n", "10", "--d", "3", "--seed", "5"],
     ], ids=" ".join)

@@ -34,8 +34,9 @@ def _code_names(path):
 
 
 def _readme_code():
-    """README's fenced blocks and inline code spans: its code, not its prose."""
-    text = (ROOT / "README.md").read_text()
+    """README's fenced blocks and inline code spans before `## Layout`: its
+    code, not its prose, nor the layout tree that describes the modules."""
+    text = (ROOT / "README.md").read_text().split("\n## Layout\n", 1)[0]
     fenced = re.compile(r"^```[^\n]*\n(.*?)^```", re.S | re.M)
     return fenced.findall(text) + re.findall(r"`([^`\n]+)`", fenced.sub("", text))
 

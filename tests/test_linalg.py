@@ -9,7 +9,6 @@ from ohmlab import (
     DisconnectedError,
     Multigraph,
     cycle_graph,
-    incidence,
     induced_pnorm_nonneg,
     laplacian,
     path_graph,
@@ -18,7 +17,7 @@ from ohmlab import (
 )
 from ohmlab.linalg import solve_laplacian_block
 
-from conftest import complete_graph
+from conftest import complete_graph, incidence
 
 
 class TestIncidenceAndLaplacian:
@@ -103,7 +102,7 @@ class TestSolveLaplacian:
         with pytest.raises(DisconnectedError):
             solve_laplacian(g, np.array([1.0, -1.0, 0.0, 0.0]))
 
-    def test_convergence_error_carries_best_iterate(self, monkeypatch):
+    def test_convergence_error_carries_last_iterate(self, monkeypatch):
         monkeypatch.setattr(ohmlab.linalg, "_iteration_cap", lambda g: 2)
         g = random_regular(20, 3, 1)
         b = np.zeros(20)
@@ -111,10 +110,33 @@ class TestSolveLaplacian:
         with pytest.raises(ConvergenceError) as exc:
             solve_laplacian(g, b)
         err = exc.value
-        assert err.best is not None
         assert err.best.shape == (20,)
         assert err.iterations == 2
-        assert err.residual > 0
+        # the reported residual is the carried iterate's, against the centred demand
+        true_res = np.linalg.norm(laplacian(g) @ err.best - (b - b.mean()))
+        assert err.residual == pytest.approx(true_res, rel=1e-12)
+        assert err.residual > 1e-10 * np.linalg.norm(b)
+
+    def test_capped_iterate_error_never_grows(self, monkeypatch):
+        # conjugate gradient minimizes the L-energy error over a growing Krylov
+        # space, so each further iteration is at least as close as the last:
+        # the iterate it stops at is its best, and no copy of an earlier one
+        # is kept
+        g = random_regular(20, 3, 1)
+        b = np.zeros(20)
+        b[0], b[1] = 1.0, -1.0
+        lap = laplacian(g).toarray()
+        exact = np.linalg.lstsq(lap, b, rcond=None)[0]
+        errors = []
+        for cap in range(1, 7):
+            monkeypatch.setattr(ohmlab.linalg, "_iteration_cap", lambda g, cap=cap: cap)
+            with pytest.raises(ConvergenceError) as exc:
+                solve_laplacian(g, b)
+            assert exc.value.iterations == cap
+            e = exc.value.best - exact
+            errors.append(float(e @ lap @ e))
+        assert all(later <= earlier for earlier, later in zip(errors, errors[1:]))
+        assert errors[-1] < errors[0]
 
 
 def _pcg_gap_bound(g, b, tol):
@@ -246,6 +268,25 @@ class TestCentred:
         centred = ohmlab.linalg._centred(b)
         sums = np.cumsum(b, axis=0)[-1] if b.ndim == 2 else b.sum()
         assert centred.tobytes() == (b - sums / shape[0]).tobytes()
+
+
+class TestPnorm:
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+    def test_matches_numpy(self, p):
+        v = np.array([3.0, 4.0, 0.0, 1.5])
+        assert ohmlab.linalg._pnorm(v, p) == pytest.approx(np.linalg.norm(v, p), rel=1e-14)
+
+    def test_large_p_stays_finite(self):
+        # loads up to 5 once overflowed 5 ** 1000 and the norm read inf;
+        # ||x||_inf <= ||x||_p <= m^(1/p) ||x||_inf
+        v = np.linspace(0.5, 5.0, 6)
+        top = ohmlab.linalg._pnorm(v, np.inf)
+        assert top == 5.0
+        assert top <= ohmlab.linalg._pnorm(v, 1000.0) <= v.size ** (1.0 / 1000.0) * top
+
+    def test_empty_and_zero(self):
+        assert ohmlab.linalg._pnorm(np.zeros(0), 2.0) == 0.0
+        assert ohmlab.linalg._pnorm(np.zeros(3), 2.0) == 0.0
 
 
 class TestDirectFallback:

@@ -25,7 +25,6 @@ from ohmlab import (  # noqa: E402
     extension_energy,
     flow_projection,
     harmonic_extension,
-    incidence,
     induced_pnorm_nonneg,
     l1_objective,
     min_l1_extension,
@@ -39,7 +38,7 @@ from ohmlab import (  # noqa: E402
 )
 from ohmlab.linalg import solve_laplacian_block  # noqa: E402
 from ohmlab.sparsify import _elimination  # noqa: E402
-from conftest import cut_weight, volume  # noqa: E402
+from conftest import cut_weight, incidence, volume  # noqa: E402
 from test_cli import HEAVY_SEVEN  # noqa: E402
 from test_graphs import assert_interval_above, record_filter_intervals  # noqa: E402
 from test_thresholds import (  # noqa: E402

@@ -14,7 +14,6 @@ from ohmlab import (
     competitive_ratio,
     competitive_ratio_inf,
     competitive_report,
-    congestion,
     cycle_graph,
     demand_fraction,
     edge_demand,
@@ -23,7 +22,6 @@ from ohmlab import (
     flow_projection,
     gadget_subdivide,
     graph_union,
-    incidence,
     induced_pnorm_nonneg,
     localization,
     path_graph,
@@ -34,7 +32,7 @@ from ohmlab import (
 )
 from ohmlab.routing import PROJECTION_EDGE_CAP
 
-from conftest import competitive_ratio_operator, complete_graph
+from conftest import competitive_ratio_operator, complete_graph, incidence
 
 
 def test_package_reexports_are_in_submodule_all():
@@ -157,39 +155,15 @@ class TestEffectiveResistance:
             effective_resistance(cycle_graph(6), 1.5, 3)
 
 
-class TestCongestion:
-    def test_no_cancellation_between_commodities(self):
-        g = complete_graph(2)
-        flows = [np.array([1.0]), np.array([-1.0])]
-        assert congestion(g, flows, np.inf) == 2.0
-        assert congestion(g, flows, 1.0) == 2.0
-
-    def test_weight_scaling(self):
-        g = Multigraph.from_edges(2, [(0, 1, 2.0)])
-        assert congestion(g, [np.array([1.0])], np.inf) == 0.5
-
-    def test_p_norm(self):
-        g = path_graph(3)
-        flows = [np.array([3.0, 4.0])]
-        assert congestion(g, flows, 2.0) == pytest.approx(5.0)
-
+class TestFlowLength:
     @pytest.mark.parametrize("call", [
-        lambda g, f: congestion(g, [f], 2.0),
         flow_energy,
         lambda g, f: demand_fraction(g, f, edge_demand(g, 0), [0]),
-    ], ids=["congestion", "flow_energy", "demand_fraction"])
+    ], ids=["flow_energy", "demand_fraction"])
     def test_short_flow_refused(self, call):
         # flow_energy broadcast [1.0] over the four edges and returned 4.0
         with pytest.raises(ValueError, match="^flow must have length m=4$"):
             call(cycle_graph(4), [1.0])
-
-    def test_large_p_stays_finite(self):
-        # loads up to 5 once overflowed 5 ** 1000, and congestion read inf;
-        # ||x||_inf <= ||x||_p <= m^(1/p) ||x||_inf
-        g = cycle_graph(6)
-        flows = [np.linspace(1.0, 5.0, g.m), -np.linspace(0.5, 2.0, g.m)]
-        top = congestion(g, flows, np.inf)
-        assert top <= congestion(g, flows, 1000.0) <= g.m ** (1.0 / 1000.0) * top
 
 
 class TestCompetitiveRatioInf:
@@ -371,7 +345,6 @@ class TestPRange:
         g = random_regular(10, 3, 1)
         calls = [
             lambda: competitive_ratio(g, p),
-            lambda: congestion(g, [np.ones(g.m)], p),
             lambda: induced_pnorm_nonneg(np.ones((3, 3)), p),
             lambda: ohmlab.routing._ratios(g, (np.inf, p)),
         ]
