@@ -129,6 +129,9 @@ def solve_laplacian(g: Multigraph, b: np.ndarray) -> SolveReport:
     iteration. b is projected onto the sum-zero subspace first; a non-finite
     entry or drift beyond 10 * _SOLVE_TOL * ||b|| is an error. Convergence
     means the true residual satisfies ||L x - b|| <= _SOLVE_TOL * ||b||.
+    When the recursive residual meets that bound but the true one does not,
+    the true residual replaces it and the search direction restarts from
+    it, since the old direction belongs to the residual that drifted.
 
     The iteration cap is max(1e4, 10 n sqrt(kappa_hat)) with
     kappa_hat = n * w_max / w_min, a deliberately crude condition-number
@@ -172,6 +175,7 @@ def solve_laplacian(g: Multigraph, b: np.ndarray) -> SolveReport:
         r -= alpha * lp
         x -= x.mean()
         r -= r.mean()
+        restart = False
         if float(np.linalg.norm(r)) <= target:
             true_r = b - lap @ x
             true_res = float(np.linalg.norm(true_r))
@@ -180,12 +184,12 @@ def solve_laplacian(g: Multigraph, b: np.ndarray) -> SolveReport:
                 return SolveReport(x, true_res, iterations)
             r = true_r
             r -= r.mean()
+            restart = True
         z = dinv * r
         z -= z.mean()
         rz_new = float(r @ z)
-        beta = rz_new / rz
+        p = z if restart else z + (rz_new / rz) * p
         rz = rz_new
-        p = z + beta * p
     true_res = float(np.linalg.norm(b - lap @ x))
     raise ConvergenceError(
         f"conjugate gradient missed tolerance {_SOLVE_TOL:g} after {iterations} "

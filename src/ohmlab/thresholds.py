@@ -4,9 +4,11 @@ For a voltage vector v the threshold cut at t is S_t = {a : v(a) >= t}. The
 fractional volume vol_geq(t) counts, per edge aligned so v(a) <= v(b), the
 full 2w while t <= v(a), the interpolated share 2w (v(b) - t) / (v(b) - v(a))
 while v(a) < t <= v(b), and zero afterwards; edges with v(a) = v(b) count
-fully until t passes their value and never cross a cut. Voltages are centered
-by a shift chosen so vol_geq(0) = vol(V)/2, which makes the two half-axes
-comparable and is the convention the derivative inequalities assume.
+fully until t passes their value and never cross a cut. The profile keeps
+the solved voltages as they are; its centring shift s, chosen so
+vol_geq(s) = vol(V)/2, makes the two half-axes comparable and is the
+convention the derivative inequalities assume. A threshold t is reported
+centred, as t - s, only where it leaves the profile.
 
 Between consecutive breakpoints bp (the distinct voltages) the crossing set
 is fixed: cut weight, decay rate -d/dt vol_geq and crossing flow are constant
@@ -14,14 +16,14 @@ and vol_geq is linear. `ThresholdProfile.table` holds them, one row per
 interval, and every quantity below reads it. A float t lands in row
 r = searchsorted(bp, t, 'left'), the interval (bp[r-1], bp[r]] whose crossing
 set {v(a) < t <= v(b)} is the edges with v(a) <= bp[r-1] and v(b) >= bp[r];
-rows 0 (t <= t_min) and len(bp) (t > t_max) cross nothing and have vol_geq
+rows 0 (t <= bp[0]) and len(bp) (t > bp[-1]) cross nothing and have vol_geq
 vol(V) and 0. In row r, vol_geq(t) = vol_geq(bp[r]) + (bp[r] - t) * decay.
 The table also holds vol_leq at each row's left end, the volume of the low
-side {v <= t} that the derivative check divides by at t <= 0; it is summed
-from the low end, never taken as vol(V) - vol_geq, which cancels when the low
-side is light. In row r, vol_leq(t) = vol_leq(bp[r-1]) + (t - bp[r-1]) * decay.
-Only the centering bisection (`_vol_geq_arrays`) still scans every edge per
-threshold: `ohmlab diagnose` prints its residual, which the scan keeps as is.
+side {v <= t} that the derivative check divides by below the shift; it is
+summed from the low end, never taken as vol(V) - vol_geq, which cancels when
+the low side is light. In row r,
+vol_leq(t) = vol_leq(bp[r-1]) + (t - bp[r-1]) * decay. The centring
+bisection reads vol_geq off the same table.
 
 Everything here is exact piecewise arithmetic on the breakpoint grid; the
 only approximation in the pipeline is the Laplacian solve that produced v.
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -58,32 +60,70 @@ _DERIVATIVE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ThresholdProfile:
-    """Centered voltages with per-edge data aligned so va <= vb.
+    """Solved voltages with per-edge data aligned so va <= vb.
 
-    voltages are per vertex after subtracting center_shift from the raw
-    sum-zero solution. center_residual records how far vol_geq(0) landed
-    from vol(V)/2 (bisection is argument-limited, so this is the honest
-    achieved miss). solver_residual carries the Laplacian residual of the
-    voltage solve, 0.0 for profiles built from explicit voltages.
+    voltages, va, vb and breakpoints are in the solve's own coordinates, and
+    the table is built on them. center_shift is the threshold s read off
+    that table with vol_geq(s) = vol(V)/2, and t_min and t_max are the
+    extreme voltages centred by it. center_residual records how far
+    vol_geq(s) landed from vol(V)/2 (bisection is argument-limited, so this
+    is the honest achieved miss). solver_residual carries the Laplacian
+    residual of the voltage solve, 0.0 for profiles built from explicit
+    voltages.
     """
 
     weights: np.ndarray
     voltages: np.ndarray
     va: np.ndarray
     vb: np.ndarray
-    center_shift: float
-    center_residual: float
     breakpoints: np.ndarray
     total_volume: float
     solver_residual: float = 0.0
 
     @property
     def t_min(self) -> float:
-        return float(self.breakpoints[0])
+        return float(self.breakpoints[0] - self.center_shift)
 
     @property
     def t_max(self) -> float:
-        return float(self.breakpoints[-1])
+        return float(self.breakpoints[-1] - self.center_shift)
+
+    @cached_property
+    def center_shift(self) -> float:
+        """Leftmost s with vol_geq(s) = vol(V)/2, by bisection on the table.
+
+        Bisection runs to 1e-12 of the voltage range in the argument and
+        keeps halving while the volume miss exceeds 1e-10 * vol(V). When all
+        voltages are equal there is no demand, and s is their common value.
+        """
+        bp, total = self.breakpoints, self.total_volume
+        lo, hi = float(bp[0]), float(bp[-1])
+        if hi <= lo:
+            return lo
+        rng = hi - lo
+        f_hi = self._center_miss(hi)
+        if f_hi > 0:
+            hi = float(np.nextafter(hi, np.inf))
+            f_hi = self._center_miss(hi)
+        for _ in range(200):
+            if hi - lo <= 1e-12 * rng and abs(f_hi) <= 1e-10 * total:
+                break
+            mid = 0.5 * (lo + hi)
+            if not (lo < mid < hi):
+                break
+            f_mid = self._center_miss(mid)
+            if f_mid > 0:
+                lo = mid
+            else:
+                hi, f_hi = mid, f_mid
+        return hi
+
+    @property
+    def center_residual(self) -> float:
+        return abs(self._center_miss(self.center_shift))
+
+    def _center_miss(self, t: float) -> float:
+        return float(_rows_at(self, t)[3]) - self.total_volume / 2.0
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -129,78 +169,26 @@ def _thin(values: np.ndarray, samples: Optional[int]) -> np.ndarray:
     return values[np.unique(idx)]
 
 
-def _vol_geq_arrays(va, vb, w, t: float) -> float:
-    full = t <= va
-    cross = (va < t) & (t <= vb)
-    out = 2.0 * float(w[full].sum())
-    if cross.any():
-        out += 2.0 * float(
-            (w[cross] * (vb[cross] - t) / (vb[cross] - va[cross])).sum()
-        )
-    return out
-
-
-def _center_shift(va, vb, w, total: float) -> Tuple[float, float]:
-    """Leftmost shift s with vol_geq(s) = total/2, by bisection.
-
-    Bisection runs to 1e-12 of the voltage range in the argument and keeps
-    halving while the volume miss exceeds 1e-10 * total; the achieved miss is
-    returned so callers can record it.
-    """
-    target = total / 2.0
-    lo = float(min(va.min(), vb.min()))
-    hi = float(vb.max())
-    if hi <= lo:
-        # all voltages equal; any shift to that value empties or fills, the
-        # profile is degenerate (no demand), center on the common value
-        return lo, abs(_vol_geq_arrays(va, vb, w, lo) - target)
-    rng = hi - lo
-    f_hi = _vol_geq_arrays(va, vb, w, hi) - target
-    if f_hi > 0:
-        hi = np.nextafter(hi, np.inf)
-        f_hi = _vol_geq_arrays(va, vb, w, hi) - target
-    for _ in range(200):
-        if hi - lo <= 1e-12 * rng and abs(f_hi) <= 1e-10 * total:
-            break
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break
-        f_mid = _vol_geq_arrays(va, vb, w, mid) - target
-        if f_mid > 0:
-            lo = mid
-        else:
-            hi = mid
-            f_hi = f_mid
-    return hi, abs(f_hi)
-
-
 def profile_from_voltages(
     g: Multigraph, voltages: np.ndarray, solver_residual: float = 0.0
 ) -> ThresholdProfile:
-    """Build a centered profile from an explicit voltage vector."""
+    """Build the profile of an explicit voltage vector."""
     v = np.asarray(voltages, dtype=np.float64)
     if v.shape != (g.n,):
         raise ValueError(f"voltages must have length n={g.n}")
-    va = np.minimum(v[g.tails], v[g.heads])
-    vb = np.maximum(v[g.tails], v[g.heads])
-    total = float(g.weighted_degrees.sum())
-    shift, residual = _center_shift(va, vb, g.weights, total)
-    centered = v - shift
     return ThresholdProfile(
         weights=g.weights,
-        voltages=centered,
-        va=va - shift,
-        vb=vb - shift,
-        center_shift=float(shift),
-        center_residual=float(residual),
-        breakpoints=np.unique(centered),
-        total_volume=total,
+        voltages=v,
+        va=np.minimum(v[g.tails], v[g.heads]),
+        vb=np.maximum(v[g.tails], v[g.heads]),
+        breakpoints=np.unique(v),
+        total_volume=float(g.weighted_degrees.sum()),
         solver_residual=float(solver_residual),
     )
 
 
 def threshold_profile(g: Multigraph, chi: np.ndarray) -> ThresholdProfile:
-    """Solve for the demand's voltages and build the centered profile.
+    """Solve for the demand's voltages and build their profile.
 
     The voltages are harmonic off the demand's support, so by the maximum
     principle the support's extremes bound them all. The solve is clamped to
@@ -279,25 +267,26 @@ def check_derivative_bounds(
 ) -> DerivativeCheckReport:
     """Check both derivative inequalities at interval midpoints.
 
-    Samples cover the midpoints at t >= 0, where the volume is vol_geq(t),
-    and those at t <= 0, where it is vol_leq(t), the volume of the low side
-    {v <= t}; each side is thinned evenly from 0 outwards to `samples`
-    points (every midpoint when samples is None or <= 0). Both sides read
-    the one interval table. phi must be a valid conductance (lower bound)
-    for the graph, and a smaller phi only weakens the ratio inequality.
+    Samples cover the midpoints at or above the centring shift s, where the
+    volume is vol_geq(t), and those at or below it, where it is vol_leq(t),
+    the volume of the low side {v <= t}; each side is thinned evenly from s
+    outwards to `samples` points (every midpoint when samples is None or
+    <= 0). Both sides read the one interval table, and the worst t are
+    reported centred. phi must be a valid conductance (lower bound) for the
+    graph, and a smaller phi only weakens the ratio inequality.
     """
     if not phi > 0.0:
         raise ValueError(f"phi must be positive, got {phi}")
-    bp = profile.breakpoints
+    bp, shift = profile.breakpoints, profile.center_shift
     mids = 0.5 * (bp[:-1] + bp[1:])
-    up = _thin(mids[mids >= 0.0], samples)
-    down = -_thin(-mids[mids <= 0.0][::-1], samples)
+    up = _thin(mids[mids >= shift], samples)
+    down = _thin(mids[mids <= shift][::-1], samples)
     # the low side's crossing set is {v(a) <= t < v(b)}: a midpoint that
     # rounded onto a breakpoint reads the interval above it
     r = np.searchsorted(bp, down, "right")
     low_delta, low_decay, _, _, left = profile.table[r].T
     delta, decay, _, vol = _rows_at(profile, up)
-    t = np.concatenate([up, down])
+    t = np.concatenate([up, down]) - shift
     delta, decay = np.concatenate([delta, low_delta]), np.concatenate([decay, low_decay])
     vol = np.concatenate([vol, left + (down - bp[r - 1]) * low_decay])
     lhs = 2.0 * delta * delta
@@ -322,12 +311,13 @@ def diagnostic_rows(
     """One row per breakpoint-interval midpoint, thinned to `samples` rows
     (every interval when samples is None or <= 0).
 
-    Columns follow DIAGNOSTIC_COLUMNS: threshold, cut weight, fractional
-    volume, padded volume, signed derivative of the padded volume, and the
-    crossing flow.
+    Columns follow DIAGNOSTIC_COLUMNS: centred threshold, cut weight,
+    fractional volume, padded volume, signed derivative of the padded volume,
+    and the crossing flow.
     """
     bp = profile.breakpoints
     t = _thin(0.5 * (bp[:-1] + bp[1:]), samples)
     delta, decay, flow, vol = _rows_at(profile, t)
+    t = t - profile.center_shift
     return list(zip(t.tolist(), delta.tolist(), vol.tolist(), (vol + 1.0).tolist(),
                     (-decay).tolist(), flow.tolist()))

@@ -39,8 +39,8 @@ def small_graph(tmp_path):
 # A tree of parallel edges with weights from 1 to 6.5e5: the grounded
 # factor leaves the edge-0 demand a true residual of 2.89e-10 against the
 # target 1.41e-10, and one refinement step against it meets the target.
-# Re-solved by conjugate gradient instead, that column stalled at 2.845e-10
-# after 149,831 iterations and `report` exited 1.
+# Conjugate gradient's recursive residual meets the target there before the
+# true one does.
 HEAVY_SEVEN = Multigraph(
     7, np.array([0, 3, 6, 5, 2, 1, 1, 2, 1, 1, 1, 3, 1, 6]),
     np.array([4, 0, 4, 6, 4, 2, 2, 4, 2, 2, 2, 0, 2, 4]),
@@ -175,6 +175,17 @@ class TestDiagnose:
         p = tmp_path / "g.txt"
         write_graph(graph(), p)
         proc = _run_python("-m", "ohmlab.cli", "--no-timestamp", "diagnose", str(p), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+
+    def test_false_convergence_exits_zero(self, tmp_path):
+        # diagnose solves by conjugate gradient; kept on its old direction
+        # after a false convergence, edge 0's solve ran 149,831 iterations
+        # and exited 1
+        p = tmp_path / "heavy7.txt"
+        write_graph(HEAVY_SEVEN, p)
+        proc = _run_python("-m", "ohmlab.cli", "--no-timestamp", "diagnose", str(p),
+                           "--edge", "0", timeout=30)
         assert proc.returncode == 0, proc.stderr
 
 
@@ -437,6 +448,21 @@ class TestMainEntry:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: could not convert string to float: 'oo'\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (["report", "GRAPH", "--p", "0.5"], "Invalid value: p must be in [1, inf], got 0.5"),
+        (["report", "GRAPH", "--p", ","], "Invalid value: empty p grid"),
+        (["experiment", "upperbound", "--n-list", "1,x"], "Invalid value: bad n list '1,x'"),
+    ])
+    def test_bad_list_values_exit_one(self, tmp_path, capsys, args, message):
+        gpath = tmp_path / "g.txt"
+        write_graph(path_graph(3), gpath)
+        with pytest.raises(SystemExit) as exc:
+            ohmlab.cli.main([str(gpath) if a == "GRAPH" else a for a in args])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
 
     def test_operational_error_message(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -307,6 +307,20 @@ class TestExperiments:
         assert rows["inf"][2] == pytest.approx(rows["inf"][1], abs=1e-9)
         assert res.violations == []
 
+    def test_interpolation_at_p_one(self):
+        # at p = 1 the interpolation bound is rho_1 itself, and the spectral
+        # bound, through the dual exponent inf, is rho_inf
+        g = random_regular(10, 3, 1)
+        (row,) = run_interpolation(g, (1.0,)).rows
+        assert row[0] == "1"
+        assert row[2] == row[1] == pytest.approx(ohmlab.competitive_ratio(g, 1.0), rel=1e-9)
+        assert row[3] == pytest.approx(ohmlab.competitive_ratio_inf(g), rel=1e-9)
+
+    def test_interpolation_refuses_a_weighted_graph(self):
+        g = ohmlab.Multigraph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 1.0)])
+        with pytest.raises(ValueError, match="unit-weight"):
+            run_interpolation(g, (2.0,))
+
     def test_lowerbound_monotone(self):
         res = run_lowerbound(random_regular(10, 3, 1), (1, 2, 3), (np.inf,))
         assert res.header[:6] == ("k", "n", "m", "phi_lower", "phi_upper", "rho_inf")

@@ -9,6 +9,7 @@ from ohmlab import (
     DisconnectedError,
     Multigraph,
     cycle_graph,
+    edge_demand,
     induced_pnorm_nonneg,
     laplacian,
     path_graph,
@@ -18,6 +19,7 @@ from ohmlab import (
 from ohmlab.linalg import solve_laplacian_block
 
 from conftest import complete_graph, incidence
+from test_cli import HEAVY_SEVEN
 
 
 class TestIncidenceAndLaplacian:
@@ -116,6 +118,19 @@ class TestSolveLaplacian:
         true_res = np.linalg.norm(laplacian(g) @ err.best - (b - b.mean()))
         assert err.residual == pytest.approx(true_res, rel=1e-12)
         assert err.residual > 1e-10 * np.linalg.norm(b)
+
+    def test_false_convergence_restarts_the_direction(self):
+        # on HEAVY_SEVEN the recursive residual meets the bound while the true
+        # one misses it; going on along the old direction after swapping the
+        # true residual in ran edge 0's demand to the 149,831-iteration cap
+        lap = laplacian(HEAVY_SEVEN)
+        for e in range(HEAVY_SEVEN.m):
+            for sign in (1.0, -1.0):
+                b = sign * edge_demand(HEAVY_SEVEN, e)
+                rep = solve_laplacian(HEAVY_SEVEN, b)
+                assert rep.iterations <= 20, (e, sign, rep.iterations)
+                assert rep.residual_norm <= 1e-10 * np.linalg.norm(b)
+                assert np.linalg.norm(lap @ rep.solution - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_capped_iterate_error_never_grows(self, monkeypatch):
         # conjugate gradient minimizes the L-energy error over a growing Krylov

@@ -224,7 +224,7 @@ def test_flow_projection_is_an_orthogonal_projector(g):
 @given(weighted_multigraphs(), st.sampled_from([None, 0, 7, 50]))
 @example(LIGHT_CORNER, None)
 def test_derivative_check_matches_mirrored_reference(g, samples):
-    # the t <= 0 half against the negated voltages' profile, on both
+    # the half below the shift against the negated voltages' profile, on both
     # orientations of the first edges' demands; on LIGHT_CORNER edge 1
     # reversed puts the light vertex 2 alone on the low side. The voltages
     # come from dense pinv: some of these graphs have a rounding floor on

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,8 @@ from ohmlab import (
     random_regular,
     threshold_profile,
 )
+from ohmlab import thresholds
+from ohmlab.experiments import run_diagnose
 from ohmlab.thresholds import DIAGNOSTIC_COLUMNS, ThresholdProfile, _rows_at, _thin
 
 from conftest import complete_graph
@@ -57,25 +60,25 @@ def assert_low_column_matches_scan(prof):
 
 def mirrored_profile(prof):
     """The profile of the negated voltages, whose vol_geq(t) is the original's
-    vol_leq(-t): the construction check_derivative_bounds once ran its t <= 0
+    vol_leq(-t): the construction check_derivative_bounds once ran its low
     side through, kept as the reference for it."""
     return ThresholdProfile(
         weights=prof.weights, voltages=-prof.voltages, va=-prof.vb, vb=-prof.va,
-        center_shift=-prof.center_shift, center_residual=prof.center_residual,
         breakpoints=np.sort(-prof.breakpoints), total_volume=prof.total_volume,
         solver_residual=prof.solver_residual,
     )
 
 
 def mirrored_derivative_check(prof, phi, samples):
-    """check_derivative_bounds with its t <= 0 side read off the mirrored
-    profile's own table at the mirrored midpoints >= 0."""
+    """check_derivative_bounds with its side below the shift s read off the
+    mirrored profile's own table at the mirrored midpoints >= -s."""
     sides = []
+    shift = prof.center_shift
     for sign, side in ((1.0, prof), (-1.0, mirrored_profile(prof))):
         bp = side.breakpoints
         mids = 0.5 * (bp[:-1] + bp[1:])
-        t = _thin(mids[mids >= 0.0], samples)
-        sides.append((sign * t, *_rows_at(side, t)))
+        t = _thin(mids[mids >= sign * shift], samples)
+        sides.append((sign * t - shift, *_rows_at(side, t)))
     t, delta, decay, _, vol = map(np.concatenate, zip(*sides))
     lhs = 2.0 * delta * delta
     quad = (lhs - decay) / np.maximum(np.maximum(np.abs(lhs), np.abs(decay)), 1.0)
@@ -116,17 +119,33 @@ def assert_table_matches_scan(prof, ts):
         assert abs(got[3] - want[3]) <= 1e-12 * prof.total_volume, (t, got, want)
 
 
-def uncentered_profile(n, edges, v):
-    """Profile of voltages v taken as centered already, so that its
-    breakpoint gaps are exactly the given ones."""
-    g = Multigraph.from_edges(n, edges)
-    v = np.asarray(v, dtype=np.float64)
-    va, vb = v[g.tails], v[g.heads]
-    return ThresholdProfile(
-        weights=g.weights, voltages=v, va=np.minimum(va, vb), vb=np.maximum(va, vb),
-        center_shift=0.0, center_residual=0.0,
-        breakpoints=np.unique(v), total_volume=float(g.weighted_degrees.sum()),
-    )
+def scan_center(prof):
+    """Reference for the centring: the same bisection on vol_geq from one
+    pass over every edge per threshold, returning (shift, residual)."""
+    total = prof.total_volume
+
+    def miss(t):
+        return scan(prof, t)[3] - total / 2.0
+
+    lo, hi = float(prof.va.min()), float(prof.vb.max())
+    if hi <= lo:
+        return lo, abs(miss(lo))
+    rng, f_hi = hi - lo, miss(hi)
+    if f_hi > 0:
+        hi = float(np.nextafter(hi, np.inf))
+        f_hi = miss(hi)
+    for _ in range(200):
+        if hi - lo <= 1e-12 * rng and abs(f_hi) <= 1e-10 * total:
+            break
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        f_mid = miss(mid)
+        if f_mid > 0:
+            lo = mid
+        else:
+            hi, f_hi = mid, f_mid
+    return hi, abs(f_hi)
 
 
 def k2_profile():
@@ -206,6 +225,11 @@ class TestIntervalTable:
             bp = prof.breakpoints
             mids = 0.5 * (bp[:-1] + bp[1:])
             assert_table_matches_scan(prof, np.concatenate([mids, bp]))
+            # the centring reads the table; the scan's bisection may part from
+            # it only where rounding flips the sign of a miss at the target
+            shift, residual = scan_center(prof)
+            assert abs(prof.center_shift - shift) <= 1e-9 * (bp[-1] - bp[0]), i
+            assert abs(prof.center_residual - residual) <= 1e-9 * prof.total_volume, i
 
     def test_tiny_gap_ahead_of_unit_gaps(self):
         # a 1e-13-wide heavy edge below unit-wide ones, then an interval one
@@ -215,7 +239,7 @@ class TestIntervalTable:
         v = [0.1, 0.1 + 1e-13, 1.1, 2.1, 3.1, top, np.nextafter(top, np.inf)]
         edges = [(0, 1, 1e6 + 0.1), (1, 2, 1.3), (2, 3, 1.0), (1, 3, 2.7),
                  (3, 4, 1.0), (4, 5, 1.9), (5, 6, 1.0), (0, 6, 1.0)]
-        prof = uncentered_profile(7, edges, v)
+        prof = profile_from_voltages(Multigraph.from_edges(7, edges), v)
         bp = prof.breakpoints
         assert bp.size == 7 and bp[-1] - bp[-2] == np.spacing(top)
         mids = 0.5 * (bp[:-1] + bp[1:])
@@ -247,27 +271,62 @@ class TestCentering:
             g = random_regular(12, 3, seed)
             for e in (0, 5):
                 prof = threshold_profile(g, edge_demand(g, e))
-                vol = prof.total_volume
+                vol, shift = prof.total_volume, prof.center_shift
                 if prof.center_residual <= 1e-9 * vol:
-                    assert table_at(prof, 0.0)[3] == pytest.approx(
+                    assert table_at(prof, shift)[3] == pytest.approx(
                         vol / 2.0, abs=1e-8 * vol
                     )
                 else:
                     # an exact voltage tie on an edge puts a jump under the
                     # bisection point; the residual can never exceed it
-                    ties = (prof.va == prof.vb) & (np.abs(prof.va) <= 1e-12)
+                    ties = (prof.va == prof.vb) & (np.abs(prof.va - shift) <= 1e-12)
                     jump = 2.0 * prof.weights[ties].sum()
                     assert prof.center_residual <= jump + 1e-9 * vol
 
     def test_volume_monotone(self):
         g = random_regular(10, 3, 2)
         prof = threshold_profile(g, edge_demand(g, 3))
-        ts = np.linspace(prof.t_min - 0.1, prof.t_max + 0.1, 400)
+        bp = prof.breakpoints
+        ts = np.linspace(bp[0] - 0.1, bp[-1] + 0.1, 400)
         vals = [table_at(prof, t)[3] for t in ts]
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-12
         assert vals[0] == prof.total_volume
         assert vals[-1] == 0.0
+
+    def test_equal_voltages(self):
+        # no demand: every voltage is 0, the shift lands on that common value
+        # and half the volume is missed, since vol_geq(0) = vol(V)
+        g = random_regular(12, 3, 1)
+        prof = threshold_profile(g, np.zeros(g.n))
+        assert prof.center_shift == 0.0
+        assert prof.center_residual == prof.total_volume / 2.0
+        assert check_unit_flow(prof) == 0.0
+        assert (prof.t_min, prof.t_max) == (0.0, 0.0)
+
+    def test_one_profile_one_table(self, monkeypatch):
+        # run_diagnose builds one profile and one interval table, and the
+        # centring bisection reads vol_geq off that same table
+        made, builds, reads = [], [], []
+
+        class Counted(ThresholdProfile):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+            @cached_property
+            def table(self):
+                builds.append(self)
+                return ThresholdProfile.table.func(self)
+
+        rows_at = thresholds._rows_at
+        monkeypatch.setattr(thresholds, "ThresholdProfile", Counted)
+        monkeypatch.setattr(thresholds, "_rows_at",
+                            lambda prof, t: reads.append(prof) or rows_at(prof, t))
+        run_diagnose(random_regular(30, 3, 1), 0, samples=10)
+        assert len(made) == 1 and builds == made
+        assert "center_shift" in vars(made[0])
+        assert len(reads) > 10 and all(prof is made[0] for prof in reads)
 
     def test_zero_gap_jump_reported_honestly(self):
         prof = zero_gap_profile()
@@ -284,7 +343,7 @@ class TestCutWeightAndFlow:
         g = random_regular(10, 3, 3)
         prof = threshold_profile(g, edge_demand(g, 0))
         rng = np.random.default_rng(0)
-        for t in rng.uniform(prof.t_min, prof.t_max, 25):
+        for t in rng.uniform(prof.breakpoints[0], prof.breakpoints[-1], 25):
             mask = prof.voltages >= t
             direct = float(
                 prof.weights[mask[g.tails] != mask[g.heads]].sum()
@@ -297,7 +356,8 @@ class TestCutWeightAndFlow:
         for seed in (1, 2):
             g = random_regular(12, 3, seed)
             prof = threshold_profile(g, edge_demand(g, 1))
-            for t in np.linspace(prof.t_min + 1e-9, prof.t_max, 50):
+            bp = prof.breakpoints
+            for t in np.linspace(bp[0] + 1e-9, bp[-1], 50):
                 assert table_at(prof, t)[0] >= 1.0 - 1e-12
 
     def test_crossing_flow_is_unit_inside(self):
@@ -305,7 +365,8 @@ class TestCutWeightAndFlow:
             g = random_regular(10, 3, seed)
             prof = threshold_profile(g, edge_demand(g, 2))
             assert check_unit_flow(prof) <= 1e-8
-            for t in np.linspace(prof.t_min * 0.99, prof.t_max * 0.99, 20):
+            bp = prof.breakpoints
+            for t in np.linspace(bp[0] * 0.99, bp[-1] * 0.99, 20):
                 assert table_at(prof, t)[2] == pytest.approx(1.0, abs=1e-8)
 
     def test_integral_identity_random(self):
@@ -393,8 +454,9 @@ class TestMirror:
 
     @pytest.mark.parametrize("samples", [None, 0, 7, 50])
     def test_derivative_check_matches_mirror(self, samples, random_multigraph):
-        # the t <= 0 side reads vol_leq from the one table; the mirror read
-        # it as vol_geq off a second table built on the negated voltages
+        # the side below the shift reads vol_leq from the one table; the
+        # mirror read it as vol_geq off a second table built on the negated
+        # voltages
         c4 = cycle_graph(4)
         cases = [(threshold_profile(c4, edge_demand(c4, 0)), 10.0),
                  (zero_gap_profile(), 1.0), (zero_gap_profile(), 10.0), (k2_profile(), 1.0)]
@@ -409,13 +471,14 @@ class TestMirror:
 
     def test_low_side_of_an_ulp_wide_interval(self):
         # two intervals one ulp wide, whose midpoints round onto a
-        # breakpoint: at t <= 0 a midpoint must read the interval above it
+        # breakpoint: below the shift a midpoint must read the interval
+        # above it
         top = 4.1
         v = np.array([0.1, np.nextafter(0.1, 1.0), 1.1, 2.1, 3.1, top, np.nextafter(top, 5.0)])
         edges = [(0, 1, 1e6 + 0.1), (1, 2, 1.3), (2, 3, 1.0), (1, 3, 2.7),
                  (3, 4, 1.0), (4, 5, 1.9), (5, 6, 1.0), (0, 6, 1.0)]
         for sign in (1.0, -1.0):
-            prof = uncentered_profile(7, edges, sign * v)
+            prof = profile_from_voltages(Multigraph.from_edges(7, edges), sign * v)
             mids = 0.5 * (prof.breakpoints[:-1] + prof.breakpoints[1:])
             assert np.isin(mids, prof.breakpoints).sum() == 2
             assert_low_column_matches_scan(prof)
@@ -482,7 +545,7 @@ class TestDiagnosticRows:
         prof = threshold_profile(g, edge_demand(g, 0))
         for row in diagnostic_rows(prof, samples=8):
             t, delta, vol, volp, slope, flow = row
-            cut, decay, _, want_vol = table_at(prof, t)
+            cut, decay, _, want_vol = table_at(prof, t + prof.center_shift)
             assert delta == pytest.approx(cut, abs=1e-12)
             assert vol == pytest.approx(want_vol, abs=1e-12)
             assert volp == pytest.approx(vol + 1.0, abs=1e-12)
@@ -514,7 +577,8 @@ class TestProfileConstruction:
         prof = threshold_profile(g, edge_demand(g, 0))
         bp = prof.breakpoints
         assert np.all(np.diff(bp) > 0)
-        assert prof.t_min == bp[0] and prof.t_max == bp[-1]
+        shift = prof.center_shift
+        assert prof.t_min == bp[0] - shift and prof.t_max == bp[-1] - shift
 
     def test_disconnected_rejected(self):
         g = Multigraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
@@ -573,5 +637,4 @@ class TestMaximumPrinciple:
             support = v[chi != 0]
             assert (v.min(), v.max()) == (support.min(), support.max())
             want = pinv @ chi
-            got = v + prof.center_shift
-            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), e
+            assert np.abs(v - want).max() <= 1e-9 * np.abs(want).max(), e
